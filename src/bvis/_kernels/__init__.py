@@ -1,8 +1,10 @@
-"""Hot-loop kernels: compiled core with a numpy fallback.
+"""Loop kernels: compiled core with a numpy fallback.
 
-The two genuinely hot loops in this package are the zeta partial sums
-(~1e9 terms for s=2 at tight tolerance) and brute-force box enumeration
-(up to 1e7 points).  Both are implemented twice with identical semantics:
+Two loops live here: the zeta partial sums and brute-force box
+enumeration (up to 1e7 points).  ``bvis.zeta`` no longer calls the partial
+sums; they remain as an independent reference the tests compare its
+Euler–Maclaurin enclosure against.  Both are implemented twice with
+identical semantics:
 
 * ``bvis._kernels._core`` — Cython extension built by setup.py
 * ``bvis._kernels._fallback`` — numpy implementation, always available

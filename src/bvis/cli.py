@@ -2,7 +2,7 @@
 
 Exit codes are stable across subcommands: 0 success, 2 usage error
 (malformed flags, dimension mismatch), 3 precondition violation (gcd
-condition), 4 resource limit (box or series too large).  Warnings go to
+condition), 4 resource limit (box or prime sieve too large).  Warnings go to
 stderr; JSON/CSV payloads stay machine-readable.
 """
 
@@ -416,7 +416,7 @@ def sieve(b_spec, n, box_spec, limit, case, fmt):
 @_FORMAT
 @_exits_with_codes
 def zeta_cmd(s, tol, euler_limit, fmt):
-    """Certified zeta(s) by series with an explicit tail bound."""
+    """Certified zeta(s) by exact Euler-Maclaurin summation with an explicit tail bound."""
     value = zeta_eval(s, tol)
     fields = {
         "s": value.s,

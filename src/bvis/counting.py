@@ -35,7 +35,7 @@ from .zeta import inv_zeta
 DEFAULT_BRUTE_LIMIT = 10_000_000
 
 # Density comparisons happen at 1e-2..1e-3 scale; 1e-6 on the zeta side is
-# three orders finer than any of them and keeps zeta(2) at ~1e6 series terms.
+# three orders finer than any of them.
 DENSITY_ZETA_TOL = 1e-6
 
 

@@ -1,19 +1,31 @@
 import math
+from fractions import Fraction
 
 import pytest
 
-from bvis.errors import ResourceLimitError
-from bvis.zeta import MAX_SERIES_TERMS, inv_zeta, zeta, zeta_euler_product
+from bvis._kernels import zeta_partial_sum
+from bvis.zeta import MIN_TOL, inv_zeta, zeta, zeta_euler_product
 
 PI2_OVER_6 = math.pi**2 / 6
+
+# zeta(s) to 28 significant digits.
+ZETA = {
+    2: Fraction("1.644934066848226436472415167"),
+    3: Fraction("1.202056903159594285399738162"),
+    4: Fraction("1.082323233711138191516003697"),
+    5: Fraction("1.036927755143369926331365486"),
+}
 
 
 def test_zeta2_enclosure_at_coarse_tol():
     zv = zeta(2, 1e-6)
     assert zv.tail_bound <= 1e-6
     assert abs(zv.value - PI2_OVER_6) <= zv.tail_bound
-    # series partial sums approach zeta(2) from below
-    assert zv.value < PI2_OVER_6
+    # The enclosure holds exactly, not just in floats.  (value < pi**2/6 cannot
+    # hold: pi**2/6 is itself the largest double below zeta(2).)
+    for s, exact in ZETA.items():
+        zv = zeta(s, 1e-6)
+        assert Fraction(zv.value) <= exact <= Fraction(zv.value) + Fraction(zv.tail_bound)
 
 
 def test_zeta_value_at_least_one():
@@ -78,8 +90,33 @@ def test_domain_errors():
         zeta_euler_product(1, 100)
 
 
-def test_series_term_limit():
-    # zeta(2) below ~5e-10 needs more than MAX_SERIES_TERMS terms
-    assert MAX_SERIES_TERMS == 2_000_000_000
-    with pytest.raises(ResourceLimitError):
-        zeta(2, 2.5e-10)
+def test_tight_tolerances_certified():
+    for tol in (2.5e-10, MIN_TOL):
+        zv = zeta(2, tol)
+        assert zv.tail_bound <= tol
+        assert Fraction(zv.value) <= ZETA[2] <= Fraction(zv.value) + Fraction(zv.tail_bound)
+
+
+@pytest.mark.parametrize("s", range(2, 7))
+def test_enclosure_brackets_series_with_integral_tail(s):
+    # zeta(s) - sum(n**-s, n <= m) lies between the integrals of x**-s from m+1 and from m.
+    m = 10**5
+    partial = zeta_partial_sum(s, m)
+    below = partial + 1 / ((s - 1) * (m + 1) ** (s - 1))
+    above = partial + 1 / ((s - 1) * m ** (s - 1))
+    zv = zeta(s, 1e-9)
+    assert below - 1e-12 <= zv.value <= above + 1e-12
+
+
+def test_enclosure_sweep_at_min_tol():
+    values = [zeta(s, MIN_TOL) for s in range(2, 61)]
+    assert all(zv.tail_bound <= MIN_TOL for zv in values)
+    assert all(zv.value >= 1.0 for zv in values)
+    assert all(a.value >= b.value for a, b in zip(values, values[1:]))
+
+
+def test_huge_s_skips_the_exact_sum():
+    # Both sides of the switch give 1.0; at s = 1e9 the exact sum would never finish.
+    for s in (60, 63, 64, 80, 10**9):
+        zv = zeta(s, MIN_TOL)
+        assert zv.value == 1.0 and zv.tail_bound <= MIN_TOL
