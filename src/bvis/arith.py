@@ -23,6 +23,14 @@ from .errors import ResourceLimitError
 # genuinely need more should raise the budget explicitly.
 DEFAULT_SIEVE_BUDGET = 200_000_000
 
+# The Moebius sieve holds an int8 mu, an int32 cofactor array and a bool
+# mask at its peak; a Mertens table replaces the cofactors by an int32
+# cumulative sum.
+SIEVE_BYTES_PER_ENTRY = 6
+
+# Values of M above its table that one Mertens instance may remember.
+MERTENS_MEMO_CAP = 1 << 18
+
 
 @dataclass(frozen=True)
 class PrimeTable:
@@ -123,19 +131,97 @@ def mobius(d: int) -> int:
     return -1 if len(fact.factors) % 2 else 1
 
 
-def mobius_table(limit: int) -> list[int]:
-    """Sieved Moebius values mu[0..limit] (mu[0] unused, set to 0).
+def mobius_sieve(limit: int) -> np.ndarray:
+    """Moebius values mu[0..limit] as an int8 array (mu[0] = 0).
 
-    Built once per counting loop; cheaper than calling mobius() per term.
+    Only the primes p <= isqrt(limit) are sieved.  Each flips the sign of
+    its multiples, zeroes the multiples of p**2 and is divided out of a
+    cofactor array; a squarefree n whose cofactor is still above 1 has
+    exactly one prime factor above isqrt(limit), which flips its sign once
+    more.  Raises ResourceLimitError before allocating when the arrays
+    (SIEVE_BYTES_PER_ENTRY bytes per entry) would exceed
+    DEFAULT_SIEVE_BUDGET bytes.
     """
     if limit < 0:
-        raise ValueError(f"mobius_table expects limit >= 0, got {limit}")
-    mu = np.ones(limit + 1, dtype=np.int64)
-    for p in sieve_primes(max(limit, 1)):
+        raise ValueError(f"mobius sieve expects limit >= 0, got {limit}")
+    if limit * SIEVE_BYTES_PER_ENTRY > DEFAULT_SIEVE_BUDGET:
+        raise ResourceLimitError(
+            f"Moebius sieve limit {limit} exceeds memory budget {DEFAULT_SIEVE_BUDGET} "
+            f"({SIEVE_BYTES_PER_ENTRY} bytes per entry)",
+            limit=DEFAULT_SIEVE_BUDGET // SIEVE_BYTES_PER_ENTRY,
+        )
+    mu = np.ones(limit + 1, dtype=np.int8)
+    # Values stay <= limit, which the budget keeps below 2**31.
+    cofactor = np.arange(limit + 1, dtype=np.int32)
+    for p in sieve_primes(max(math.isqrt(limit), 1)):
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
+        cofactor[p::p] //= p
+    np.negative(mu, out=mu, where=cofactor > 1)
     mu[0] = 0
-    return [int(v) for v in mu]
+    return mu
+
+
+def mobius_table(limit: int) -> list[int]:
+    """Sieved Moebius values mu[0..limit] (mu[0] unused, set to 0)."""
+    if limit < 0:
+        raise ValueError(f"mobius_table expects limit >= 0, got {limit}")
+    return mobius_sieve(limit).tolist()
+
+
+class Mertens:
+    """The Mertens function M(x) = mu(1) + ... + mu(x) for 0 <= x <= table_limit**2.
+
+    M is tabulated by a Moebius sieve up to ``table_limit``, and ``mu``
+    keeps the sieved values for callers that also need mu(d).  Above the
+    table the identity sum_{d=1..x} M(x // d) = 1 is solved for M(x),
+    grouping the d that share a quotient (Deleglise & Rivat, "Computing the
+    summation of the Moebius function", Experimental Math. 5(4), 1996);
+    the results are memoized.  Raises ResourceLimitError before allocating
+    when the table would exceed the sieve budget, and when the memo would
+    pass MERTENS_MEMO_CAP entries.
+    """
+
+    def __init__(self, table_limit: int):
+        self.table_limit = table_limit
+        self.mu = mobius_sieve(table_limit)
+        # |M(x)| <= x <= table_limit, so int32 is exact; summing in place
+        # keeps the peak at the sieve's own.
+        self.table = self.mu.astype(np.int32)
+        np.cumsum(self.table, out=self.table)
+        self._memo: dict[int, int] = {}
+
+    def __call__(self, x: int) -> int:
+        if x <= self.table_limit:
+            if x < 0:
+                raise ValueError(f"Mertens expects x >= 0, got {x}")
+            return int(self.table[x])
+        value = self._memo.get(x)
+        if value is None:
+            value = self._above_table(x)
+        return value
+
+    def _above_table(self, x: int) -> int:
+        # With r = isqrt(x): 1 = sum_{d <= x // (r+1)} M(x // d)
+        #                      + sum_{v <= r} #{d : x // d = v} * M(v).
+        r = math.isqrt(x)
+        if r > self.table_limit:
+            raise ValueError(f"Mertens argument {x} above table_limit**2")
+        table = self.table
+        v = np.arange(1, r + 1, dtype=np.int64)
+        total = 1 - int((x // v - x // (v + 1)) @ table[1 : r + 1])
+        big = x // (r + 1)
+        split = min(big, x // (self.table_limit + 1))
+        for d in range(2, split + 1):
+            total -= self(x // d)
+        d = np.arange(split + 1, big + 1, dtype=np.int64)
+        total -= int(table[x // d].sum(dtype=np.int64))
+        if len(self._memo) >= MERTENS_MEMO_CAP:
+            raise ResourceLimitError(
+                f"Mertens memo would pass {MERTENS_MEMO_CAP} entries", limit=MERTENS_MEMO_CAP
+            )
+        self._memo[x] = total
+        return total
 
 
 def iroot(x: int, k: int) -> int:

@@ -2,8 +2,8 @@
 
 Exit codes are stable across subcommands: 0 success, 2 usage error
 (malformed flags, dimension mismatch), 3 precondition violation (gcd
-condition), 4 resource limit (box or prime sieve too large).  Warnings go to
-stderr; JSON/CSV payloads stay machine-readable.
+condition), 4 resource limit (box, prime sieve or Moebius sieve too large).
+Warnings go to stderr; JSON/CSV payloads stay machine-readable.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ from .visibility import (
     as_exponent_vector,
     as_rational_exponent_vector,
     base_from_expanded,
-    gcd_is_one_rational,
     is_visible_int,
     is_visible_rat,
     is_visible_signed,
     oracle_visible_parametric,
     reduce_b,
+    require_gcd_one,
     witness_prime_int,
     witness_prime_rat,
     witness_prime_signed,
@@ -277,11 +277,7 @@ def _box_edges(cfg: RunConfig) -> tuple[int, ...]:
 def _count_in_box(kind: str, vector, edges: tuple[int, ...]) -> int:
     if kind == "int":
         return mobius_box_count(edges, reduce_b(vector).entries)
-    if not gcd_is_one_rational(vector):
-        raise PreconditionError(
-            f"exponent vector ({', '.join(str(f) for f in vector.fractions)}) violates "
-            "the gcd-one condition: no integer combination of the entries equals 1"
-        )
+    require_gcd_one(vector)
     nums = vector.numerators
     if kind == "rat":
         return mobius_box_count(edges, nums)

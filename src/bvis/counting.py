@@ -5,11 +5,20 @@ The workhorse is Moebius inclusion-exclusion over the invisibility events
 
     V = sum_{d >= 1} mu(d) * prod_i floor(Mi / d**ei)
 
-The sum truncates at d <= min_i iroot(Mi, ei): past that point some factor
-floor(Mi / d**ei) is zero in every term.  Counts are exact big integers;
-only the empirical proportion inside a DensityReport touches floating
-point.  Brute-force enumeration with an arbitrary predicate is kept as an
-independent cross-check of the identity.
+The sum truncates at the depth D = min_i iroot(Mi, ei): past that point
+some factor floor(Mi / d**ei) is zero in every term.  Up to the head
+min(D, max_i iroot(Mi, ei + 1)) the terms are added one d at a time.  Past
+the head, d runs over stretches where every floor(Mi / d**ei) is constant;
+such a run [d1, d2] adds its product times M(d2) - M(d1 - 1), a difference
+of Mertens values (Deleglise & Rivat, 1996).  arith.Mertens tabulates M up
+to about 2 * D**(2/3) and recurses above that, so a count costs about
+max(head, D**(2/3)) time instead of D; for b = (1, 1) the head is sqrt(D).
+A table past the sieve budget raises ResourceLimitError (CLI exit 4)
+before anything is allocated.
+
+Counts are exact big integers; only the empirical proportion inside a
+DensityReport touches floating point.  Brute-force enumeration with an
+arbitrary predicate is kept as an independent cross-check of the identity.
 """
 
 from __future__ import annotations
@@ -21,18 +30,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .arith import floor_root, iroot, mobius_table
-from .errors import PreconditionError, ResourceLimitError, UsageError
+from .arith import Mertens, floor_root, iroot
+from .errors import ResourceLimitError, UsageError
 from .visibility import (
     RationalExponentVector,
     as_exponent_vector,
     as_rational_exponent_vector,
-    gcd_is_one_rational,
     reduce_b,
+    require_gcd_one,
 )
 from .zeta import inv_zeta
 
 DEFAULT_BRUTE_LIMIT = 10_000_000
+
+# The head of a Moebius sum reads mu in slices of this many values, so its
+# Python list never outgrows the sieve's own arrays.
+HEAD_CHUNK = 1 << 16
 
 # Density comparisons happen at 1e-2..1e-3 scale; 1e-6 on the zeta side is
 # three orders finer than any of them.
@@ -96,6 +109,22 @@ class DensityReport:
         return abs(self.empirical - self.theoretical)
 
 
+def _mertens_table_limit(pairs, depth: int, head: int) -> int:
+    """Sieve limit L for the Mertens values of a box sum.
+
+    At least the head and 2 * depth**(2/3), at most the depth.  Every value
+    of M needed above L has the form iroot(m // j, e) for some edge m with
+    exponent e (run ends are, and floor division by d keeps the form), so
+    at most sum m // (L+1)**e of them get memoized; L doubles until that
+    is below L / 256, about where a memoized value costs what the sieve
+    spends on 256 table entries.
+    """
+    limit = min(depth, max(head, 2 * iroot(depth * depth, 3)))
+    while limit < depth and 256 * sum(m // (limit + 1) ** e for m, e in pairs) > limit:
+        limit = min(depth, 2 * limit)
+    return limit
+
+
 def mobius_box_count(edges: Sequence[int], exps: Sequence[int]) -> int:
     """Tuples l in the box with no prime p dividing as p**exps[i] | l[i] for all i."""
     edges = tuple(int(m) for m in edges)
@@ -108,19 +137,27 @@ def mobius_box_count(edges: Sequence[int], exps: Sequence[int]) -> int:
         raise UsageError(f"edges must be >= 0, got {edges}")
     if any(m == 0 for m in edges):
         return 0
-    bound = min(iroot(m, e) for m, e in zip(edges, exps))
-    mu = mobius_table(bound)
+    pairs = tuple(zip(edges, exps))
+    depth = min(iroot(m, e) for m, e in pairs)
+    head = min(depth, max(iroot(m, e + 1) for m, e in pairs))
+    mertens = Mertens(_mertens_table_limit(pairs, depth, head))
+    signs = mertens.mu[: head + 1]
     total = 0
-    for d in range(1, bound + 1):
-        sign = mu[d]
-        if sign == 0:
-            continue
-        term = 1
-        for m, e in zip(edges, exps):
-            term *= m // d**e
-            if term == 0:
-                break
-        total += sign * term
+    for lo in range(1, head + 1, HEAD_CHUNK):
+        for d, sign in enumerate(signs[lo : lo + HEAD_CHUNK].tolist(), lo):
+            if sign:
+                term = sign
+                for m, e in pairs:
+                    term *= m // d**e
+                total += term
+    d, before = head + 1, mertens(head)
+    while d <= depth:
+        quotients = [m // d**e for m, e in pairs]
+        end = min(iroot(m // q, e) for (m, e), q in zip(pairs, quotients))
+        after = mertens(end)
+        if after != before:
+            total += (after - before) * math.prod(quotients)
+        d, before = end + 1, after
     return total
 
 
@@ -141,14 +178,6 @@ def rational_box_edges(N: int, vec: RationalExponentVector) -> tuple[int, ...]:
     return tuple(floor_root(N, a, alpha) for a in vec.denominators)
 
 
-def _require_gcd_one(vec: RationalExponentVector) -> None:
-    if not gcd_is_one_rational(vec):
-        raise PreconditionError(
-            f"exponent vector ({', '.join(str(f) for f in vec.fractions)}) violates "
-            "the gcd-one condition: no integer combination of the entries equals 1"
-        )
-
-
 def count_visible_rat(N: int, b) -> DensityReport:
     """Density report for positive rational exponents bi/ai.
 
@@ -160,7 +189,7 @@ def count_visible_rat(N: int, b) -> DensityReport:
     vec = as_rational_exponent_vector(b)
     if any(n < 0 for n in vec.numerators):
         raise UsageError("count_visible_rat expects positive exponents; use count_visible_signed")
-    _require_gcd_one(vec)
+    require_gcd_one(vec)
     if N < 1:
         raise UsageError(f"N must be >= 1, got {N}")
     edges = rational_box_edges(N, vec)
@@ -185,7 +214,7 @@ def count_visible_signed(N: int, b) -> DensityReport:
     no finite density is attached.
     """
     vec = as_rational_exponent_vector(b)
-    _require_gcd_one(vec)
+    require_gcd_one(vec)
     if N < 1:
         raise UsageError(f"N must be >= 1, got {N}")
     edges = rational_box_edges(N, vec)

@@ -177,7 +177,7 @@ def is_visible_int(point: Sequence[int], b) -> bool:
     return witness_prime_int(point, b) is None
 
 
-def _require_gcd_one(vec: RationalExponentVector) -> None:
+def require_gcd_one(vec: RationalExponentVector) -> None:
     if not gcd_is_one_rational(vec):
         raise PreconditionError(
             f"exponent vector ({', '.join(str(f) for f in vec.fractions)}) violates "
@@ -189,7 +189,7 @@ def witness_prime_rat(point: Sequence[int], b) -> int | None:
     vec = as_rational_exponent_vector(b)
     if any(n < 0 for n in vec.numerators):
         raise UsageError("positive-rational predicate got negative exponents; use the signed predicate")
-    _require_gcd_one(vec)
+    require_gcd_one(vec)
     coords = _as_point(point, len(vec))
     return _divisibility_witness(coords, vec.numerators)
 
@@ -208,7 +208,7 @@ def is_visible_rat(point: Sequence[int], b) -> bool:
 
 def witness_prime_signed(point: Sequence[int], b) -> int | None:
     vec = as_rational_exponent_vector(b)
-    _require_gcd_one(vec)
+    require_gcd_one(vec)
     coords = _as_point(point, len(vec))
     neg = sorted(vec.negative_indices)
     if not neg:

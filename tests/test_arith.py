@@ -10,6 +10,7 @@ from bvis.arith import (
     iroot,
     is_perfect_power,
     mobius,
+    mobius_sieve,
     mobius_table,
     sieve_primes,
 )
@@ -65,6 +66,16 @@ def test_mobius_table_matches_pointwise():
     assert table[0] == 0
     for d in range(1, 501):
         assert table[d] == mobius(d)
+
+
+def test_mobius_sieve_matches_pointwise():
+    # limits on both sides of prime squares, so the last sieved prime and the
+    # single large cofactor both matter
+    for limit in (0, 1, 2, 3, 48, 49, 50, 20_000):
+        mu = mobius_sieve(limit)
+        assert mu.dtype == "int8" and len(mu) == limit + 1
+        assert mu[0] == 0
+        assert all(mu[d] == mobius(d) for d in range(1, limit + 1)), limit
 
 
 @given(st.integers(min_value=0, max_value=10**60), st.integers(min_value=1, max_value=10))

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -259,6 +260,38 @@ def test_precondition_errors_exit_3(runner):
     result = runner.invoke(main, ["check", "--b", "2/3,2/3", "--point", "2,3"])
     assert result.exit_code == 3
     assert "gcd-one condition" in result.stderr
+
+
+def test_count_and_density_share_the_gcd_one_error(runner):
+    message = (
+        "error: exponent vector (2/3, -2/3) violates the gcd-one condition: "
+        "no integer combination of the entries equals 1\n"
+    )
+    for args in (
+        ["count", "--b", "2/3,-2/3", "--box", "8,4"],
+        ["density", "--b", "2/3,-2/3", "--N", "100"],
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3
+        assert result.stderr == message
+
+
+def test_density_past_the_mertens_budget_exits_4(runner):
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["density", "--b", "1,1", "--N", str(10**30)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 4
+    assert "exceeds memory budget" in result.stderr
+    assert peak < 4 << 20  # refused before any sieve array existed
+
+
+def test_count_coprime_pairs_at_1e9(runner):
+    result = runner.invoke(main, ["count", "--b", "1,1", "--N", "1000000000", "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.stdout)["visible"] == "607927102346016827"  # OEIS A018805
 
 
 # ---------------------------------------------------------------- verify

@@ -2,8 +2,11 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bvis.arith import factorize, iroot, mobius
+from bvis import arith
+from bvis.arith import Mertens, factorize, iroot, mobius_sieve, mobius_table
 from bvis.counting import (
     BoxSpec,
     DensityReport,
@@ -70,16 +73,11 @@ def test_mobius_box_count_examples():
     assert mobius_box_count((1, 1), (1, 1)) == 1
 
 
-def _mobius_sum_extended(edges, exps, extra):
-    """Same Mobius sum with the truncation bound pushed `extra` further."""
+def _naive_box_count(edges, exps, extra=0):
+    """sum_{d <= depth + extra} mu(d) * prod_i floor(Mi / d**ei), one term per d."""
     bound = min(iroot(m, e) for m, e in zip(edges, exps)) + extra
-    total = 0
-    for d in range(1, bound + 1):
-        mu = mobius(d)
-        if mu == 0:
-            continue
-        total += mu * math.prod(m // d**e for m, e in zip(edges, exps))
-    return total
+    mu = mobius_table(bound)
+    return sum(mu[d] * math.prod(m // d**e for m, e in zip(edges, exps)) for d in range(1, bound + 1))
 
 
 def test_mobius_truncation_is_sound():
@@ -91,7 +89,77 @@ def test_mobius_truncation_is_sound():
         ((81, 16), (2, 2)),
     ]
     for edges, exps in cases:
-        assert mobius_box_count(edges, exps) == _mobius_sum_extended(edges, exps, 50)
+        assert mobius_box_count(edges, exps) == _naive_box_count(edges, exps, 50)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=5000), st.integers(min_value=1, max_value=3)),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_mobius_box_count_matches_naive_sum(box):
+    edges = tuple(m for m, _ in box)
+    exps = tuple(e for _, e in box)
+    assert mobius_box_count(edges, exps) == _naive_box_count(edges, exps)
+
+
+def test_mobius_box_count_head_tail_splits():
+    # The head (d with unit-width runs) ends at min(depth, max_i iroot(Mi, ei+1));
+    # these boxes put it at the depth, far below it, and between.
+    against_naive = [
+        ((10**10, 10**10), (1, 2)),  # head == depth == 1e5
+        ((10**5, 10**5), (1, 1)),  # head 316, Mertens values above an 8616 table
+        ((10**6, 10**4), (1, 1)),  # unequal edges: head 1000, depth 1e4
+        ((10**9, 10**9, 10**9), (3, 3, 3)),  # head 177, table 800, depth 1000
+        ((7 * 10**7, 10**5, 9 * 10**4), (2, 1, 1)),
+    ]
+    for edges, exps in against_naive:
+        assert mobius_box_count(edges, exps) == _naive_box_count(edges, exps), (edges, exps)
+    # Frozen values from the per-d loop this sum replaced.
+    frozen = {
+        ((2977976, 2977976), (1, 1)): 5391305835907,
+        ((10**12, 3 * 10**9), (2, 1)): 2495722117763315780539,
+        ((5 * 10**9, 7 * 10**8, 10**12), (1, 1, 2)): 3233784410292738446858708078945,
+    }
+    for (edges, exps), count in frozen.items():
+        assert mobius_box_count(edges, exps) == count, (edges, exps)
+
+
+def test_mobius_box_count_coprime_pairs_frozen():
+    # OEIS A018805: ordered coprime pairs in [1, n]^2.
+    assert mobius_box_count((10**6, 10**6), (1, 1)) == 607927104783
+    assert mobius_box_count((10**7, 10**7), (1, 1)) == 60792712854483
+
+
+def test_mertens_matches_oeis():
+    # OEIS A084237: M(10^k) for k = 1..9.
+    mertens = Mertens(2 * 10**6)
+    values = [mertens(10**k) for k in range(1, 10)]
+    assert values == [-1, 1, 2, -23, -48, 212, 1037, 1928, -222]
+
+
+def test_mertens_recursion_matches_running_sum():
+    mertens = Mertens(100)
+    running = 0
+    for x, mu in enumerate(mobius_table(10_000)):
+        running += mu
+        assert mertens(x) == running, x
+    with pytest.raises(ValueError):
+        mertens(101**2)
+
+
+def test_mertens_budgets(monkeypatch):
+    with pytest.raises(ResourceLimitError):
+        Mertens(10**9)  # 6e9 bytes of sieve
+    over = arith.DEFAULT_SIEVE_BUDGET // arith.SIEVE_BYTES_PER_ENTRY + 1
+    with pytest.raises(ResourceLimitError):
+        mobius_sieve(over)
+    monkeypatch.setattr(arith, "MERTENS_MEMO_CAP", 3)
+    with pytest.raises(ResourceLimitError):
+        Mertens(100)(10_000)
 
 
 def test_count_visible_int_frozen():
