@@ -1,12 +1,11 @@
 """Numpy implementations of the kernel surface.
 
 Semantics must match ``_core.pyx`` exactly; the backend-agreement tests
-compare the two on shared inputs.
+compare the two on shared inputs.  numpy is imported by each kernel
+when it runs, so importing the package does not load it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 _CHUNK = 8_000_000
 
@@ -18,6 +17,8 @@ def zeta_partial_sum(s: int, m: int) -> float:
     rounding error near one ulp even at m ~ 1e9, where naive head-first
     summation would lose ~1e-8 of mass below the running sum's ulp.
     """
+    import numpy as np
+
     total = 0.0
     comp = 0.0
     hi = m
@@ -44,6 +45,8 @@ def count_visible_box(edges, prime_powers) -> int:
     marking — deliberately independent of Moebius inversion so the two
     counting routes can check each other.
     """
+    import numpy as np
+
     edges = tuple(int(e) for e in edges)
     k = len(edges)
     if any(e <= 0 for e in edges):

@@ -1,23 +1,33 @@
 """Exact integer arithmetic primitives.
 
-Prime sieving, trial-division factorization, the Moebius function, exact
-integer roots and perfect-power tests.  Everything operates on Python's
+Prime sieving, factorization, the Moebius function, exact integer roots
+and perfect-power tests.  Everything operates on Python's
 arbitrary-precision integers; nothing here goes through floating point,
 so results are safe to use at box edges where rounding would corrupt
 exact counts.
 
-All functions are pure.  The shared prime cache is only ever replaced by
-a strictly larger immutable table, so concurrent readers are safe.
+``factorize`` is pure Python: trial division by the primes below 1000, a
+perfect-power split, deterministic Miller-Rabin and Pollard-Brent rho.  It
+never guesses: a factor rho cannot find within its step budget, or a
+probable prime too large for the Miller-Rabin bases to certify, raises
+ResourceLimitError.  Only the sieves (``sieve_primes``, ``mobius_sieve``,
+``Mertens``) build numpy arrays, and they import numpy when called, so the
+predicates run without it.
+
+All functions are pure.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ResourceLimitError
+
+if TYPE_CHECKING:
+    import numpy
 
 # A sieve above this limit would allocate hundreds of MB; callers that
 # genuinely need more should raise the budget explicitly.
@@ -30,6 +40,35 @@ SIEVE_BYTES_PER_ENTRY = 6
 
 # Values of M above its table that one Mertens instance may remember.
 MERTENS_MEMO_CAP = 1 << 18
+
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    """Sieve of Eratosthenes on a bytearray, for tables built at import."""
+    is_prime = bytearray([1]) * n
+    is_prime[:2] = bytes(2)
+    for p in range(2, math.isqrt(n) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(itertools.compress(range(n), is_prime))
+
+
+_TRIAL_PRIMES = _primes_below(1000)
+# A cofactor left by trial division has no prime factor below 1000, so
+# below 1000**2 it is prime.
+_TRIAL_SQUARE = 1000**2
+# Miller-Rabin with the 13 prime bases 2..41 is exact below this bound
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86, 2017).
+_MR_BASES = _TRIAL_PRIMES[:13]
+MR_EXACT_LIMIT = 3_317_044_064_679_887_385_961_981
+# Pollard-Brent steps one factorize call may spend, over all splits and
+# restarts.  A step on a modulus of w 64-bit words is charged w**2 // 4
+# steps (at least one), about what its modular products cost relative to
+# 128 bits, so a refusal costs the same at any size: about 1.6 s on a
+# 2-vCPU x86-64 VM with CPython 3.11, where a 128-bit step takes ~0.8 us.
+RHO_STEP_BUDGET = 1 << 21
+# Rho multiplies this many differences together between gcds.
+_RHO_BATCH = 128
 
 
 @dataclass(frozen=True)
@@ -81,6 +120,8 @@ def sieve_primes(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> PrimeTable:
         )
     if limit < 2:
         return PrimeTable(limit, ())
+    import numpy as np
+
     is_prime = np.ones(limit + 1, dtype=bool)
     is_prime[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
@@ -89,25 +130,18 @@ def sieve_primes(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> PrimeTable:
     return PrimeTable(limit, tuple(int(p) for p in np.flatnonzero(is_prime)))
 
 
-# Shared trial-division table, grown on demand and swapped atomically.
-_factor_primes: PrimeTable = sieve_primes(1000)
-
-
-def _primes_through(limit: int) -> PrimeTable:
-    global _factor_primes
-    if _factor_primes.limit < limit:
-        _factor_primes = sieve_primes(max(limit, 2 * _factor_primes.limit))
-    return _factor_primes
-
-
 def factorize(n: int) -> Factorization:
-    """Trial-division factorization of n >= 1."""
+    """Prime factorization of n >= 1.
+
+    Trial division by the primes below 1000 comes first; what is left has
+    only larger prime factors and goes to ``_factor_cofactor``.  Raises
+    ResourceLimitError when that cofactor cannot be split or certified.
+    """
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
     value = n
     factors: list[tuple[int, int]] = []
-    table = _primes_through(math.isqrt(n) + 1)
-    for p in table:
+    for p in _TRIAL_PRIMES:
         if p * p > n:
             break
         if n % p == 0:
@@ -116,9 +150,123 @@ def factorize(n: int) -> Factorization:
                 mult += 1
                 n //= p
             factors.append((p, mult))
-    if n > 1:
+    if n >= _TRIAL_SQUARE:
+        factors += _factor_cofactor(n)
+    elif n > 1:
         factors.append((n, 1))
     return Factorization(value, tuple(factors))
+
+
+def _factor_cofactor(n: int) -> list[tuple[int, int]]:
+    """Sorted (prime, multiplicity) pairs of n, which has no prime factor below 1000.
+
+    Each part is first reduced to the base of its largest perfect power;
+    a base that passes Miller-Rabin is prime when it is below
+    MR_EXACT_LIMIT, and a composite base is split by Pollard-Brent rho.
+    """
+    found: dict[int, int] = {}
+    remaining = RHO_STEP_BUDGET
+    parts = [(n, 1)]
+    while parts:
+        m, mult = parts.pop()
+        m, power = _perfect_power_base(m)
+        mult *= power
+        if m < _TRIAL_SQUARE or _is_strong_probable_prime(m):
+            if m >= MR_EXACT_LIMIT:
+                raise ResourceLimitError(
+                    f"cannot certify a {m.bit_length()}-bit probable prime: Miller-Rabin "
+                    f"with the bases 2..41 is exact only below {MR_EXACT_LIMIT}",
+                    limit=MR_EXACT_LIMIT,
+                )
+            found[m] = found.get(m, 0) + mult
+            continue
+        d, remaining = _pollard_brent(m, remaining)
+        parts += [(d, mult), (m // d, mult)]
+    return sorted(found.items())
+
+
+def _perfect_power_base(m: int) -> tuple[int, int]:
+    """(r, k) with m = r**k and k largest, for m without prime factors below 1000."""
+    k = 1
+    for q in _TRIAL_PRIMES:
+        # r > 1000 whenever r**q = m with r > 1
+        if 1000**q > m:
+            break
+        while True:
+            ok, root = is_perfect_power(m, q)
+            if not ok:
+                break
+            m, k = root, k * q
+    return m, k
+
+
+def _is_strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2..41, for odd n > 41."""
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n: int, remaining: int) -> tuple[int, int]:
+    """A proper factor of the odd composite n and the steps left after finding it.
+
+    Brent's cycle-finding variant of Pollard's rho on y -> y**2 + c (R. P.
+    Brent, "An improved Monte Carlo factorization algorithm", BIT 20,
+    1980), restarted with the next c whenever a gcd collapses to n.  Raises
+    ResourceLimitError once more than ``remaining`` steps would be spent.
+    """
+    words = -(-n.bit_length() // 64)
+    cost = max(1, words * words // 4)
+
+    def spend(steps: int) -> None:
+        nonlocal remaining
+        remaining -= steps * cost
+        if remaining < 0:
+            raise ResourceLimitError(
+                f"cannot split a {n.bit_length()}-bit composite within "
+                f"{RHO_STEP_BUDGET} Pollard-Brent steps",
+                limit=RHO_STEP_BUDGET,
+            )
+
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            spend(r)
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                batch = min(_RHO_BATCH, r - k)
+                spend(batch)
+                for _ in range(batch):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:
+            # The batch's product hit 0 mod n: retrace it one difference at a time.
+            spend(_RHO_BATCH)
+            while True:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+                if g > 1:
+                    break
+        if g != n:
+            return g, remaining
 
 
 def mobius(d: int) -> int:
@@ -131,7 +279,7 @@ def mobius(d: int) -> int:
     return -1 if len(fact.factors) % 2 else 1
 
 
-def mobius_sieve(limit: int) -> np.ndarray:
+def mobius_sieve(limit: int) -> numpy.ndarray:
     """Moebius values mu[0..limit] as an int8 array (mu[0] = 0).
 
     Only the primes p <= isqrt(limit) are sieved.  Each flips the sign of
@@ -150,6 +298,8 @@ def mobius_sieve(limit: int) -> np.ndarray:
             f"({SIEVE_BYTES_PER_ENTRY} bytes per entry)",
             limit=DEFAULT_SIEVE_BUDGET // SIEVE_BYTES_PER_ENTRY,
         )
+    import numpy as np
+
     mu = np.ones(limit + 1, dtype=np.int8)
     # Values stay <= limit, which the budget keeps below 2**31.
     cofactor = np.arange(limit + 1, dtype=np.int32)
@@ -183,6 +333,8 @@ class Mertens:
     """
 
     def __init__(self, table_limit: int):
+        import numpy as np
+
         self.table_limit = table_limit
         self.mu = mobius_sieve(table_limit)
         # |M(x)| <= x <= table_limit, so int32 is exact; summing in place
@@ -207,6 +359,8 @@ class Mertens:
         r = math.isqrt(x)
         if r > self.table_limit:
             raise ValueError(f"Mertens argument {x} above table_limit**2")
+        import numpy as np
+
         table = self.table
         v = np.arange(1, r + 1, dtype=np.int64)
         total = 1 - int((x // v - x // (v + 1)) @ table[1 : r + 1])

@@ -2,7 +2,8 @@
 
 Exit codes are stable across subcommands: 0 success, 2 usage error
 (malformed flags, dimension mismatch), 3 precondition violation (gcd
-condition), 4 resource limit (box, prime sieve or Moebius sieve too large).
+condition), 4 resource limit (box, prime sieve or Moebius sieve too large,
+or a gcd that cannot be factored and certified within budget).
 Warnings go to stderr; JSON/CSV payloads stay machine-readable.
 """
 
@@ -31,9 +32,9 @@ from .visibility import (
     as_exponent_vector,
     as_rational_exponent_vector,
     base_from_expanded,
+    constrained_exponents,
+    divisibility_witness,
     is_visible_int,
-    is_visible_rat,
-    is_visible_signed,
     oracle_visible_parametric,
     reduce_b,
     require_gcd_one,
@@ -367,16 +368,19 @@ def sieve(b_spec, n, box_spec, limit, case, fmt):
     volume = math.prod(edges)
     if volume > cap:
         raise ResourceLimitError(f"sieve box of {volume} points exceeds limit {cap}", limit=cap)
-    predicate = {
-        "int": is_visible_int,
-        "rat": is_visible_rat,
-        "signed": is_visible_signed,
-    }[cfg.kind]
-    points = [
-        pt
-        for pt in itertools.product(*(range(1, e + 1) for e in edges))
-        if predicate(pt, cfg.vector)
-    ]
+    # The vector is validated once; per point only the gcd test remains.
+    k, positions, exps = constrained_exponents(cfg.kind, cfg.vector)
+    grid = itertools.product(*(range(1, e + 1) for e in edges))
+    if not positions:
+        points = list(grid)
+    elif len(positions) == k:
+        points = [pt for pt in grid if divisibility_witness(pt, exps) is None]
+    else:
+        points = [
+            pt
+            for pt in grid
+            if divisibility_witness(tuple(pt[j] for j in positions), exps) is None
+        ]
     if fmt == "json":
         click.echo(
             json.dumps(

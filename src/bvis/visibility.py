@@ -132,7 +132,9 @@ def reduce_b(b) -> ExponentVector:
     reduce internally; this is the canonical form with gcd 1.
     """
     vec = as_exponent_vector(b)
-    g = vec.g
+    # not vec.g: a cached_property takes a lock on first use, and most
+    # vectors reaching here are built for one predicate call
+    g = math.gcd(*vec.entries)
     if g == 1:
         return vec
     return ExponentVector(tuple(e // g for e in vec.entries))
@@ -150,7 +152,7 @@ def gcd_is_one_rational(b) -> bool:
     return alpha % g == 0
 
 
-def _divisibility_witness(coords: tuple[int, ...], exps: tuple[int, ...]) -> int | None:
+def divisibility_witness(coords: tuple[int, ...], exps: tuple[int, ...]) -> int | None:
     """Smallest prime p with p**exps[i] | coords[i] for every i, if any.
 
     Any such prime divides every coordinate, hence divides their gcd; it
@@ -165,18 +167,6 @@ def _divisibility_witness(coords: tuple[int, ...], exps: tuple[int, ...]) -> int
     return None
 
 
-def witness_prime_int(point: Sequence[int], b) -> int | None:
-    """Smallest prime certifying invisibility of the point, or None."""
-    vec = reduce_b(b)
-    coords = _as_point(point, len(vec))
-    return _divisibility_witness(coords, vec.entries)
-
-
-def is_visible_int(point: Sequence[int], b) -> bool:
-    """Integer-exponent visibility via the prime-power characterization."""
-    return witness_prime_int(point, b) is None
-
-
 def require_gcd_one(vec: RationalExponentVector) -> None:
     if not gcd_is_one_rational(vec):
         raise PreconditionError(
@@ -185,13 +175,52 @@ def require_gcd_one(vec: RationalExponentVector) -> None:
         )
 
 
-def witness_prime_rat(point: Sequence[int], b) -> int | None:
+def constrained_exponents(kind: str, b) -> tuple[int, Sequence[int], tuple[int, ...]]:
+    """Validate b once for a family; return (k, positions, exponents).
+
+    A point of dimension k is invisible iff some prime p has
+    p**exponents[j] dividing its coordinate at positions[j] for every j
+    (``divisibility_witness``).  For "int" that is every position with
+    the gcd-reduced entries, for "rat" every position with the numerators,
+    and for "signed" the negative positions with |numerator|; the rational
+    families require the gcd-one condition.
+    """
+    if kind == "int":
+        exps = reduce_b(b).entries
+        return len(exps), range(len(exps)), exps
     vec = as_rational_exponent_vector(b)
-    if any(n < 0 for n in vec.numerators):
+    nums = vec.numerators
+    if kind == "rat" and any(n < 0 for n in nums):
         raise UsageError("positive-rational predicate got negative exponents; use the signed predicate")
     require_gcd_one(vec)
-    coords = _as_point(point, len(vec))
-    return _divisibility_witness(coords, vec.numerators)
+    if kind == "rat":
+        return len(nums), range(len(nums)), nums
+    neg = tuple(sorted(vec.negative_indices))
+    return len(nums), neg, tuple(-nums[j] for j in neg)
+
+
+def _witness(point: Sequence[int], kind: str, b) -> int | None:
+    k, positions, exps = constrained_exponents(kind, b)
+    coords = _as_point(point, k)
+    if len(positions) < k:
+        if not positions:
+            return None
+        coords = tuple(coords[j] for j in positions)
+    return divisibility_witness(coords, exps)
+
+
+def witness_prime_int(point: Sequence[int], b) -> int | None:
+    """Smallest prime certifying invisibility of the point, or None."""
+    return _witness(point, "int", b)
+
+
+def is_visible_int(point: Sequence[int], b) -> bool:
+    """Integer-exponent visibility via the prime-power characterization."""
+    return witness_prime_int(point, b) is None
+
+
+def witness_prime_rat(point: Sequence[int], b) -> int | None:
+    return _witness(point, "rat", b)
 
 
 def is_visible_rat(point: Sequence[int], b) -> bool:
@@ -207,16 +236,7 @@ def is_visible_rat(point: Sequence[int], b) -> bool:
 
 
 def witness_prime_signed(point: Sequence[int], b) -> int | None:
-    vec = as_rational_exponent_vector(b)
-    require_gcd_one(vec)
-    coords = _as_point(point, len(vec))
-    neg = sorted(vec.negative_indices)
-    if not neg:
-        return None
-    return _divisibility_witness(
-        tuple(coords[j] for j in neg),
-        tuple(-vec.numerators[j] for j in neg),
-    )
+    return _witness(point, "signed", b)
 
 
 def is_visible_signed(point: Sequence[int], b) -> bool:

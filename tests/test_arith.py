@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,69 @@ def test_factorize_reconstructs():
     for n in range(1, 10_001):
         fact = factorize(n)
         assert math.prod(p**m for p, m in fact.factors) == n
+
+
+# Every prime below 2**20: enough to trial-divide any factor below 2**40.
+_SMALL_PRIMES = sieve_primes(1 << 20).primes
+
+
+def _is_prime_by_trial_division(p: int) -> bool:
+    assert p < 1 << 40
+    return p > 1 and all(p % q for q in itertools.takewhile(lambda q: q * q <= p, _SMALL_PRIMES))
+
+
+def _assert_prime_factorization(n: int, fact) -> None:
+    primes = fact.primes()
+    assert fact.reconstruct() == n
+    assert list(primes) == sorted(set(primes))  # strictly increasing
+    assert all(m >= 1 for _, m in fact.factors)
+    assert all(_is_prime_by_trial_division(p) for p in primes)
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=1, max_value=10**7 - 1))
+def test_factorize_property_below_1e7(n):
+    _assert_prime_factorization(n, factorize(n))
+
+
+def test_factorize_strong_pseudoprimes():
+    # 561 is a Carmichael number; the others are the smallest strong
+    # pseudoprimes to the first 4, 11 and 12 prime bases, so Miller-Rabin
+    # needs every base up to 41 to reject the last one.
+    expected = {
+        561: ((3, 1), (11, 1), (17, 1)),
+        3215031751: ((151, 1), (751, 1), (28351, 1)),
+        3825123056546413051: ((149491, 1), (747451, 1), (34233211, 1)),
+        318665857834031151167461: ((399165290221, 1), (798330580441, 1)),
+    }
+    for n, factors in expected.items():
+        fact = factorize(n)
+        assert fact.factors == factors
+        _assert_prime_factorization(n, fact)
+
+
+def test_factorize_mersenne_powers_and_pure_powers():
+    m31, m61 = 2**31 - 1, 2**61 - 1  # Mersenne primes
+    assert factorize(m31 * m61**2 * 97).factors == ((97, 1), (m31, 1), (m61, 2))
+    assert factorize(m61**3).factors == ((m61, 3),)
+    assert factorize(2**200).factors == ((2, 200),)
+
+
+def test_factorize_semiprimes_of_27_bit_primes():
+    # Trial division needed a 1.3e8-entry sieve for these; rho needs a few
+    # thousand steps.
+    rng = random.Random(27)
+
+    def prime_27_bits():
+        while True:
+            p = rng.getrandbits(27) | (1 << 26) | 1
+            if _is_prime_by_trial_division(p):
+                return p
+
+    for _ in range(50):
+        p, q = prime_27_bits(), prime_27_bits()
+        expected = ((p, 2),) if p == q else ((min(p, q), 1), (max(p, q), 1))
+        assert factorize(p * q).factors == expected
 
 
 def test_mobius_first_values():

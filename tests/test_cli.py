@@ -1,7 +1,12 @@
 import csv
 import io
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import pytest
@@ -10,6 +15,7 @@ from click.testing import CliRunner
 import bvis.counting
 from bvis.cli import main, parse_b_spec
 from bvis.errors import UsageError
+from bvis.visibility import is_visible_int, is_visible_rat, is_visible_signed
 from bvis.zeta import inv_zeta
 
 
@@ -103,6 +109,32 @@ def test_check_expanded_point(runner):
         main, ["check", "--b", "1,2", "--point", "4,8", "--expanded"]
     )
     assert not_fractional.exit_code == 2
+
+
+def test_check_factors_a_61_bit_gcd(runner):
+    p = 2**61 - 1
+    result = runner.invoke(main, ["check", "--b", "1,1", "--point", f"{p},{2 * p}"])
+    assert result.exit_code == 0
+    assert result.stdout == f"invisible: witness prime {p}, image 1,2\n"
+
+
+@pytest.mark.parametrize(
+    "gcd,reason",
+    [
+        # rho would need about 2**32 steps
+        ((2**64 - 59) * (2**64 - 83), "error: cannot split a 128-bit composite"),
+        # past the bound where Miller-Rabin to the bases 2..41 is exact
+        (2**90 - 33, "error: cannot certify a 90-bit probable prime"),
+    ],
+    ids=["two-64-bit-primes", "90-bit-prime"],
+)
+def test_check_refuses_an_unfactorable_gcd_quickly(runner, gcd, reason):
+    start = time.perf_counter()
+    result = runner.invoke(main, ["check", "--b", "1,1", "--point", f"{gcd},{2 * gcd}"])
+    assert time.perf_counter() - start < 5
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    assert result.stderr.startswith(reason)
 
 
 # ---------------------------------------------------------------- count
@@ -211,6 +243,27 @@ def test_sieve_frozen_output(runner):
     assert len(as_csv.splitlines()) == 8
 
 
+@pytest.mark.parametrize(
+    "spec,case,edges",
+    [
+        ("2,4", None, (12, 12)),
+        ("2/3,3/2", None, (12, 12)),
+        ("3,-2,-3", None, (5, 6, 8)),
+        ("1,2", "signed", (3, 3)),  # no negative entry: every point is visible
+    ],
+)
+def test_sieve_lists_the_points_the_predicates_accept(runner, spec, case, edges):
+    kind, vector = parse_b_spec(spec, case)
+    predicate = {"int": is_visible_int, "rat": is_visible_rat, "signed": is_visible_signed}[kind]
+    args = ["sieve", "--b", spec, "--box", ",".join(map(str, edges)), "--format", "json"]
+    result = runner.invoke(main, args + (["--case", case] if case else []))
+    assert result.exit_code == 0
+    expected = [
+        list(pt) for pt in itertools.product(*(range(1, e + 1) for e in edges)) if predicate(pt, vector)
+    ]
+    assert json.loads(result.stdout)["points"] == expected
+
+
 def test_sieve_resource_limits(runner):
     over_default = runner.invoke(main, ["sieve", "--N", "4000", "--b", "1,1"])
     assert over_default.exit_code == 4
@@ -242,6 +295,48 @@ def test_zeta_command(runner):
 
     bad = runner.invoke(main, ["zeta", "--s", "1"])
     assert bad.exit_code == 2
+
+
+# ---------------------------------------------------------------- numpy on demand
+
+_NUMPY_PROBE = """
+import sys
+from bvis.cli import main
+
+def run(*args):
+    try:
+        main(list(args), prog_name="bvis")
+    except SystemExit as exc:
+        assert not exc.code, (args, exc.code)
+
+assert "numpy" not in sys.modules, "import bvis.cli"
+run("check", "--b", "2,4,3,7", "--point", "4,16,40,128")
+assert "numpy" not in sys.modules, "check"
+run("sieve", "--b", "1,-2", "--N", "3", "--format", "csv")
+assert "numpy" not in sys.modules, "sieve"
+run("zeta", "--s", "2", "--format", "json")
+assert "numpy" not in sys.modules, "zeta"
+run("count", "--b", "1,1", "--N", "100", "--format", "json")
+assert "numpy" in sys.modules, "count"
+"""
+
+
+def test_check_sieve_and_zeta_never_import_numpy():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == "invisible: witness prime 2, image 1,1,5,1"
+    assert lines[1:5] == ["x1,x2", "1,1", "1,2", "1,3"]  # 9 points, none with 4 | x2
+    assert json.loads(lines[-2])["value"] == pytest.approx(math.pi**2 / 6, abs=1e-9)
+    assert json.loads(lines[-1])["visible"] == "6087"  # OEIS A018805(100)
 
 
 # ---------------------------------------------------------------- exit codes
