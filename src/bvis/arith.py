@@ -292,10 +292,11 @@ def mobius_sieve(limit: int) -> numpy.ndarray:
     """
     if limit < 0:
         raise ValueError(f"mobius sieve expects limit >= 0, got {limit}")
-    if limit * SIEVE_BYTES_PER_ENTRY > DEFAULT_SIEVE_BUDGET:
+    need = limit * SIEVE_BYTES_PER_ENTRY
+    if need > DEFAULT_SIEVE_BUDGET:
         raise ResourceLimitError(
-            f"Moebius sieve limit {limit} exceeds memory budget {DEFAULT_SIEVE_BUDGET} "
-            f"({SIEVE_BYTES_PER_ENTRY} bytes per entry)",
+            f"Moebius sieve limit {limit} needs {need} bytes ({SIEVE_BYTES_PER_ENTRY} per entry), "
+            f"which exceeds memory budget {DEFAULT_SIEVE_BUDGET} bytes",
             limit=DEFAULT_SIEVE_BUDGET // SIEVE_BYTES_PER_ENTRY,
         )
     import numpy as np

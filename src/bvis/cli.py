@@ -26,7 +26,7 @@ import click
 from . import counting, visibility
 from ._kernels import count_visible_box
 from .arith import iroot, sieve_primes
-from .counting import mobius_box_count, rational_box_edges
+from .counting import brute_prefix_counts, mobius_box_count
 from .errors import PreconditionError, ResourceLimitError, UsageError
 from .visibility import (
     as_exponent_vector,
@@ -37,7 +37,6 @@ from .visibility import (
     is_visible_int,
     oracle_visible_parametric,
     reduce_b,
-    require_gcd_one,
     witness_prime_int,
     witness_prime_rat,
     witness_prime_signed,
@@ -87,31 +86,23 @@ def parse_b_spec(text: str, case: str | None = None):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One parsed invocation: the command plus everything it derived."""
+    """One parsed invocation: the exponent vector and the box options."""
 
-    command: str
     kind: str
     vector: object
     b_entries: tuple[str, ...]
     n: int | None = None
     box: tuple[int, ...] | None = None
-    output_format: str = "plain"
     brute_force_limit: int | None = None
-    seed: int = 0
-    profile: str = "quick"
 
     @classmethod
     def from_options(
         cls,
-        command: str,
         b_spec: str,
         case: str | None = None,
         n: int | None = None,
         box: str | None = None,
-        fmt: str = "plain",
         limit: int | None = None,
-        seed: int = 0,
-        profile: str = "quick",
     ) -> "RunConfig":
         kind, vector = parse_b_spec(b_spec, case)
         if n is not None and n < 1:
@@ -121,21 +112,13 @@ class RunConfig:
             raise UsageError(
                 f"--box has {len(edges)} edges, exponent vector has {len(vector)}"
             )
-        if kind == "int":
-            entries = tuple(str(f) for f in fracs_of(vector))
-        else:
-            entries = tuple(str(f) for f in vector.fractions)
         return cls(
-            command=command,
             kind=kind,
             vector=vector,
-            b_entries=entries,
+            b_entries=tuple(str(f) for f in fracs_of(vector)),
             n=n,
             box=edges,
-            output_format=fmt,
             brute_force_limit=limit,
-            seed=seed,
-            profile=profile,
         )
 
 
@@ -230,7 +213,7 @@ def main():
 @_exits_with_codes
 def check(b_spec, point_spec, expanded, case, fmt):
     """Visibility verdict for one point, with a witness when invisible."""
-    cfg = RunConfig.from_options("check", b_spec, case=case, fmt=fmt)
+    cfg = RunConfig.from_options(b_spec, case=case)
     point = _parse_ints(point_spec, "--point")
     if expanded:
         if cfg.kind == "int":
@@ -240,8 +223,7 @@ def check(b_spec, point_spec, expanded, case, fmt):
     if cfg.kind == "int":
         witness = witness_prime_int(point, cfg.vector)
         if witness is not None:
-            red = reduce_b(cfg.vector)
-            image = tuple(c // witness**e for c, e in zip(point, red.entries))
+            image = _witness_image(point, cfg.vector, witness)
     elif cfg.kind == "rat":
         witness = witness_prime_rat(point, cfg.vector)
     else:
@@ -265,28 +247,13 @@ def check(b_spec, point_spec, expanded, case, fmt):
         _emit(fmt, fields)
 
 
+def _witness_image(point, b, prime):
+    red = reduce_b(b)
+    return tuple(c // prime**e for c, e in zip(point, red.entries))
+
+
 def _box_edges(cfg: RunConfig) -> tuple[int, ...]:
-    if cfg.box is not None:
-        return cfg.box
-    if cfg.n is None:
-        raise UsageError("need --N or --box")
-    if cfg.kind == "int":
-        return (cfg.n,) * len(cfg.vector)
-    return rational_box_edges(cfg.n, cfg.vector)
-
-
-def _count_in_box(kind: str, vector, edges: tuple[int, ...]) -> int:
-    if kind == "int":
-        return mobius_box_count(edges, reduce_b(vector).entries)
-    require_gcd_one(vector)
-    nums = vector.numerators
-    if kind == "rat":
-        return mobius_box_count(edges, nums)
-    neg = [j for j, b in enumerate(nums) if b < 0]
-    if not neg:
-        return math.prod(edges)
-    rest = math.prod(e for h, e in enumerate(edges) if h not in neg)
-    return rest * mobius_box_count([edges[j] for j in neg], [-nums[j] for j in neg])
+    return cfg.box if cfg.box is not None else counting.box_edges(cfg.kind, cfg.n, cfg.vector)
 
 
 @main.command()
@@ -300,9 +267,9 @@ def count(b_spec, n, box_spec, case, fmt):
     """Exact number of visible points in a box (Moebius inclusion-exclusion)."""
     if (n is None) == (box_spec is None):
         raise UsageError("need exactly one of --N or --box")
-    cfg = RunConfig.from_options("count", b_spec, case=case, n=n, box=box_spec, fmt=fmt)
+    cfg = RunConfig.from_options(b_spec, case=case, n=n, box=box_spec)
     edges = _box_edges(cfg)
-    visible = _count_in_box(cfg.kind, cfg.vector, edges)
+    visible, _ = counting.count_box(cfg.kind, cfg.vector, edges)
     _emit(
         fmt,
         {
@@ -323,7 +290,7 @@ def count(b_spec, n, box_spec, case, fmt):
 @_exits_with_codes
 def density(b_spec, n, case, fmt):
     """Density report: exact count vs the theoretical 1/zeta density."""
-    cfg = RunConfig.from_options("density", b_spec, case=case, n=n, fmt=fmt)
+    cfg = RunConfig.from_options(b_spec, case=case, n=n)
     if cfg.kind == "int" and cfg.vector.g > 1:
         red = reduce_b(cfg.vector)
         click.echo(
@@ -360,9 +327,7 @@ def sieve(b_spec, n, box_spec, limit, case, fmt):
     """List every visible point of the box in lexicographic order."""
     if (n is None) == (box_spec is None):
         raise UsageError("need exactly one of --N or --box")
-    cfg = RunConfig.from_options(
-        "sieve", b_spec, case=case, n=n, box=box_spec, fmt=fmt, limit=limit
-    )
+    cfg = RunConfig.from_options(b_spec, case=case, n=n, box=box_spec, limit=limit)
     edges = _box_edges(cfg)
     cap = counting.brute_force_limit(cfg.brute_force_limit)
     volume = math.prod(edges)
@@ -435,21 +400,6 @@ def zeta_cmd(s, tol, euler_limit, fmt):
         _emit(fmt, fields)
 
 
-def _witness_image(point, b, prime):
-    red = reduce_b(b)
-    return tuple(c // prime**e for c, e in zip(point, red.entries))
-
-
-def _brute_prefix_counts(n_max: int, b) -> list[int]:
-    """counts[N] = brute-force visible count in [1,N]^k, all N at once."""
-    k = len(as_exponent_vector(b))
-    buckets = [0] * (n_max + 1)
-    for pt in itertools.product(range(1, n_max + 1), repeat=k):
-        if is_visible_int(pt, b):
-            buckets[max(pt)] += 1
-    return list(itertools.accumulate(buckets))
-
-
 def verify_checks(profile: str, seed: int):
     """The named self-checks behind `bvis verify`, per profile."""
     quick = profile == "quick"
@@ -517,7 +467,7 @@ def verify_checks(profile: str, seed: int):
         )
         mismatches = 0
         for b in vectors:
-            brute = _brute_prefix_counts(n_max, b)
+            brute = brute_prefix_counts(n_max, b)
             for n in range(1, n_max + 1):
                 if counting.count_visible_int(n, b) != brute[n]:
                     mismatches += 1

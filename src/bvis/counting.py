@@ -16,6 +16,10 @@ max(head, D**(2/3)) time instead of D; for b = (1, 1) the head is sqrt(D).
 A table past the sieve budget raises ResourceLimitError (CLI exit 4)
 before anything is allocated.
 
+``count_box`` is the one path from a box to a count for all three
+families: ``density_report``, the ``count_visible_*`` functions and
+``bvis count`` all go through it, with the box from ``box_edges``.
+
 Counts are exact big integers; only the empirical proportion inside a
 DensityReport touches floating point.  Brute-force enumeration with an
 arbitrary predicate is kept as an independent cross-check of the identity.
@@ -36,7 +40,8 @@ from .visibility import (
     RationalExponentVector,
     as_exponent_vector,
     as_rational_exponent_vector,
-    reduce_b,
+    constrained_exponents,
+    is_visible_int,
     require_gcd_one,
 )
 from .zeta import inv_zeta
@@ -161,21 +166,44 @@ def mobius_box_count(edges: Sequence[int], exps: Sequence[int]) -> int:
     return total
 
 
-def count_visible_int(N: int, b) -> int:
-    """Number of b-visible points in [1,N]^k, exactly.
-
-    b is reduced by its gcd first (visibility is invariant under that), so
-    the Moebius identity applies with gcd(b) = 1.
-    """
+def box_edges(kind: str, N: int, vec) -> tuple[int, ...]:
+    """The box a family's density is measured on: [1,N]^k for integer b,
+    the restricted-lattice box of ``rational_box_edges`` otherwise."""
     if N < 1:
         raise UsageError(f"N must be >= 1, got {N}")
-    vec = reduce_b(b)
-    return mobius_box_count((N,) * len(vec), vec.entries)
+    if kind == "int":
+        return (N,) * len(vec)
+    return rational_box_edges(N, vec)
 
 
 def rational_box_edges(N: int, vec: RationalExponentVector) -> tuple[int, ...]:
     alpha = vec.denominator_lcm
     return tuple(floor_root(N, a, alpha) for a in vec.denominators)
+
+
+def count_box(kind: str, vec, edges: Sequence[int]) -> tuple[int, int]:
+    """(visible points in the box, exponent sum s of the limit 1/zeta(s)).
+
+    Every family reduces to one Moebius count over the positions that
+    constrain visibility (``constrained_exponents``): all of them with the
+    gcd-reduced entries for "int" and the numerators for "rat", the
+    negative positions J with |bj| for "signed".  The other edges only
+    multiply the count.  A signed vector with J empty has every point
+    visible and s = 0, meaning no finite density.
+    """
+    k, positions, exps = constrained_exponents(kind, vec)
+    if len(edges) != k:
+        raise UsageError(f"box has {len(edges)} edges, exponent vector has {k}")
+    if not positions:
+        return math.prod(edges), 0
+    free = math.prod(m for j, m in enumerate(edges) if j not in positions)
+    constrained = mobius_box_count([edges[j] for j in positions], exps)
+    return free * constrained, sum(exps)
+
+
+def count_visible_int(N: int, b) -> int:
+    """Number of b-visible points in [1,N]^k, exactly (b reduced by its gcd)."""
+    return count_box("int", b, box_edges("int", N, b))[0]
 
 
 def count_visible_rat(N: int, b) -> DensityReport:
@@ -186,57 +214,18 @@ def count_visible_rat(N: int, b) -> DensityReport:
     vector, so the Moebius sum runs with exponents bi.  The limiting
     density is 1/zeta(sum bi).
     """
-    vec = as_rational_exponent_vector(b)
-    if any(n < 0 for n in vec.numerators):
-        raise UsageError("count_visible_rat expects positive exponents; use count_visible_signed")
-    require_gcd_one(vec)
-    if N < 1:
-        raise UsageError(f"N must be >= 1, got {N}")
-    edges = rational_box_edges(N, vec)
-    count = mobius_box_count(edges, vec.numerators)
-    s = sum(vec.numerators)
-    return DensityReport(
-        box=BoxSpec(edges),
-        visible_count=count,
-        total=math.prod(edges),
-        exponent_sum=s,
-        theoretical=inv_zeta(s, DENSITY_ZETA_TOL) if s >= 2 else None,
-    )
+    return density_report(N, b, "rat")
 
 
 def count_visible_signed(N: int, b) -> DensityReport:
     """Density report for signed rational exponents.
 
     Only coordinates with negative exponents constrain visibility, so the
-    count factorizes: (product of the other edges) times a Moebius count
-    over the negative positions with exponents |bj|.  The limiting density
-    is 1/zeta(sum over J of |bj|); with J empty every point is visible and
-    no finite density is attached.
+    count is (product of the other edges) times a Moebius count over the
+    negative positions with exponents |bj|.  The limiting density is
+    1/zeta(sum over J of |bj|); with J empty no finite density applies.
     """
-    vec = as_rational_exponent_vector(b)
-    require_gcd_one(vec)
-    if N < 1:
-        raise UsageError(f"N must be >= 1, got {N}")
-    edges = rational_box_edges(N, vec)
-    neg = sorted(i for i, n in enumerate(vec.numerators) if n < 0)
-    if neg:
-        j_count = mobius_box_count(
-            tuple(edges[j] for j in neg),
-            tuple(-vec.numerators[j] for j in neg),
-        )
-        rest = math.prod(edges[h] for h in range(len(edges)) if h not in neg)
-        count = rest * j_count
-        s = sum(-vec.numerators[j] for j in neg)
-    else:
-        count = math.prod(edges)
-        s = 0
-    return DensityReport(
-        box=BoxSpec(edges),
-        visible_count=count,
-        total=math.prod(edges),
-        exponent_sum=s,
-        theoretical=inv_zeta(s, DENSITY_ZETA_TOL) if s >= 2 else None,
-    )
+    return density_report(N, b, "signed")
 
 
 def brute_force_limit(limit: int | None = None) -> int:
@@ -271,6 +260,20 @@ def count_visible_bruteforce(
     return sum(1 for point in itertools.product(*ranges) if predicate(point))
 
 
+def brute_prefix_counts(n_max: int, b) -> list[int]:
+    """counts[N] = visible points of [1,N]^k by enumeration, for every N <= n_max.
+
+    One sweep of the largest box, bucketed by max coordinate, covers all
+    the nested boxes at once.
+    """
+    k = len(as_exponent_vector(b))
+    buckets = [0] * (n_max + 1)
+    for point in itertools.product(range(1, n_max + 1), repeat=k):
+        if is_visible_int(point, b):
+            buckets[max(point)] += 1
+    return list(itertools.accumulate(buckets))
+
+
 def _normalize_case(case: str) -> str:
     text = case.strip().lower()
     if text in ("int", "integer"):
@@ -290,19 +293,19 @@ def density_report(N: int, b, case: str) -> DensityReport:
     or "signed".
     """
     kind = _normalize_case(case)
-    if kind == "rat":
-        return count_visible_rat(N, b)
-    if kind == "signed":
-        return count_visible_signed(N, b)
-    vec = as_exponent_vector(b)
-    if N < 1:
-        raise UsageError(f"N must be >= 1, got {N}")
-    count = count_visible_int(N, vec)
-    s = sum(reduce_b(vec).entries)
-    edges = (N,) * len(vec)
+    if kind == "int":
+        vec = as_exponent_vector(b)
+    else:
+        vec = as_rational_exponent_vector(b)
+        if kind == "rat" and any(n < 0 for n in vec.numerators):
+            raise UsageError("count_visible_rat expects positive exponents; use count_visible_signed")
+        # a bad vector is reported before a bad N
+        require_gcd_one(vec)
+    edges = box_edges(kind, N, vec)
+    visible, s = count_box(kind, vec, edges)
     return DensityReport(
         box=BoxSpec(edges),
-        visible_count=count,
+        visible_count=visible,
         total=math.prod(edges),
         exponent_sum=s,
         theoretical=inv_zeta(s, DENSITY_ZETA_TOL) if s >= 2 else None,

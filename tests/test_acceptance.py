@@ -13,7 +13,6 @@ denominators to 5, and the density converges to 1/zeta(3) ~ 0.8319, far
 from 1/zeta(5) ~ 0.9644.
 """
 
-import itertools
 import json
 import math
 import random
@@ -24,6 +23,7 @@ from click.testing import CliRunner
 
 from bvis.cli import main
 from bvis.counting import (
+    brute_prefix_counts,
     count_visible_bruteforce,
     count_visible_int,
     count_visible_rat,
@@ -140,26 +140,10 @@ def test_criterion_6_gcd_reduction_lemma():
     assert witness_prime_int((2, 4), (2, 4)) == 2
 
 
-def _brute_prefix_counts(n_max, b):
-    """Visible-point counts of [1,N]^k for every N <= n_max, by enumeration.
-
-    One sweep of the largest box, bucketed by max coordinate, covers all
-    the nested boxes at once.
-    """
-    by_max = [0] * (n_max + 1)
-    for point in itertools.product(range(1, n_max + 1), repeat=len(b)):
-        if is_visible_int(point, b):
-            by_max[max(point)] += 1
-    counts = [0] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        counts[n] = counts[n - 1] + by_max[n]
-    return counts
-
-
 def test_criterion_7_mobius_equals_bruteforce():
     start = time.perf_counter()
     for b in [(1, 1), (1, 2), (2, 3), (1, 1, 1), (1, 2, 3)]:
-        brute = _brute_prefix_counts(60, b)
+        brute = brute_prefix_counts(60, b)
         for n in range(1, 61):
             assert count_visible_int(n, b) == brute[n], f"b={b}, N={n}"
         for n in (1, 7, 60):

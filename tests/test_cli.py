@@ -165,6 +165,53 @@ def test_count_requires_box_or_n(runner):
     assert both.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args,stdout,stderr",
+    [
+        (
+            "count --b 1,1 --box 0,5",
+            "b: 1,1\ncase: int\nbox: 0,5\nvisible: 0\ntotal: 0\n",
+            "",
+        ),
+        (
+            "count --b 1,-2 --box 8,4 --format json",
+            '{"b": ["1", "-2"], "case": "signed", "box": [8, 4], "visible": "24", "total": "32"}\n',
+            "",
+        ),
+        (  # a signed vector with no negative entry: every point is visible
+            "count --b 1,1 --N 10 --case signed",
+            "b: 1,1\ncase: signed\nbox: 10,10\nvisible: 100\ntotal: 100\n",
+            "",
+        ),
+        (
+            "density --b 1/2,2/3 --N 50",
+            "b: 1/2,2/3\ncase: rat\nbox: 3,7\nvisible: 20\ntotal: 21\n"
+            "empirical: 0.9523809523809523\nexponent_sum: 3\n"
+            "theoretical: 0.8319073725807075\nabs_error: 0.12047357980024487\n",
+            "",
+        ),
+        (
+            "density --b 1 --N 10",
+            "b: 1\ncase: int\nbox: 10\nvisible: 1\ntotal: 10\nempirical: 0.1\n"
+            "exponent_sum: 1\ntheoretical: -\nabs_error: -\n",
+            "",
+        ),
+        (
+            "density --b 2,4 --N 50 --format csv",
+            "b,case,box,visible,total,empirical,exponent_sum,theoretical,abs_error\n"
+            '"2,4",int,"50,50",2101,2500,0.8404,3,0.8319073725807075,0.008492627419292575\n',
+            "note: exponents share gcd 2; visibility is equivalent to the reduced "
+            "vector (1,2), which sets the density\n",
+        ),
+    ],
+)
+def test_count_and_density_frozen_output(runner, args, stdout, stderr):
+    result = runner.invoke(main, args.split())
+    assert result.exit_code == 0
+    assert result.stdout == stdout
+    assert result.stderr == stderr
+
+
 # ---------------------------------------------------------------- density
 
 
@@ -380,6 +427,7 @@ def test_density_past_the_mertens_budget_exits_4(runner):
         tracemalloc.stop()
     assert result.exit_code == 4
     assert "exceeds memory budget" in result.stderr
+    assert "bytes" in result.stderr
     assert peak < 4 << 20  # refused before any sieve array existed
 
 

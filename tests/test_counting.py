@@ -10,7 +10,9 @@ from bvis.arith import Mertens, factorize, iroot, mobius_sieve, mobius_table
 from bvis.counting import (
     BoxSpec,
     DensityReport,
+    box_edges,
     brute_force_limit,
+    count_box,
     count_visible_bruteforce,
     count_visible_int,
     count_visible_rat,
@@ -21,6 +23,7 @@ from bvis.counting import (
 )
 from bvis.errors import PreconditionError, ResourceLimitError, UsageError
 from bvis.visibility import (
+    as_exponent_vector,
     as_rational_exponent_vector,
     is_visible_int,
     is_visible_rat,
@@ -354,3 +357,32 @@ def test_density_report_int_uses_reduced_exponent_sum():
     report = density_report(1000, [2, 4], "int")
     assert report.exponent_sum == 3
     assert report.abs_error < 0.005
+
+
+@pytest.mark.parametrize(
+    "kind,b,N",
+    [
+        ("int", [1, 1], 100),
+        ("int", [2, 4], 60),  # reduced to (1,2) before counting
+        ("int", [1, 2, 3], 20),
+        ("rat", ["2/3", "1/2"], 64),
+        ("rat", ["2/3", "3/2"], 1000),
+        ("signed", [1, -2], 100),
+        ("signed", [3, -2, -3], 30),
+        ("signed", ["1/2", "2/3"], 50),  # J empty: s = 0
+    ],
+)
+def test_count_box_agrees_with_density_report(kind, b, N):
+    report = density_report(N, b, kind)
+    vec = as_exponent_vector(b) if kind == "int" else as_rational_exponent_vector(b)
+    edges = box_edges(kind, N, vec)
+    assert edges == report.box.edges
+    assert count_box(kind, vec, edges) == (report.visible_count, report.exponent_sum)
+
+
+def test_count_box_empty_box():
+    # density reports reject empty boxes; count_box just answers zero
+    assert count_box("int", as_exponent_vector([1, 1]), (0, 5)) == (0, 2)
+    assert count_box("signed", as_rational_exponent_vector([-1, -1]), (12, 0)) == (0, 2)
+    with pytest.raises(UsageError):
+        count_box("signed", as_rational_exponent_vector([1, -2]), (8,))

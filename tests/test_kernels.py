@@ -1,64 +1,31 @@
 import math
-import os
-import subprocess
-import sys
 
 import pytest
 
 import bvis
-from bvis._kernels import BACKEND, _fallback, count_visible_box, zeta_partial_sum
+from bvis._kernels import count_visible_box, zeta_partial_sum
 from bvis.arith import iroot, sieve_primes
 from bvis.counting import mobius_box_count
 
-try:
-    from bvis._kernels import _core
-except ImportError:  # pragma: no cover - depends on build environment
-    _core = None
-
-BACKENDS = [("python", _fallback)] + ([("compiled", _core)] if _core else [])
-
 
 def test_backend_name():
-    assert BACKEND in ("compiled", "python")
-    assert bvis.KERNEL_BACKEND == BACKEND
-
-
-def test_pure_kernels_env_forces_fallback():
-    env = dict(os.environ, BVIS_PURE_KERNELS="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import bvis; print(bvis.KERNEL_BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"
+    assert bvis.KERNEL_BACKEND == "python"
 
 
 # ---------------------------------------------------------------- zeta kernel
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_zeta_partial_sum_small_values(name, impl):
-    assert impl.zeta_partial_sum(2, 1) == 1.0
-    assert impl.zeta_partial_sum(3, 2) == pytest.approx(1 + 0.125, abs=1e-15)
+def test_zeta_partial_sum_small_values():
+    assert zeta_partial_sum(2, 1) == 1.0
+    assert zeta_partial_sum(3, 2) == pytest.approx(1 + 0.125, abs=1e-15)
     for s in (2, 3, 5):
         for m in (10, 1000, 123456):
             reference = math.fsum(n ** (-s) for n in range(1, m + 1))
-            assert impl.zeta_partial_sum(s, m) == pytest.approx(reference, abs=1e-13)
-
-
-@pytest.mark.skipif(_core is None, reason="compiled kernel not built")
-def test_zeta_partial_sum_backends_agree():
-    for s in (2, 3, 5):
-        for m in (1, 10, 1000, 123456):
-            assert _core.zeta_partial_sum(s, m) == pytest.approx(
-                _fallback.zeta_partial_sum(s, m), abs=1e-12
-            )
+            assert zeta_partial_sum(s, m) == pytest.approx(reference, abs=1e-13)
 
 
 def test_zeta_partial_sum_spans_chunks():
-    # exercise the multi-chunk path of whichever backend is active
+    # exercise the multi-chunk path
     m = 10**7
     value = zeta_partial_sum(2, m)
     # zeta(2) minus the integral-bounded tail: 1/(m+1) < zeta(2)-sum < 1/m
@@ -73,8 +40,7 @@ def _prime_rows(edges, exps):
     return [tuple(p**e for e in exps) for p in sieve_primes(bound)]
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_count_visible_box_against_mobius(name, impl):
+def test_count_visible_box_against_mobius():
     cases = [
         ((10, 10), (1, 1)),
         ((100, 50), (2, 4)),
@@ -84,24 +50,14 @@ def test_count_visible_box_against_mobius(name, impl):
     ]
     for edges, exps in cases:
         rows = _prime_rows(edges, exps)
-        assert impl.count_visible_box(edges, rows) == mobius_box_count(edges, exps)
+        assert count_visible_box(edges, rows) == mobius_box_count(edges, exps)
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_count_visible_box_edge_cases(name, impl):
-    assert impl.count_visible_box((5, 5), []) == 25
-    assert impl.count_visible_box((0, 5), [(2, 2)]) == 0
-    assert impl.count_visible_box((1, 1), [(2, 2)]) == 1
+def test_count_visible_box_edge_cases():
+    assert count_visible_box((5, 5), []) == 25
+    assert count_visible_box((0, 5), [(2, 2)]) == 0
+    assert count_visible_box((1, 1), [(2, 2)]) == 1
 
 
 def test_count_visible_box_frozen():
     assert count_visible_box((100, 50), [(4, 16), (9, 81), (25, 625)]) == 4925
-
-
-@pytest.mark.skipif(_core is None, reason="compiled kernel not built")
-def test_count_visible_box_backends_agree():
-    edges = (211, 187)
-    rows = _prime_rows(edges, (1, 2))
-    assert _core.count_visible_box(edges, rows) == _fallback.count_visible_box(
-        edges, rows
-    )
