@@ -10,9 +10,13 @@ exact counts.
 perfect-power split, deterministic Miller-Rabin and Pollard-Brent rho.  It
 never guesses: a factor rho cannot find within its step budget, or a
 probable prime too large for the Miller-Rabin bases to certify, raises
-ResourceLimitError.  Only the sieves (``sieve_primes``, ``mobius_sieve``,
-``Mertens``) build numpy arrays, and they import numpy when called, so the
-predicates run without it.
+ResourceLimitError.
+
+``sieve_primes`` is pure Python: an odd-only bytearray sieve.  The Moebius
+sieve and the Mertens table use bytes operations and Python ints below
+PURE_SIEVE_LIMIT table entries, and numpy arrays from there on; only that
+path imports numpy, when it runs, so the predicates, prime sieves and
+small counts never load it.
 
 All functions are pure.
 """
@@ -41,34 +45,15 @@ SIEVE_BYTES_PER_ENTRY = 6
 # Values of M above its table that one Mertens instance may remember.
 MERTENS_MEMO_CAP = 1 << 18
 
-
-def _primes_below(n: int) -> tuple[int, ...]:
-    """Sieve of Eratosthenes on a bytearray, for tables built at import."""
-    is_prime = bytearray([1]) * n
-    is_prime[:2] = bytes(2)
-    for p in range(2, math.isqrt(n) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = bytes(len(range(p * p, n, p)))
-    return tuple(itertools.compress(range(n), is_prime))
-
-
-_TRIAL_PRIMES = _primes_below(1000)
-# A cofactor left by trial division has no prime factor below 1000, so
-# below 1000**2 it is prime.
-_TRIAL_SQUARE = 1000**2
-# Miller-Rabin with the 13 prime bases 2..41 is exact below this bound
-# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases",
-# Math. Comp. 86, 2017).
-_MR_BASES = _TRIAL_PRIMES[:13]
-MR_EXACT_LIMIT = 3_317_044_064_679_887_385_961_981
-# Pollard-Brent steps one factorize call may spend, over all splits and
-# restarts.  A step on a modulus of w 64-bit words is charged w**2 // 4
-# steps (at least one), about what its modular products cost relative to
-# 128 bits, so a refusal costs the same at any size: about 1.6 s on a
-# 2-vCPU x86-64 VM with CPython 3.11, where a 128-bit step takes ~0.8 us.
-RHO_STEP_BUDGET = 1 << 21
-# Rho multiplies this many differences together between gcds.
-_RHO_BATCH = 128
+# Moebius sieves and Mertens tables below this limit are built with bytes
+# operations and Python ints, without importing numpy (about 0.1 s of
+# start-up).  Measured end to end on `bvis density`, the bytes path wins
+# at every table size for b = (1, 2), whose tables carry no recursion, and
+# for b = (1, 1) up to a tie near 4.3e5 entries, past which numpy's
+# vectorized recursion sums win.
+PURE_SIEVE_LIMIT = 400_000
+# Byte b to (-b) mod 256: negates a signed byte, keeping 0 at 0.
+_NEGATE_BYTE = bytes(-b & 0xFF for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -109,8 +94,9 @@ class Factorization:
 def sieve_primes(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> PrimeTable:
     """Sieve of Eratosthenes: every prime <= limit.
 
-    Raises ResourceLimitError when the requested table would exceed the
-    memory budget (one byte per candidate).
+    Only odd candidates are stored, one byte each, and each prime's odd
+    multiples are cleared with one slice assignment from a zero buffer.
+    Raises ResourceLimitError when ``limit`` exceeds ``budget``.
     """
     if limit < 1:
         raise ValueError(f"sieve limit must be >= 1, got {limit}")
@@ -120,14 +106,36 @@ def sieve_primes(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> PrimeTable:
         )
     if limit < 2:
         return PrimeTable(limit, ())
-    import numpy as np
+    # odd[i] stands for 2 * i + 1
+    size = (limit + 1) // 2
+    odd = bytearray(b"\1") * size
+    odd[0] = 0
+    zeros = memoryview(bytes(size))
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            odd[start::p] = zeros[: (size - 1 - start) // p + 1]
+    return PrimeTable(limit, (2, *itertools.compress(range(1, limit + 1, 2), odd)))
 
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
-    return PrimeTable(limit, tuple(int(p) for p in np.flatnonzero(is_prime)))
+
+_TRIAL_PRIMES = sieve_primes(999).primes
+# A cofactor left by trial division has no prime factor below 1000, so
+# below 1000**2 it is prime.
+_TRIAL_SQUARE = 1000**2
+# Miller-Rabin with the 13 prime bases 2..41 is exact below this bound
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86, 2017).
+_MR_BASES = _TRIAL_PRIMES[:13]
+MR_EXACT_LIMIT = 3_317_044_064_679_887_385_961_981
+# Pollard-Brent steps one factorize call may spend, over all splits and
+# restarts.  A step on a modulus of w 64-bit words is charged w**2 // 4
+# steps (at least one), about what its modular products cost relative to
+# 128 bits, so a refusal costs the same at any size: about 1.6 s on a
+# 2-vCPU x86-64 VM with CPython 3.11, where a 128-bit step takes ~0.8 us.
+RHO_STEP_BUDGET = 1 << 21
+# Rho multiplies this many differences together between gcds.
+_RHO_BATCH = 128
 
 
 def factorize(n: int) -> Factorization:
@@ -279,15 +287,17 @@ def mobius(d: int) -> int:
     return -1 if len(fact.factors) % 2 else 1
 
 
-def mobius_sieve(limit: int) -> numpy.ndarray:
-    """Moebius values mu[0..limit] as an int8 array (mu[0] = 0).
+def mobius_sieve(limit: int) -> numpy.ndarray | memoryview:
+    """Moebius values mu[0..limit] (mu[0] = 0), one signed byte each.
 
-    Only the primes p <= isqrt(limit) are sieved.  Each flips the sign of
-    its multiples, zeroes the multiples of p**2 and is divided out of a
-    cofactor array; a squarefree n whose cofactor is still above 1 has
-    exactly one prime factor above isqrt(limit), which flips its sign once
-    more.  Raises ResourceLimitError before allocating when the arrays
-    (SIEVE_BYTES_PER_ENTRY bytes per entry) would exceed
+    Below PURE_SIEVE_LIMIT they come from ``_mobius_bytes`` as a memoryview
+    of format 'b', and numpy is not imported.  From there on they are an
+    int8 numpy array, sieved by the primes p <= isqrt(limit) only: each
+    flips the sign of its multiples, zeroes the multiples of p**2 and is
+    divided out of a cofactor array; a squarefree n whose cofactor is still
+    above 1 has exactly one prime factor above isqrt(limit), which flips
+    its sign once more.  Raises ResourceLimitError before allocating when
+    the arrays (SIEVE_BYTES_PER_ENTRY bytes per entry) would exceed
     DEFAULT_SIEVE_BUDGET bytes.
     """
     if limit < 0:
@@ -299,6 +309,8 @@ def mobius_sieve(limit: int) -> numpy.ndarray:
             f"which exceeds memory budget {DEFAULT_SIEVE_BUDGET} bytes",
             limit=DEFAULT_SIEVE_BUDGET // SIEVE_BYTES_PER_ENTRY,
         )
+    if limit < PURE_SIEVE_LIMIT:
+        return _mobius_bytes(limit)
     import numpy as np
 
     mu = np.ones(limit + 1, dtype=np.int8)
@@ -311,6 +323,23 @@ def mobius_sieve(limit: int) -> numpy.ndarray:
     np.negative(mu, out=mu, where=cofactor > 1)
     mu[0] = 0
     return mu
+
+
+def _mobius_bytes(limit: int) -> memoryview:
+    """mu[0..limit] as signed bytes, sieved with bytes slice operations.
+
+    Every prime p <= limit negates its multiples with one ``translate``,
+    and every p <= isqrt(limit) zeroes the multiples of p**2 from a zero
+    buffer; a negated zero stays zero, so the order does not matter.
+    """
+    mu = bytearray(b"\1") * (limit + 1)
+    mu[0] = 0
+    zeros = memoryview(bytes(limit // 4 + 1))
+    for p in sieve_primes(max(limit, 1)):
+        mu[p::p] = mu[p::p].translate(_NEGATE_BYTE)
+        if p * p <= limit:
+            mu[p * p :: p * p] = zeros[: limit // (p * p)]
+    return memoryview(mu).cast("b")
 
 
 def mobius_table(limit: int) -> list[int]:
@@ -328,20 +357,25 @@ class Mertens:
     table the identity sum_{d=1..x} M(x // d) = 1 is solved for M(x),
     grouping the d that share a quotient (Deleglise & Rivat, "Computing the
     summation of the Moebius function", Experimental Math. 5(4), 1996);
-    the results are memoized.  Raises ResourceLimitError before allocating
-    when the table would exceed the sieve budget, and when the memo would
-    pass MERTENS_MEMO_CAP entries.
+    the results are memoized.  Below PURE_SIEVE_LIMIT the table is a list
+    of Python ints and its sums are plain Python; from there on it is a
+    numpy array.  Raises ResourceLimitError before allocating when the
+    table would exceed the sieve budget, and when the memo would pass
+    MERTENS_MEMO_CAP entries.
     """
 
     def __init__(self, table_limit: int):
-        import numpy as np
-
         self.table_limit = table_limit
         self.mu = mobius_sieve(table_limit)
-        # |M(x)| <= x <= table_limit, so int32 is exact; summing in place
-        # keeps the peak at the sieve's own.
-        self.table = self.mu.astype(np.int32)
-        np.cumsum(self.table, out=self.table)
+        if isinstance(self.mu, memoryview):
+            self.table = list(itertools.accumulate(self.mu))
+        else:
+            import numpy as np
+
+            # |M(x)| <= x <= table_limit, so int32 is exact; summing in
+            # place keeps the peak at the sieve's own.
+            self.table = self.mu.astype(np.int32)
+            np.cumsum(self.table, out=self.table)
         self._memo: dict[int, int] = {}
 
     def __call__(self, x: int) -> int:
@@ -360,23 +394,30 @@ class Mertens:
         r = math.isqrt(x)
         if r > self.table_limit:
             raise ValueError(f"Mertens argument {x} above table_limit**2")
-        import numpy as np
-
-        table = self.table
-        v = np.arange(1, r + 1, dtype=np.int64)
-        total = 1 - int((x // v - x // (v + 1)) @ table[1 : r + 1])
         big = x // (r + 1)
         split = min(big, x // (self.table_limit + 1))
+        total = 1 - self._table_terms(x, r, split, big)
         for d in range(2, split + 1):
             total -= self(x // d)
-        d = np.arange(split + 1, big + 1, dtype=np.int64)
-        total -= int(table[x // d].sum(dtype=np.int64))
         if len(self._memo) >= MERTENS_MEMO_CAP:
             raise ResourceLimitError(
                 f"Mertens memo would pass {MERTENS_MEMO_CAP} entries", limit=MERTENS_MEMO_CAP
             )
         self._memo[x] = total
         return total
+
+    def _table_terms(self, x: int, r: int, split: int, big: int) -> int:
+        """The identity's terms read from the table: v <= r, and split < d <= big."""
+        table = self.table
+        if isinstance(table, list):
+            return sum((x // v - x // (v + 1)) * table[v] for v in range(1, r + 1)) + sum(
+                table[x // d] for d in range(split + 1, big + 1)
+            )
+        import numpy as np
+
+        v = np.arange(1, r + 1, dtype=np.int64)
+        d = np.arange(split + 1, big + 1, dtype=np.int64)
+        return int((x // v - x // (v + 1)) @ table[1 : r + 1]) + int(table[x // d].sum(dtype=np.int64))
 
 
 def iroot(x: int, k: int) -> int:

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import click
 
-from . import counting, visibility
+from . import __version__, counting, visibility
 from ._kernels import count_visible_box
 from .arith import iroot, sieve_primes
 from .counting import brute_prefix_counts, mobius_box_count
@@ -195,7 +195,7 @@ _CASE = click.option("--case", type=click.Choice(["int", "rat", "signed"]), defa
 
 
 @click.group()
-@click.version_option(package_name="bvis")
+@click.version_option(__version__, prog_name="bvis")
 def main():
     """Lattice-point visibility: exact counts and densities against 1/zeta."""
 

@@ -26,7 +26,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .arith import factorize, is_perfect_power
@@ -161,10 +161,19 @@ def divisibility_witness(coords: tuple[int, ...], exps: tuple[int, ...]) -> int 
     g = math.gcd(*coords)
     if g == 1:
         return None
-    for p, _ in factorize(g).factors:
+    for p in _prime_factors(g):
         if all(c % p**e == 0 for c, e in zip(coords, exps)):
             return p
     return None
+
+
+@lru_cache(maxsize=4096)
+def _prime_factors(g: int) -> tuple[int, ...]:
+    """The primes of g, remembered: the points of a box share few gcds.
+
+    A ResourceLimitError propagates uncached, so the refusal repeats.
+    """
+    return factorize(g).primes()
 
 
 def require_gcd_one(vec: RationalExponentVector) -> None:

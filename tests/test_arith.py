@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bvis import arith
 from bvis.arith import (
     factorize,
     floor_root,
@@ -31,6 +32,15 @@ def test_sieve_trivial_limits():
 def test_sieve_prime_counting():
     # pi(1000) = 168, a classical table value
     assert len(sieve_primes(1000)) == 168
+
+
+def test_sieve_matches_trial_division():
+    # every limit up to 1000, so each parity of limit and each prime square
+    # is an endpoint once; pi(10**6) = 78498
+    primes = [n for n in range(2, 1001) if all(n % q for q in range(2, math.isqrt(n) + 1))]
+    for limit in range(1, 1001):
+        assert list(sieve_primes(limit)) == [p for p in primes if p <= limit], limit
+    assert len(sieve_primes(10**6)) == 78498
 
 
 def test_sieve_budget():
@@ -133,14 +143,17 @@ def test_mobius_table_matches_pointwise():
         assert table[d] == mobius(d)
 
 
-def test_mobius_sieve_matches_pointwise():
+def test_mobius_sieve_matches_pointwise(monkeypatch):
     # limits on both sides of prime squares, so the last sieved prime and the
-    # single large cofactor both matter
-    for limit in (0, 1, 2, 3, 48, 49, 50, 20_000):
-        mu = mobius_sieve(limit)
-        assert mu.dtype == "int8" and len(mu) == limit + 1
-        assert mu[0] == 0
-        assert all(mu[d] == mobius(d) for d in range(1, limit + 1)), limit
+    # single large cofactor both matter; each limit on both sieve paths
+    for pure_limit in (arith.DEFAULT_SIEVE_BUDGET, 0):
+        monkeypatch.setattr(arith, "PURE_SIEVE_LIMIT", pure_limit)
+        for limit in (0, 1, 2, 3, 48, 49, 50, 20_000):
+            mu = mobius_sieve(limit)
+            assert getattr(mu, "dtype", None) == "int8" or mu.format == "b"
+            assert len(mu) == limit + 1
+            assert mu[0] == 0
+            assert all(mu[d] == mobius(d) for d in range(1, limit + 1)), (pure_limit, limit)
 
 
 @given(st.integers(min_value=0, max_value=10**60), st.integers(min_value=1, max_value=10))

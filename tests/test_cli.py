@@ -24,6 +24,13 @@ def runner():
     return CliRunner()
 
 
+def test_version(runner):
+    # read from bvis.__version__, so it works from a source tree too
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0, result.output
+    assert "0.1.0" in result.output
+
+
 # ---------------------------------------------------------------- b-spec parsing
 
 
@@ -348,6 +355,7 @@ def test_zeta_command(runner):
 
 _NUMPY_PROBE = """
 import sys
+from bvis import arith
 from bvis.cli import main
 
 def run(*args):
@@ -361,10 +369,15 @@ run("check", "--b", "2,4,3,7", "--point", "4,16,40,128")
 assert "numpy" not in sys.modules, "check"
 run("sieve", "--b", "1,-2", "--N", "3", "--format", "csv")
 assert "numpy" not in sys.modules, "sieve"
-run("zeta", "--s", "2", "--format", "json")
+run("zeta", "--s", "2", "--euler-limit", "100000", "--format", "json")
 assert "numpy" not in sys.modules, "zeta"
+run("density", "--b", "1,1", "--N", "1000000", "--format", "json")
+assert "numpy" not in sys.modules, "density"
 run("count", "--b", "1,1", "--N", "100", "--format", "json")
-assert "numpy" in sys.modules, "count"
+assert "numpy" not in sys.modules, "count"
+# b = (1, 2) sums over every d up to the depth, so this table is the crossover's size
+run("count", "--b", "1,2", "--N", str(arith.PURE_SIEVE_LIMIT**2), "--format", "csv")
+assert "numpy" in sys.modules, "count past the crossover"
 """
 
 
@@ -382,8 +395,11 @@ def test_check_sieve_and_zeta_never_import_numpy():
     lines = out.stdout.splitlines()
     assert lines[0] == "invisible: witness prime 2, image 1,1,5,1"
     assert lines[1:5] == ["x1,x2", "1,1", "1,2", "1,3"]  # 9 points, none with 4 | x2
-    assert json.loads(lines[-2])["value"] == pytest.approx(math.pi**2 / 6, abs=1e-9)
-    assert json.loads(lines[-1])["visible"] == "6087"  # OEIS A018805(100)
+    zeta = json.loads(lines[-5])
+    assert zeta["value"] == pytest.approx(math.pi**2 / 6, abs=1e-9)
+    assert 0 < zeta["value"] - zeta["euler_product"] < 1e-5
+    assert json.loads(lines[-4])["visible"] == "607927104783"  # OEIS A018805(10**6)
+    assert json.loads(lines[-3])["visible"] == "6087"  # OEIS A018805(100)
 
 
 # ---------------------------------------------------------------- exit codes

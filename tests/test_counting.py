@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvis import arith
-from bvis.arith import Mertens, factorize, iroot, mobius_sieve, mobius_table
+from bvis.arith import Mertens, factorize, iroot, mobius, mobius_sieve, mobius_table
 from bvis.counting import (
     BoxSpec,
     DensityReport,
@@ -106,7 +106,12 @@ def test_mobius_truncation_is_sound():
 def test_mobius_box_count_matches_naive_sum(box):
     edges = tuple(m for m, _ in box)
     exps = tuple(e for _, e in box)
-    assert mobius_box_count(edges, exps) == _naive_box_count(edges, exps)
+    expected = _naive_box_count(edges, exps)
+    # the bytes-sieve path, then the numpy one
+    for pure_limit in (arith.DEFAULT_SIEVE_BUDGET, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arith, "PURE_SIEVE_LIMIT", pure_limit)
+            assert mobius_box_count(edges, exps) == expected, pure_limit
 
 
 def test_mobius_box_count_head_tail_splits():
@@ -144,14 +149,27 @@ def test_mertens_matches_oeis():
     assert values == [-1, 1, 2, -23, -48, 212, 1037, 1928, -222]
 
 
-def test_mertens_recursion_matches_running_sum():
-    mertens = Mertens(100)
-    running = 0
-    for x, mu in enumerate(mobius_table(10_000)):
-        running += mu
-        assert mertens(x) == running, x
-    with pytest.raises(ValueError):
-        mertens(101**2)
+def test_mertens_recursion_matches_running_sum(monkeypatch):
+    # a 100-entry table with recursion up to 100**2, against pointwise mu,
+    # on the bytes-sieve path and then the numpy one
+    running = list(itertools.accumulate(mobius(x) if x else 0 for x in range(10_001)))
+    for pure_limit in (arith.DEFAULT_SIEVE_BUDGET, 0):
+        monkeypatch.setattr(arith, "PURE_SIEVE_LIMIT", pure_limit)
+        mertens = Mertens(100)
+        assert isinstance(mertens.table, list) == bool(pure_limit)
+        assert [mertens(x) for x in range(10_001)] == running, pure_limit
+        with pytest.raises(ValueError):
+            mertens(101**2)
+
+
+def test_mertens_tables_on_both_sides_of_the_crossover():
+    # OEIS A084237: M(10^7) = 1037, M(10^8) = 1928, both above the table
+    limit = arith.PURE_SIEVE_LIMIT
+    below, above = Mertens(limit - 1), Mertens(limit)
+    assert below.mu.format == "b" and above.mu.dtype == "int8"
+    assert below.table == above.table[:limit].tolist()
+    for mertens in (below, above):
+        assert [mertens(10**7), mertens(10**8)] == [1037, 1928]
 
 
 def test_mertens_budgets(monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvis.arith import factorize
+from bvis import visibility
 from bvis.errors import PreconditionError, ResourceLimitError, UsageError
 from bvis.visibility import (
     ExponentVector,
@@ -129,6 +130,28 @@ def test_visible_int_k1():
 def test_witness_prime_is_smallest():
     assert witness_prime_int((36, 36), (1, 1)) == 2
     assert witness_prime_int((9, 27), (1, 1)) == 3
+
+
+def test_gcd_factorizations_are_cached_but_refusals_are_not(monkeypatch):
+    calls = []
+
+    def counting_factorize(n):
+        calls.append(n)
+        if n == 10**6 + 3:
+            raise ResourceLimitError("refused", limit=0)
+        return factorize(n)
+
+    monkeypatch.setattr(visibility, "factorize", counting_factorize)
+    visibility._prime_factors.cache_clear()
+    try:
+        assert [witness_prime_int((12 * c, 18), (1, 1)) for c in (1, 5, 7)] == [2, 2, 2]
+        assert calls == [6]
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError):
+                witness_prime_int((10**6 + 3, 2 * (10**6 + 3)), (1, 1))
+        assert calls == [6, 10**6 + 3, 10**6 + 3]
+    finally:
+        visibility._prime_factors.cache_clear()
 
 
 def test_int_input_validation():
