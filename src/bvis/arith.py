@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import ResourceLimitError
 
@@ -94,9 +94,18 @@ class Factorization:
 def sieve_primes(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> PrimeTable:
     """Sieve of Eratosthenes: every prime <= limit.
 
+    Raises ResourceLimitError when ``limit`` exceeds ``budget``.
+    """
+    return PrimeTable(limit, tuple(_iter_primes(limit, budget)))
+
+
+def _iter_primes(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> Iterator[int]:
+    """The primes <= limit in ascending order, read off a finished sieve.
+
     Only odd candidates are stored, one byte each, and each prime's odd
     multiples are cleared with one slice assignment from a zero buffer.
-    Raises ResourceLimitError when ``limit`` exceeds ``budget``.
+    The limit is checked before anything is allocated; a caller that only
+    iterates never holds the primes as Python ints at once.
     """
     if limit < 1:
         raise ValueError(f"sieve limit must be >= 1, got {limit}")
@@ -105,7 +114,7 @@ def sieve_primes(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> PrimeTable:
             f"sieve limit {limit} exceeds memory budget {budget}", limit=budget
         )
     if limit < 2:
-        return PrimeTable(limit, ())
+        return iter(())
     # odd[i] stands for 2 * i + 1
     size = (limit + 1) // 2
     odd = bytearray(b"\1") * size
@@ -116,7 +125,7 @@ def sieve_primes(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> PrimeTable:
             p = 2 * i + 1
             start = p * p // 2
             odd[start::p] = zeros[: (size - 1 - start) // p + 1]
-    return PrimeTable(limit, (2, *itertools.compress(range(1, limit + 1, 2), odd)))
+    return itertools.chain((2,), itertools.compress(range(1, limit + 1, 2), odd))
 
 
 _TRIAL_PRIMES = sieve_primes(999).primes

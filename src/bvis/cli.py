@@ -26,7 +26,7 @@ import click
 from . import __version__, counting, visibility
 from ._kernels import count_visible_box
 from .arith import iroot, sieve_primes
-from .counting import brute_prefix_counts, mobius_box_count
+from .counting import brute_prefix_counts, count_visible_bruteforce, mobius_box_count
 from .errors import PreconditionError, ResourceLimitError, UsageError
 from .visibility import (
     as_exponent_vector,
@@ -41,6 +41,7 @@ from .visibility import (
     witness_prime_rat,
     witness_prime_signed,
 )
+from .zeta import inv_zeta
 from .zeta import zeta as zeta_eval
 from .zeta import zeta_euler_product
 
@@ -145,24 +146,17 @@ def _emit(fmt: str, fields: dict) -> None:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(fields.keys())
-        writer.writerow([_csv_cell(v) for v in fields.values()])
+        writer.writerow([_cell(v, none="") for v in fields.values()])
         click.echo(buf.getvalue().rstrip("\n"))
     else:
         for key, value in fields.items():
-            click.echo(f"{key}: {_plain_cell(value)}")
+            click.echo(f"{key}: {_cell(value, none='-')}")
 
 
-def _csv_cell(value) -> str:
+def _cell(value, none: str) -> str:
+    """One field as text; ``none`` stands in for a missing value."""
     if value is None:
-        return ""
-    if isinstance(value, (list, tuple)):
-        return ",".join(str(v) for v in value)
-    return str(value)
-
-
-def _plain_cell(value) -> str:
-    if value is None:
-        return "-"
+        return none
     if isinstance(value, (list, tuple)):
         return ",".join(str(v) for v in value)
     return str(value)
@@ -401,63 +395,69 @@ def zeta_cmd(s, tol, euler_limit, fmt):
 
 
 def verify_checks(profile: str, seed: int):
-    """The named self-checks behind `bvis verify`, per profile."""
+    """The named theorem checks behind `bvis verify`, per profile.
+
+    This is the one table of theorem checks: tests/test_acceptance.py runs
+    the full profile's rows as the release gate.  Each density row states
+    the exponent sum s that the paper assigns to its vector: the entries
+    for integer b, the numerators for rational b, and |bj| over the
+    negative entries for signed b.
+    """
     quick = profile == "quick"
+    side = 20 if quick else 40
+    grid = list(itertools.product(range(1, side + 1), repeat=2))
+    zeta_tol = 1e-6 if quick else 1e-9
     checks = []
 
+    def row(fn):
+        """Enter ``fn`` in the table under its name, with dashes."""
+        checks.append((fn.__name__.replace("_", "-"), fn))
+        return fn
+
+    def splits(b, characterized, points):
+        """How many points the oracle for b and the characterization disagree on."""
+        return sum(
+            oracle_visible_parametric(pt, b) != is_visible_int(pt, characterized)
+            for pt in points
+        )
+
+    @row
     def worked_example():
         point, b = (4, 16, 40, 128), (2, 4, 3, 7)
         prime = witness_prime_int(point, b)
         image = _witness_image(point, b, prime) if prime is not None else None
-        ok = (
-            prime == 2
-            and image == (1, 1, 5, 1)
-            and is_visible_int(image, b)
-            and not oracle_visible_parametric((2, 4), (2, 4))
-        )
+        ok = prime == 2 and image == (1, 1, 5, 1) and is_visible_int(image, b)
         return ok, f"witness p={prime}, image {image}"
 
-    checks.append(("worked-example", worked_example))
-
+    @row
     def oracle_equivalence():
-        side = 20 if quick else 40
         vectors = [(1, 2), (2, 3)] if quick else [(1, 1), (1, 2), (2, 3), (2, 4), (3, 7)]
-        tested = disagreements = 0
-        for b in vectors:
-            for pt in itertools.product(range(1, side + 1), repeat=2):
-                tested += 1
-                if oracle_visible_parametric(pt, b) != is_visible_int(pt, b):
-                    disagreements += 1
+        tested = len(grid) * len(vectors)
+        disagreements = sum(splits(b, b, grid) for b in vectors)
         if not quick:
+            # one seeded draw of 3-D points, shared by the three vectors
             rng = random.Random(seed)
+            points = [tuple(rng.randint(1, 20) for _ in range(3)) for _ in range(500)]
             for b in [(1, 1, 1), (1, 2, 3), (2, 4, 6)]:
-                for _ in range(500):
-                    pt = tuple(rng.randint(1, 20) for _ in range(3))
-                    tested += 1
-                    if oracle_visible_parametric(pt, b) != is_visible_int(pt, b):
-                        disagreements += 1
+                tested += len(points)
+                disagreements += splits(b, b, points)
         return disagreements == 0, f"{tested} points, {disagreements} disagreements"
 
-    checks.append(("oracle-equivalence", oracle_equivalence))
-
+    @row
     def gcd_reduction():
-        side = 20 if quick else 40
         vectors = [(2, 4), (2, 2)] if quick else [(2, 4), (3, 6), (2, 2)]
-        tested = disagreements = 0
-        for b in vectors:
-            reduced = reduce_b(b)
-            for pt in itertools.product(range(1, side + 1), repeat=2):
-                tested += 1
-                if oracle_visible_parametric(pt, b) != is_visible_int(pt, reduced):
-                    disagreements += 1
-        witness_case = not is_visible_int((2, 4), (2, 4))
+        disagreements = sum(splits(b, reduce_b(b), grid) for b in vectors)
+        # the witness case: t = 1/sqrt(2) maps (2,4) to (1,1) under b=(2,4)
+        witness_case = witness_prime_int((2, 4), (2, 4)) == 2 and not oracle_visible_parametric(
+            (2, 4), (2, 4)
+        )
         return (
             disagreements == 0 and witness_case,
-            f"{tested} points, {disagreements} disagreements; (2,4) invisible for b=(2,4): {witness_case}",
+            f"{len(grid) * len(vectors)} points, {disagreements} disagreements; "
+            f"(2,4) invisible for b=(2,4): {witness_case}",
         )
 
-    checks.append(("gcd-reduction", gcd_reduction))
-
+    @row
     def mobius_vs_bruteforce():
         n_max = 30 if quick else 60
         vectors = (
@@ -471,10 +471,15 @@ def verify_checks(profile: str, seed: int):
             for n in range(1, n_max + 1):
                 if counting.count_visible_int(n, b) != brute[n]:
                     mismatches += 1
+            if not quick:
+                # whole boxes enumerated one by one, apart from the prefix sweep
+                predicate = functools.partial(is_visible_int, b=b)
+                for n in (1, 7, 60):
+                    if count_visible_bruteforce((n,) * len(b), predicate) != brute[n]:
+                        mismatches += 1
         return mismatches == 0, f"N <= {n_max}, {len(vectors)} vectors, {mismatches} mismatches"
 
-    checks.append(("mobius-vs-bruteforce", mobius_vs_bruteforce))
-
+    @row
     def grid_marking_vs_mobius():
         # the kernel marks the invisibility grid directly; no Moebius
         # inversion involved, so agreement checks the closed form at a
@@ -489,57 +494,57 @@ def verify_checks(profile: str, seed: int):
                 return False, f"edges {edges}, exps {exps}: {marked} != {closed}"
         return True, f"edges {edges}, exps (1,1) and (1,2), grid == mobius"
 
-    checks.append(("grid-marking-vs-mobius", grid_marking_vs_mobius))
-
+    # (family, N, b, exponent sum s of the limit 1/zeta(s), tolerance[, least box edge])
     density_rows = [
-        ("int", 1000, (1, 1), 0.002),
-        ("int", 500, (2, 3), 0.005),
-        ("rat", 10**6, ("1/2", "1/2"), 0.002),
-        ("rat", 10**6, ("2/3", "3/2"), 0.005),
-        ("signed", 4000, (1, -2), 0.005),
+        ("int", 1000, (1, 1), 2, 0.002),
+        ("int", 500, (2, 3), 5, 0.005),
+        ("rat", 10**6, ("1/2", "1/2"), 2, 0.002),
+        ("rat", 10**6, ("2/3", "3/2"), 5, 0.005),
+        ("signed", 4000, (1, -2), 2, 0.005),
     ]
     if not quick:
         density_rows += [
-            ("int", 1000, (1, 2), 0.005),
-            ("int", 200, (1, 1, 1), 0.01),
-            ("rat", 8_000_000, ("2/3", "3/2"), 0.01),
-            ("signed", 10**4, (1, -2), 0.005),
-            ("signed", 300, (3, -2, -3), 0.01),
+            ("int", 1000, (1, 2), 3, 0.005),
+            ("int", 200, (1, 1, 1), 3, 0.01),
+            ("rat", 8_000_000, ("2/3", "3/2"), 5, 0.01),
+            # numerators sum to 3, denominators to 5: on a box this large
+            # the density lands near 1/zeta(3) ~ 0.832, far from 1/zeta(5) ~ 0.964
+            ("rat", 8_000_000, ("2/3", "1/2"), 3, 0.01, 200),
+            ("signed", 10**4, (1, -2), 2, 0.005),
+            ("signed", 300, (3, -2, -3), 5, 0.01),
         ]
 
-    def density_check(case, n, b, tol):
+    def density_check(case, n, b, s, tol, min_edge=1):
         def run():
             report = counting.density_report(n, b, case)
-            err = report.abs_error
-            return err is not None and err <= tol, f"abs_error {err:.6f} vs tol {tol}"
+            if report.exponent_sum != s:
+                return False, f"exponent sum {report.exponent_sum}, expected {s}"
+            if min(report.box.edges) < min_edge:
+                return False, f"box {report.box.edges} has an edge below {min_edge}"
+            err = abs(report.empirical - inv_zeta(s, counting.DENSITY_ZETA_TOL))
+            return err <= tol, f"abs_error {err:.6f} vs tol {tol}"
 
         return run
 
-    for case_name, n_val, b_val, tol_val in density_rows:
-        checks.append(
-            (
-                f"density-{case_name}-({','.join(map(str, b_val))})-N{n_val}",
-                density_check(case_name, n_val, b_val, tol_val),
-            )
-        )
+    for spec in density_rows:
+        case_name, n_val, b_val = spec[:3]
+        name = f"density-{case_name}-({','.join(map(str, b_val))})-N{n_val}"
+        checks.append((name, density_check(*spec)))
 
+    @row
     def zeta_certification():
-        tol = 1e-6 if quick else 1e-9
-        zv = zeta_eval(2, tol)
-        enclosed = abs(zv.value - math.pi**2 / 6) <= zv.tail_bound <= tol
+        zv = zeta_eval(2, zeta_tol)
+        enclosed = abs(zv.value - math.pi**2 / 6) <= zv.tail_bound <= zeta_tol
         return enclosed, f"|value - pi^2/6| = {abs(zv.value - math.pi**2 / 6):.2e}, tail {zv.tail_bound:.2e}"
 
-    checks.append(("zeta-certification", zeta_certification))
-
+    @row
     def euler_product():
-        tol = 1e-6 if quick else 1e-9
         worst = 0.0
         for s in [2] if quick else [2, 3, 5]:
-            gap = abs(zeta_euler_product(s, 10**5) - zeta_eval(s, tol).value)
+            gap = abs(zeta_euler_product(s, 10**5) - zeta_eval(s, zeta_tol).value)
             worst = max(worst, gap)
         return worst <= 1e-4, f"worst gap {worst:.2e} vs 1e-4"
 
-    checks.append(("euler-product", euler_product))
     return checks
 
 

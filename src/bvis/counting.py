@@ -42,7 +42,6 @@ from .visibility import (
     as_rational_exponent_vector,
     constrained_exponents,
     is_visible_int,
-    require_gcd_one,
 )
 from .zeta import inv_zeta
 
@@ -191,7 +190,11 @@ def count_box(kind: str, vec, edges: Sequence[int]) -> tuple[int, int]:
     multiply the count.  A signed vector with J empty has every point
     visible and s = 0, meaning no finite density.
     """
-    k, positions, exps = constrained_exponents(kind, vec)
+    return _count_constrained(*constrained_exponents(kind, vec), edges)
+
+
+def _count_constrained(k: int, positions, exps, edges: Sequence[int]) -> tuple[int, int]:
+    """``count_box`` for a vector that ``constrained_exponents`` already validated."""
     if len(edges) != k:
         raise UsageError(f"box has {len(edges)} edges, exponent vector has {k}")
     if not positions:
@@ -293,16 +296,11 @@ def density_report(N: int, b, case: str) -> DensityReport:
     or "signed".
     """
     kind = _normalize_case(case)
-    if kind == "int":
-        vec = as_exponent_vector(b)
-    else:
-        vec = as_rational_exponent_vector(b)
-        if kind == "rat" and any(n < 0 for n in vec.numerators):
-            raise UsageError("count_visible_rat expects positive exponents; use count_visible_signed")
-        # a bad vector is reported before a bad N
-        require_gcd_one(vec)
+    vec = as_exponent_vector(b) if kind == "int" else as_rational_exponent_vector(b)
+    # a bad vector is reported before a bad N
+    k, positions, exps = constrained_exponents(kind, vec)
     edges = box_edges(kind, N, vec)
-    visible, s = count_box(kind, vec, edges)
+    visible, s = _count_constrained(k, positions, exps, edges)
     return DensityReport(
         box=BoxSpec(edges),
         visible_count=visible,

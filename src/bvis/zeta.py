@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 
-from .arith import sieve_primes
+from .arith import _iter_primes
 
 # Below this tolerance double precision can no longer back the certificate.
 MIN_TOL = 1e-12
@@ -122,6 +122,6 @@ def zeta_euler_product(s: int, prime_limit: int) -> float:
     if prime_limit < 1:
         raise ValueError(f"prime_limit must be >= 1, got {prime_limit}")
     out = 1.0
-    for p in sieve_primes(prime_limit):
+    for p in _iter_primes(prime_limit):
         out /= 1.0 - float(p) ** (-s)
     return out

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -447,6 +448,12 @@ def test_density_past_the_mertens_budget_exits_4(runner):
     assert peak < 4 << 20  # refused before any sieve array existed
 
 
+def test_zeta_euler_limit_past_the_sieve_budget_exits_4(runner):
+    result = runner.invoke(main, ["zeta", "--s", "2", "--euler-limit", "300000000"])
+    assert result.exit_code == 4
+    assert "exceeds memory budget" in result.stderr
+
+
 def test_count_coprime_pairs_at_1e9(runner):
     result = runner.invoke(main, ["count", "--b", "1,1", "--N", "1000000000", "--format", "json"])
     assert result.exit_code == 0
@@ -472,3 +479,60 @@ def test_verify_reports_failures(runner, monkeypatch):
     result = runner.invoke(main, ["verify", "--profile", "quick"])
     assert result.exit_code == 1
     assert "FAIL" in result.stdout
+
+
+_VERIFY_QUICK = """\
+worked-example                       PASS  witness p=2, image (1, 1, 5, 1)
+oracle-equivalence                   PASS  800 points, 0 disagreements
+gcd-reduction                        PASS  800 points, 0 disagreements; (2,4) invisible for b=(2,4): True
+mobius-vs-bruteforce                 PASS  N <= 30, 3 vectors, 0 mismatches
+grid-marking-vs-mobius               PASS  edges (500, 500), exps (1,1) and (1,2), grid == mobius
+density-int-(1,1)-N1000              PASS  abs_error 0.000456 vs tol 0.002
+density-int-(2,3)-N500               PASS  abs_error 0.000397 vs tol 0.005
+density-rat-(1/2,1/2)-N1000000       PASS  abs_error 0.000000 vs tol 0.002
+density-rat-(2/3,3/2)-N1000000       PASS  abs_error 0.002283 vs tol 0.005
+density-signed-(1,-2)-N4000          PASS  abs_error 0.000323 vs tol 0.005
+zeta-certification                   PASS  |value - pi^2/6| = 0.00e+00, tail 1.00e-08
+euler-product                        PASS  worst gap 1.32e-06 vs 1e-4
+12/12 checks passed (quick profile)
+"""
+
+_VERIFY_FULL = """\
+worked-example                       PASS  witness p=2, image (1, 1, 5, 1)
+oracle-equivalence                   PASS  9500 points, 0 disagreements
+gcd-reduction                        PASS  4800 points, 0 disagreements; (2,4) invisible for b=(2,4): True
+mobius-vs-bruteforce                 PASS  N <= 60, 5 vectors, 0 mismatches
+grid-marking-vs-mobius               PASS  edges (2000, 2000), exps (1,1) and (1,2), grid == mobius
+density-int-(1,1)-N1000              PASS  abs_error 0.000456 vs tol 0.002
+density-int-(2,3)-N500               PASS  abs_error 0.000397 vs tol 0.005
+density-rat-(1/2,1/2)-N1000000       PASS  abs_error 0.000000 vs tol 0.002
+density-rat-(2/3,3/2)-N1000000       PASS  abs_error 0.002283 vs tol 0.005
+density-signed-(1,-2)-N4000          PASS  abs_error 0.000323 vs tol 0.005
+density-int-(1,2)-N1000              PASS  abs_error 0.000093 vs tol 0.005
+density-int-(1,1,1)-N200             PASS  abs_error 0.001217 vs tol 0.01
+density-rat-(2/3,3/2)-N8000000       PASS  abs_error 0.000277 vs tol 0.01
+density-rat-(2/3,1/2)-N8000000       PASS  abs_error 0.000451 vs tol 0.01
+density-signed-(1,-2)-N10000         PASS  abs_error 0.000373 vs tol 0.005
+density-signed-(3,-2,-3)-N300        PASS  abs_error 0.000568 vs tol 0.01
+zeta-certification                   PASS  |value - pi^2/6| = 0.00e+00, tail 1.00e-11
+euler-product                        PASS  worst gap 1.32e-06 vs 1e-4
+18/18 checks passed (full profile)
+"""
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (["--profile", "quick"], _VERIFY_QUICK),
+        (["--profile", "full", "--seed", "26"], _VERIFY_FULL),
+    ],
+    ids=["quick", "full"],
+)
+def test_verify_frozen_output(runner, args, expected):
+    result = runner.invoke(main, ["verify", *args])
+    assert result.exit_code == 0
+    header, *lines = result.stdout.splitlines(keepends=True)
+    assert header == "check                                status      time  detail\n"
+    # the timing column is the only part that varies from run to run
+    masked = [re.sub(r" +\d+\.\d\ds  ", "  ", line, count=1) for line in lines]
+    assert "".join(masked) == expected

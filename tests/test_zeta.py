@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bvis._kernels import zeta_partial_sum
+from bvis.arith import sieve_primes
 from bvis.zeta import MIN_TOL, inv_zeta, zeta, zeta_euler_product
 
 PI2_OVER_6 = math.pi**2 / 6
@@ -77,6 +78,13 @@ def test_euler_product_close_to_series():
     for s in [2, 3, 5]:
         series = zeta(s, 1e-9 if s == 2 else 1e-12).value
         assert abs(zeta_euler_product(s, 10**5) - series) <= 1e-4
+
+
+def test_euler_product_runs_over_the_prime_table():
+    product = 1.0
+    for p in sieve_primes(10**6):
+        product /= 1.0 - float(p) ** -3
+    assert zeta_euler_product(3, 10**6) == product
 
 
 def test_domain_errors():
