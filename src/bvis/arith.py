@@ -57,20 +57,6 @@ _NEGATE_BYTE = bytes(-b & 0xFF for b in range(256))
 
 
 @dataclass(frozen=True)
-class PrimeTable:
-    """All primes up to ``limit``, in ascending order."""
-
-    limit: int
-    primes: tuple[int, ...]
-
-    def __iter__(self):
-        return iter(self.primes)
-
-    def __len__(self):
-        return len(self.primes)
-
-
-@dataclass(frozen=True)
 class Factorization:
     """Canonical factorization ``value = prod(p**m for p, m in factors)``.
 
@@ -91,12 +77,12 @@ class Factorization:
         return out
 
 
-def sieve_primes(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> PrimeTable:
-    """Sieve of Eratosthenes: every prime <= limit.
+def sieve_primes(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> tuple[int, ...]:
+    """Sieve of Eratosthenes: every prime <= limit, ascending.
 
     Raises ResourceLimitError when ``limit`` exceeds ``budget``.
     """
-    return PrimeTable(limit, tuple(_iter_primes(limit, budget)))
+    return tuple(_iter_primes(limit, budget))
 
 
 def _iter_primes(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> Iterator[int]:
@@ -128,7 +114,7 @@ def _iter_primes(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> Iterator[int
     return itertools.chain((2,), itertools.compress(range(1, limit + 1, 2), odd))
 
 
-_TRIAL_PRIMES = sieve_primes(999).primes
+_TRIAL_PRIMES = sieve_primes(999)
 # A cofactor left by trial division has no prime factor below 1000, so
 # below 1000**2 it is prime.
 _TRIAL_SQUARE = 1000**2

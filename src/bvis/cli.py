@@ -18,12 +18,11 @@ import math
 import random
 import re
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 import click
 
-from . import __version__, counting, visibility
+from . import __version__, counting
 from ._kernels import count_visible_box
 from .arith import iroot, sieve_primes
 from .counting import brute_prefix_counts, count_visible_bruteforce, mobius_box_count
@@ -33,13 +32,10 @@ from .visibility import (
     as_rational_exponent_vector,
     base_from_expanded,
     constrained_exponents,
-    divisibility_witness,
     is_visible_int,
     oracle_visible_parametric,
     reduce_b,
-    witness_prime_int,
-    witness_prime_rat,
-    witness_prime_signed,
+    witness_prime,
 )
 from .zeta import inv_zeta
 from .zeta import zeta as zeta_eval
@@ -85,48 +81,33 @@ def parse_b_spec(text: str, case: str | None = None):
     return case, as_rational_exponent_vector(fracs)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation: the exponent vector and the box options."""
-
-    kind: str
-    vector: object
-    b_entries: tuple[str, ...]
-    n: int | None = None
-    box: tuple[int, ...] | None = None
-    brute_force_limit: int | None = None
-
-    @classmethod
-    def from_options(
-        cls,
-        b_spec: str,
-        case: str | None = None,
-        n: int | None = None,
-        box: str | None = None,
-        limit: int | None = None,
-    ) -> "RunConfig":
-        kind, vector = parse_b_spec(b_spec, case)
-        if n is not None and n < 1:
-            raise UsageError(f"--N must be >= 1, got {n}")
-        edges = _parse_ints(box, "--box", minimum=0) if box is not None else None
-        if edges is not None and len(edges) != len(vector):
-            raise UsageError(
-                f"--box has {len(edges)} edges, exponent vector has {len(vector)}"
-            )
-        return cls(
-            kind=kind,
-            vector=vector,
-            b_entries=tuple(str(f) for f in fracs_of(vector)),
-            n=n,
-            box=edges,
-            brute_force_limit=limit,
-        )
+def _require_n(n: int) -> int:
+    if n < 1:
+        raise UsageError(f"--N must be >= 1, got {n}")
+    return n
 
 
-def fracs_of(vector) -> tuple[Fraction, ...]:
-    if isinstance(vector, visibility.RationalExponentVector):
-        return vector.fractions
-    return tuple(Fraction(e) for e in vector.entries)
+def _parse_box(b_spec: str, case: str | None, n: int | None, box_spec: str | None):
+    """(kind, vector, box edges) from --b/--case and exactly one of --N or --box.
+
+    Errors come in a fixed order: the choice of --N or --box, the exponent
+    spec, then the box.
+    """
+    if (n is None) == (box_spec is None):
+        raise UsageError("need exactly one of --N or --box")
+    kind, vector = parse_b_spec(b_spec, case)
+    if box_spec is None:
+        return kind, vector, counting.box_edges(kind, _require_n(n), vector)
+    edges = _parse_ints(box_spec, "--box", minimum=0)
+    if len(edges) != len(vector):
+        raise UsageError(f"--box has {len(edges)} edges, exponent vector has {len(vector)}")
+    return kind, vector, edges
+
+
+def _family(kind: str, vector) -> dict:
+    """The "b" and "case" fields that open every payload."""
+    entries = vector.entries if kind == "int" else vector.fractions
+    return {"b": [str(e) for e in entries], "case": kind}
 
 
 def _parse_ints(text: str, label: str, minimum: int = 1) -> tuple[int, ...]:
@@ -207,24 +188,18 @@ def main():
 @_exits_with_codes
 def check(b_spec, point_spec, expanded, case, fmt):
     """Visibility verdict for one point, with a witness when invisible."""
-    cfg = RunConfig.from_options(b_spec, case=case)
+    kind, vector = parse_b_spec(b_spec, case)
     point = _parse_ints(point_spec, "--point")
     if expanded:
-        if cfg.kind == "int":
+        if kind == "int":
             raise UsageError("--expanded only applies to fractional exponents")
-        point = base_from_expanded(point, cfg.vector)
+        point = base_from_expanded(point, vector)
+    witness = witness_prime(point, kind, vector)
     image = None
-    if cfg.kind == "int":
-        witness = witness_prime_int(point, cfg.vector)
-        if witness is not None:
-            image = _witness_image(point, cfg.vector, witness)
-    elif cfg.kind == "rat":
-        witness = witness_prime_rat(point, cfg.vector)
-    else:
-        witness = witness_prime_signed(point, cfg.vector)
+    if kind == "int" and witness is not None:
+        image = _witness_image(point, vector, witness)
     fields = {
-        "b": list(cfg.b_entries),
-        "case": cfg.kind,
+        **_family(kind, vector),
         "point": list(point),
         "visible": witness is None,
         "witness_prime": witness,
@@ -246,10 +221,6 @@ def _witness_image(point, b, prime):
     return tuple(c // prime**e for c, e in zip(point, red.entries))
 
 
-def _box_edges(cfg: RunConfig) -> tuple[int, ...]:
-    return cfg.box if cfg.box is not None else counting.box_edges(cfg.kind, cfg.n, cfg.vector)
-
-
 @main.command()
 @click.option("--b", "b_spec", required=True)
 @click.option("--N", "n", type=int, default=None)
@@ -259,16 +230,12 @@ def _box_edges(cfg: RunConfig) -> tuple[int, ...]:
 @_exits_with_codes
 def count(b_spec, n, box_spec, case, fmt):
     """Exact number of visible points in a box (Moebius inclusion-exclusion)."""
-    if (n is None) == (box_spec is None):
-        raise UsageError("need exactly one of --N or --box")
-    cfg = RunConfig.from_options(b_spec, case=case, n=n, box=box_spec)
-    edges = _box_edges(cfg)
-    visible, _ = counting.count_box(cfg.kind, cfg.vector, edges)
+    kind, vector, edges = _parse_box(b_spec, case, n, box_spec)
+    visible, _ = counting.count_box(kind, vector, edges)
     _emit(
         fmt,
         {
-            "b": list(cfg.b_entries),
-            "case": cfg.kind,
+            **_family(kind, vector),
             "box": list(edges),
             "visible": str(visible),
             "total": str(math.prod(edges)),
@@ -284,20 +251,20 @@ def count(b_spec, n, box_spec, case, fmt):
 @_exits_with_codes
 def density(b_spec, n, case, fmt):
     """Density report: exact count vs the theoretical 1/zeta density."""
-    cfg = RunConfig.from_options(b_spec, case=case, n=n)
-    if cfg.kind == "int" and cfg.vector.g > 1:
-        red = reduce_b(cfg.vector)
+    kind, vector = parse_b_spec(b_spec, case)
+    _require_n(n)
+    if kind == "int" and vector.g > 1:
+        red = reduce_b(vector)
         click.echo(
-            f"note: exponents share gcd {cfg.vector.g}; visibility is equivalent to "
+            f"note: exponents share gcd {vector.g}; visibility is equivalent to "
             f"the reduced vector ({','.join(map(str, red.entries))}), which sets the density",
             err=True,
         )
-    report = counting.density_report(cfg.n, cfg.vector, cfg.kind)
+    report = counting.density_report(n, vector, kind)
     _emit(
         fmt,
         {
-            "b": list(cfg.b_entries),
-            "case": cfg.kind,
+            **_family(kind, vector),
             "box": list(report.box.edges),
             "visible": str(report.visible_count),
             "total": str(report.total),
@@ -319,33 +286,20 @@ def density(b_spec, n, case, fmt):
 @_exits_with_codes
 def sieve(b_spec, n, box_spec, limit, case, fmt):
     """List every visible point of the box in lexicographic order."""
-    if (n is None) == (box_spec is None):
-        raise UsageError("need exactly one of --N or --box")
-    cfg = RunConfig.from_options(b_spec, case=case, n=n, box=box_spec, limit=limit)
-    edges = _box_edges(cfg)
-    cap = counting.brute_force_limit(cfg.brute_force_limit)
+    kind, vector, edges = _parse_box(b_spec, case, n, box_spec)
+    cap = counting.brute_force_limit(limit)
     volume = math.prod(edges)
     if volume > cap:
         raise ResourceLimitError(f"sieve box of {volume} points exceeds limit {cap}", limit=cap)
     # The vector is validated once; per point only the gcd test remains.
-    k, positions, exps = constrained_exponents(cfg.kind, cfg.vector)
+    witness = constrained_exponents(kind, vector).witness
     grid = itertools.product(*(range(1, e + 1) for e in edges))
-    if not positions:
-        points = list(grid)
-    elif len(positions) == k:
-        points = [pt for pt in grid if divisibility_witness(pt, exps) is None]
-    else:
-        points = [
-            pt
-            for pt in grid
-            if divisibility_witness(tuple(pt[j] for j in positions), exps) is None
-        ]
+    points = [pt for pt in grid if witness(pt) is None]
     if fmt == "json":
         click.echo(
             json.dumps(
                 {
-                    "b": list(cfg.b_entries),
-                    "case": cfg.kind,
+                    **_family(kind, vector),
                     "box": list(edges),
                     "count": len(points),
                     "points": [list(pt) for pt in points],
@@ -424,7 +378,7 @@ def verify_checks(profile: str, seed: int):
     @row
     def worked_example():
         point, b = (4, 16, 40, 128), (2, 4, 3, 7)
-        prime = witness_prime_int(point, b)
+        prime = witness_prime(point, "int", b)
         image = _witness_image(point, b, prime) if prime is not None else None
         ok = prime == 2 and image == (1, 1, 5, 1) and is_visible_int(image, b)
         return ok, f"witness p={prime}, image {image}"
@@ -448,7 +402,7 @@ def verify_checks(profile: str, seed: int):
         vectors = [(2, 4), (2, 2)] if quick else [(2, 4), (3, 6), (2, 2)]
         disagreements = sum(splits(b, reduce_b(b), grid) for b in vectors)
         # the witness case: t = 1/sqrt(2) maps (2,4) to (1,1) under b=(2,4)
-        witness_case = witness_prime_int((2, 4), (2, 4)) == 2 and not oracle_visible_parametric(
+        witness_case = witness_prime((2, 4), "int", (2, 4)) == 2 and not oracle_visible_parametric(
             (2, 4), (2, 4)
         )
         return (

@@ -37,6 +37,7 @@ from typing import Callable, Iterable, Sequence
 from .arith import Mertens, floor_root, iroot
 from .errors import ResourceLimitError, UsageError
 from .visibility import (
+    Constraint,
     RationalExponentVector,
     as_exponent_vector,
     as_rational_exponent_vector,
@@ -183,18 +184,19 @@ def rational_box_edges(N: int, vec: RationalExponentVector) -> tuple[int, ...]:
 def count_box(kind: str, vec, edges: Sequence[int]) -> tuple[int, int]:
     """(visible points in the box, exponent sum s of the limit 1/zeta(s)).
 
-    Every family reduces to one Moebius count over the positions that
-    constrain visibility (``constrained_exponents``): all of them with the
-    gcd-reduced entries for "int" and the numerators for "rat", the
-    negative positions J with |bj| for "signed".  The other edges only
-    multiply the count.  A signed vector with J empty has every point
-    visible and s = 0, meaning no finite density.
+    Every family reduces to one Moebius count over the positions of its
+    ``Constraint``: all of them with the gcd-reduced entries for "int" and
+    the numerators for "rat", the negative positions J with |bj| for
+    "signed".  The other edges only multiply the count.  A signed vector
+    with J empty has every point visible and s = 0, meaning no finite
+    density.
     """
-    return _count_constrained(*constrained_exponents(kind, vec), edges)
+    return _count_constrained(constrained_exponents(kind, vec), edges)
 
 
-def _count_constrained(k: int, positions, exps, edges: Sequence[int]) -> tuple[int, int]:
+def _count_constrained(constraint: Constraint, edges: Sequence[int]) -> tuple[int, int]:
     """``count_box`` for a vector that ``constrained_exponents`` already validated."""
+    k, positions, exps = constraint
     if len(edges) != k:
         raise UsageError(f"box has {len(edges)} edges, exponent vector has {k}")
     if not positions:
@@ -232,13 +234,23 @@ def count_visible_signed(N: int, b) -> DensityReport:
 
 
 def brute_force_limit(limit: int | None = None) -> int:
-    """Configured ceiling on brute-force box volume (BVIS_BRUTE_LIMIT overrides)."""
-    if limit is not None:
-        return limit
-    env = os.environ.get("BVIS_BRUTE_LIMIT")
-    if env:
-        return int(env)
-    return DEFAULT_BRUTE_LIMIT
+    """Ceiling on brute-force box volume: ``limit`` (the CLI's --limit) if
+    given, else BVIS_BRUTE_LIMIT if set, else DEFAULT_BRUTE_LIMIT.
+
+    A ceiling that is not an integer >= 1 is a UsageError naming its source.
+    """
+    name, value = "--limit", limit
+    if limit is None:
+        name, value = "BVIS_BRUTE_LIMIT", os.environ.get("BVIS_BRUTE_LIMIT")
+        if not value:
+            return DEFAULT_BRUTE_LIMIT
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise UsageError(f"{name} must be an integer >= 1, got {value!r}")
+    return cap
 
 
 def count_visible_bruteforce(
@@ -298,9 +310,9 @@ def density_report(N: int, b, case: str) -> DensityReport:
     kind = _normalize_case(case)
     vec = as_exponent_vector(b) if kind == "int" else as_rational_exponent_vector(b)
     # a bad vector is reported before a bad N
-    k, positions, exps = constrained_exponents(kind, vec)
+    constraint = constrained_exponents(kind, vec)
     edges = box_edges(kind, N, vec)
-    visible, s = _count_constrained(k, positions, exps, edges)
+    visible, s = _count_constrained(constraint, edges)
     return DensityReport(
         box=BoxSpec(edges),
         visible_count=visible,

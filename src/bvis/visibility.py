@@ -11,9 +11,16 @@ Three families of exponent vectors are supported:
 * positive rationals bi/ai — points live on the restricted lattice of
   perfect-power coordinates and are represented by their base tuple;
   visibility reduces to the integer predicate on the numerators;
-* signed rationals — only the coordinates with negative exponents decide:
-  invisible iff some prime p has p**|bj| dividing the base coordinate of
-  every negative-exponent position j.
+* signed rationals — the scaling runs the other way, over t > 1, which
+  shrinks exactly the coordinates with negative exponents; so only those
+  decide: invisible iff some prime p has p**|bj| dividing the base
+  coordinate of every negative-exponent position j.  For b = (1, -2),
+  (5, 4) is invisible, since t = 2 maps it to (10, 1), while (5, 6) is
+  visible, although t = 1/5 maps it to the lattice point (1, 150).
+
+``constrained_exponents`` turns a vector of any family into one
+``Constraint`` (which positions constrain, with which exponents), and
+``witness_prime`` answers every family through it.
 
 ``oracle_visible_parametric`` is an independent brute-force implementation
 of the defining search over scaled image points, used to cross-check the
@@ -27,7 +34,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .arith import factorize, is_perfect_power
 from .errors import PreconditionError, ResourceLimitError, UsageError
@@ -152,21 +159,6 @@ def gcd_is_one_rational(b) -> bool:
     return alpha % g == 0
 
 
-def divisibility_witness(coords: tuple[int, ...], exps: tuple[int, ...]) -> int | None:
-    """Smallest prime p with p**exps[i] | coords[i] for every i, if any.
-
-    Any such prime divides every coordinate, hence divides their gcd; it
-    suffices to test the prime factors of the gcd.
-    """
-    g = math.gcd(*coords)
-    if g == 1:
-        return None
-    for p in _prime_factors(g):
-        if all(c % p**e == 0 for c, e in zip(coords, exps)):
-            return p
-    return None
-
-
 @lru_cache(maxsize=4096)
 def _prime_factors(g: int) -> tuple[int, ...]:
     """The primes of g, remembered: the points of a box share few gcds.
@@ -184,52 +176,81 @@ def require_gcd_one(vec: RationalExponentVector) -> None:
         )
 
 
-def constrained_exponents(kind: str, b) -> tuple[int, Sequence[int], tuple[int, ...]]:
-    """Validate b once for a family; return (k, positions, exponents).
+class Constraint(NamedTuple):
+    """A validated vector's test for points of dimension k.
 
-    A point of dimension k is invisible iff some prime p has
-    p**exponents[j] dividing its coordinate at positions[j] for every j
-    (``divisibility_witness``).  For "int" that is every position with
-    the gcd-reduced entries, for "rat" every position with the numerators,
-    and for "signed" the negative positions with |numerator|; the rational
-    families require the gcd-one condition.
+    A point is invisible iff some prime p has p**exps[j] dividing its
+    coordinate at positions[j] for every j.
+    """
+
+    k: int
+    positions: Sequence[int]
+    exps: tuple[int, ...]
+
+    def witness(self, coords: tuple[int, ...]) -> int | None:
+        """Smallest witness prime of a point that ``_as_point`` already checked.
+
+        Such a prime divides every constraining coordinate, hence their
+        gcd; it suffices to test the prime factors of the gcd.  This runs
+        once per point of a sieve, so it reads no more fields than it needs.
+        """
+        exps = self.exps
+        if len(exps) < len(coords):
+            if not exps:
+                return None
+            coords = tuple(coords[j] for j in self.positions)
+        g = math.gcd(*coords)
+        if g == 1:
+            return None
+        for p in _prime_factors(g):
+            if all(c % p**e == 0 for c, e in zip(coords, exps)):
+                return p
+        return None
+
+
+def constrained_exponents(kind: str, b) -> Constraint:
+    """Validate b once for a family and return its ``Constraint``.
+
+    For "int" every position constrains, with the gcd-reduced entries;
+    for "rat" every position, with the numerators; for "signed" the
+    negative positions, with |numerator|.  The rational families require
+    the gcd-one condition.
     """
     if kind == "int":
         exps = reduce_b(b).entries
-        return len(exps), range(len(exps)), exps
+        return Constraint(len(exps), range(len(exps)), exps)
     vec = as_rational_exponent_vector(b)
     nums = vec.numerators
     if kind == "rat" and any(n < 0 for n in nums):
         raise UsageError("positive-rational predicate got negative exponents; use the signed predicate")
     require_gcd_one(vec)
     if kind == "rat":
-        return len(nums), range(len(nums)), nums
+        return Constraint(len(nums), range(len(nums)), nums)
     neg = tuple(sorted(vec.negative_indices))
-    return len(nums), neg, tuple(-nums[j] for j in neg)
+    return Constraint(len(nums), neg, tuple(-nums[j] for j in neg))
 
 
-def _witness(point: Sequence[int], kind: str, b) -> int | None:
-    k, positions, exps = constrained_exponents(kind, b)
-    coords = _as_point(point, k)
-    if len(positions) < k:
-        if not positions:
-            return None
-        coords = tuple(coords[j] for j in positions)
-    return divisibility_witness(coords, exps)
+def witness_prime(point: Sequence[int], kind: str, b) -> int | None:
+    """Smallest prime certifying that the point is invisible for b, or None.
+
+    ``kind`` names the family of b: "int", "rat" or "signed".
+    """
+    constraint = constrained_exponents(kind, b)
+    return constraint.witness(_as_point(point, constraint.k))
 
 
 def witness_prime_int(point: Sequence[int], b) -> int | None:
     """Smallest prime certifying invisibility of the point, or None."""
-    return _witness(point, "int", b)
+    return witness_prime(point, "int", b)
 
 
 def is_visible_int(point: Sequence[int], b) -> bool:
     """Integer-exponent visibility via the prime-power characterization."""
-    return witness_prime_int(point, b) is None
+    return witness_prime(point, "int", b) is None
 
 
 def witness_prime_rat(point: Sequence[int], b) -> int | None:
-    return _witness(point, "rat", b)
+    return witness_prime(point, "rat", b)
 
 
 def is_visible_rat(point: Sequence[int], b) -> bool:
@@ -241,11 +262,11 @@ def is_visible_rat(point: Sequence[int], b) -> bool:
     Requires the gcd-one condition, without which the reduction to the
     integer case does not hold.
     """
-    return witness_prime_rat(point, b) is None
+    return witness_prime(point, "rat", b) is None
 
 
 def witness_prime_signed(point: Sequence[int], b) -> int | None:
-    return _witness(point, "signed", b)
+    return witness_prime(point, "signed", b)
 
 
 def is_visible_signed(point: Sequence[int], b) -> bool:
@@ -256,7 +277,7 @@ def is_visible_signed(point: Sequence[int], b) -> bool:
     With no negative entries the condition is vacuous and every point is
     visible (the positive-rational predicate is the meaningful one there).
     """
-    return witness_prime_signed(point, b) is None
+    return witness_prime(point, "signed", b) is None
 
 
 def base_from_expanded(coords: Sequence[int], b) -> RationalPoint:

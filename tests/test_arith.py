@@ -61,7 +61,7 @@ def test_factorize_reconstructs():
 
 
 # Every prime below 2**20: enough to trial-divide any factor below 2**40.
-_SMALL_PRIMES = sieve_primes(1 << 20).primes
+_SMALL_PRIMES = sieve_primes(1 << 20)
 
 
 def _is_prime_by_trial_division(p: int) -> bool:

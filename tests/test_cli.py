@@ -119,6 +119,71 @@ def test_check_expanded_point(runner):
     assert not_fractional.exit_code == 2
 
 
+# (args, stdout in plain, json and csv)
+_CHECK_CASES = {
+    "int-invisible": (
+        "--b 2,4,3,7 --point 4,16,40,128",
+        "invisible: witness prime 2, image 1,1,5,1\n",
+        '{"b": ["2", "4", "3", "7"], "case": "int", "point": [4, 16, 40, 128], '
+        '"visible": false, "witness_prime": 2, "image": [1, 1, 5, 1]}\n',
+        'b,case,point,visible,witness_prime,image\n"2,4,3,7",int,"4,16,40,128",False,2,"1,1,5,1"\n',
+    ),
+    "int-visible": (
+        "--b 2,4,3,7 --point 1,1,5,1",
+        "visible\n",
+        '{"b": ["2", "4", "3", "7"], "case": "int", "point": [1, 1, 5, 1], '
+        '"visible": true, "witness_prime": null, "image": null}\n',
+        'b,case,point,visible,witness_prime,image\n"2,4,3,7",int,"1,1,5,1",True,,\n',
+    ),
+    "rat-expanded-invisible": (
+        "--b 2/3,1/2 --point 16,8 --expanded",
+        "invisible: witness prime 2\n",
+        '{"b": ["2/3", "1/2"], "case": "rat", "point": [4, 2], '
+        '"visible": false, "witness_prime": 2, "image": null}\n',
+        'b,case,point,visible,witness_prime,image\n"2/3,1/2",rat,"4,2",False,2,\n',
+    ),
+    "rat-expanded-visible": (
+        "--b 2/3,1/2 --point 9,8 --expanded",
+        "visible\n",
+        '{"b": ["2/3", "1/2"], "case": "rat", "point": [3, 2], '
+        '"visible": true, "witness_prime": null, "image": null}\n',
+        'b,case,point,visible,witness_prime,image\n"2/3,1/2",rat,"3,2",True,,\n',
+    ),
+    # t = 2 maps (5, 4) to (10, 1)
+    "signed-invisible": (
+        "--b 1,-2 --point 5,4",
+        "invisible: witness prime 2\n",
+        '{"b": ["1", "-2"], "case": "signed", "point": [5, 4], '
+        '"visible": false, "witness_prime": 2, "image": null}\n',
+        'b,case,point,visible,witness_prime,image\n"1,-2",signed,"5,4",False,2,\n',
+    ),
+    "signed-visible": (
+        "--b 1,-2 --point 5,6",
+        "visible\n",
+        '{"b": ["1", "-2"], "case": "signed", "point": [5, 6], '
+        '"visible": true, "witness_prime": null, "image": null}\n',
+        'b,case,point,visible,witness_prime,image\n"1,-2",signed,"5,6",True,,\n',
+    ),
+    "signed-no-negative-entry": (
+        "--b 1,2 --case signed --point 4,8",
+        "visible\n",
+        '{"b": ["1", "2"], "case": "signed", "point": [4, 8], '
+        '"visible": true, "witness_prime": null, "image": null}\n',
+        'b,case,point,visible,witness_prime,image\n"1,2",signed,"4,8",True,,\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize("name", list(_CHECK_CASES))
+def test_check_frozen_output(runner, name, fmt):
+    args, plain, as_json, as_csv = _CHECK_CASES[name]
+    result = runner.invoke(main, ["check", *args.split(), "--format", fmt])
+    assert result.exit_code == 0
+    assert result.stdout == {"plain": plain, "json": as_json, "csv": as_csv}[fmt]
+    assert result.stderr == ""
+
+
 def test_check_factors_a_61_bit_gcd(runner):
     p = 2**61 - 1
     result = runner.invoke(main, ["check", "--b", "1,1", "--point", f"{p},{2 * p}"])
@@ -319,6 +384,28 @@ def test_sieve_lists_the_points_the_predicates_accept(runner, spec, case, edges)
     assert json.loads(result.stdout)["points"] == expected
 
 
+_RAT_SIEVE = "1,1\n1,2\n1,3\n1,4\n2,1\n2,2\n2,3\n2,4\n3,1\n3,2\n3,3\n3,4\n4,1\n4,3\n"
+_SIGNED_SIEVE = "1,1\n1,2\n1,3\n1,5\n2,1\n2,2\n2,3\n2,5\n3,1\n3,2\n3,3\n3,5\n"
+
+
+@pytest.mark.parametrize(
+    "args,stdout",
+    [
+        # numerators (2, 1): 2**2 | 4 and 2 | 2, 4 drop out
+        ("--b 2/3,1/2 --box 4,4", _RAT_SIEVE),
+        ("--b 2/3,1/2 --box 4,4 --format csv", "x1,x2\n" + _RAT_SIEVE),
+        # only the second coordinate decides: 4 = 2**2 drops out
+        ("--b 1,-2 --box 3,5", _SIGNED_SIEVE),
+        ("--b 1,-2 --box 3,5 --format csv", "x1,x2\n" + _SIGNED_SIEVE),
+    ],
+)
+def test_sieve_frozen_rational_and_signed_output(runner, args, stdout):
+    result = runner.invoke(main, ["sieve", *args.split()])
+    assert result.exit_code == 0
+    assert result.stdout == stdout
+    assert result.stderr == ""
+
+
 def test_sieve_resource_limits(runner):
     over_default = runner.invoke(main, ["sieve", "--N", "4000", "--b", "1,1"])
     assert over_default.exit_code == 4
@@ -335,6 +422,21 @@ def test_sieve_resource_limits(runner):
     )
     assert raised.exit_code == 0
     assert json.loads(raised.stdout)["count"] == 555
+
+
+@pytest.mark.parametrize(
+    "args,env,stderr",
+    [
+        ("--limit 0", {}, "error: --limit must be an integer >= 1, got 0\n"),
+        ("--limit -1", {}, "error: --limit must be an integer >= 1, got -1\n"),
+        ("", {"BVIS_BRUTE_LIMIT": "abc"}, "error: BVIS_BRUTE_LIMIT must be an integer >= 1, got 'abc'\n"),
+    ],
+)
+def test_sieve_rejects_a_bad_limit(runner, args, env, stderr):
+    result = runner.invoke(main, ["sieve", "--b", "1,1", "--N", "3", *args.split()], env=env)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == stderr
 
 
 # ---------------------------------------------------------------- zeta
@@ -413,6 +515,30 @@ def test_usage_errors_exit_2(runner):
 
     bad_spec = runner.invoke(main, ["check", "--b", "1,x", "--point", "1,2"])
     assert bad_spec.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args,stderr",
+    [
+        # the choice of --N or --box is checked before the exponent spec
+        ("count --b 1,x", "error: need exactly one of --N or --box\n"),
+        ("sieve --b 1,x", "error: need exactly one of --N or --box\n"),
+        ("count --b 1,x --box 3", "error: bad exponent entry 'x'; expected [-]digits[/digits]\n"),
+        ("count --b 1,1 --box 3", "error: --box has 1 edges, exponent vector has 2\n"),
+        ("count --b 1,1 --box 3,x", "error: --box must be comma-separated integers, got '3,x'\n"),
+        ("count --b 1,1 --N 0", "error: --N must be >= 1, got 0\n"),
+        ("density --b 1,1 --N 0", "error: --N must be >= 1, got 0\n"),
+        ("density --b 1,x --N 0", "error: bad exponent entry 'x'; expected [-]digits[/digits]\n"),
+        # a bad N is reported before the gcd-one condition (exit 3)
+        ("density --b 2/3,2/3 --N 0", "error: --N must be >= 1, got 0\n"),
+        ("check --b 1,2 --point 1,2,3", "error: point has 3 coordinates, exponent vector has 2\n"),
+    ],
+)
+def test_usage_error_precedence(runner, args, stderr):
+    result = runner.invoke(main, args.split())
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == stderr
 
 
 def test_precondition_errors_exit_3(runner):

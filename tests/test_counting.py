@@ -352,6 +352,25 @@ def test_brute_force_limit_env(monkeypatch):
     assert brute_force_limit(2000) == 2000  # explicit argument wins
 
 
+@pytest.mark.parametrize(
+    "limit,env,message",
+    [
+        (0, None, "--limit must be an integer >= 1, got 0"),
+        (-1, "500", "--limit must be an integer >= 1, got -1"),
+        (None, "abc", "BVIS_BRUTE_LIMIT must be an integer >= 1, got 'abc'"),
+        (None, "2.5", "BVIS_BRUTE_LIMIT must be an integer >= 1, got '2.5'"),
+        (None, "0", "BVIS_BRUTE_LIMIT must be an integer >= 1, got '0'"),
+    ],
+)
+def test_brute_force_limit_rejects_a_bad_ceiling(monkeypatch, limit, env, message):
+    monkeypatch.delenv("BVIS_BRUTE_LIMIT", raising=False)
+    if env is not None:
+        monkeypatch.setenv("BVIS_BRUTE_LIMIT", env)
+    with pytest.raises(UsageError) as exc:
+        brute_force_limit(limit)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------- dispatcher
 
 

@@ -343,3 +343,33 @@ def test_signed_matches_squarefree():
 def test_signed_gcd_precondition():
     with pytest.raises(PreconditionError):
         is_visible_signed((2, 3), [-2, -4])
+
+
+# ---------------------------------------------------------------- family dispatch
+
+
+@pytest.mark.parametrize(
+    "kind,b,positions,exps",
+    [
+        ("int", (2, 4, 6), (0, 1, 2), (1, 2, 3)),
+        ("rat", ["2/3", "1/2"], (0, 1), (2, 1)),
+        ("signed", ["3", "-2", "-3"], (1, 2), (2, 3)),
+        ("signed", ["1", "2"], (), ()),
+    ],
+)
+def test_constraint_per_family(kind, b, positions, exps):
+    constraint = visibility.constrained_exponents(kind, b)
+    k, got_positions, got_exps = constraint  # unpacks as (k, positions, exponents)
+    assert (k, tuple(got_positions), got_exps) == (len(b), positions, exps)
+    for point in itertools.product(range(1, 9), repeat=len(b)):
+        # the smallest prime dividing each constraining coordinate to its power
+        expected = next(
+            (
+                p
+                for p in (2, 3, 5, 7)
+                if positions and all(point[j] % p**e == 0 for j, e in zip(positions, exps))
+            ),
+            None,
+        )
+        assert visibility.witness_prime(point, kind, b) == expected, point
+        assert constraint.witness(point) == expected, point
