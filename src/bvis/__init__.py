@@ -23,8 +23,6 @@ from .counting import (
     DensityReport,
     count_visible_bruteforce,
     count_visible_int,
-    count_visible_rat,
-    count_visible_signed,
     density_report,
     mobius_box_count,
 )
@@ -44,7 +42,8 @@ from .visibility import (
     witness_prime_rat,
     witness_prime_signed,
 )
-from .zeta import ZetaValue, inv_zeta, zeta, zeta_euler_product
+# Not the function zeta: the name bvis.zeta stays the module.
+from .zeta import ZetaValue, inv_zeta, zeta_euler_product
 
 __version__ = "0.1.0"
 
@@ -65,8 +64,6 @@ __all__ = [
     "base_from_expanded",
     "count_visible_bruteforce",
     "count_visible_int",
-    "count_visible_rat",
-    "count_visible_signed",
     "density_report",
     "factorize",
     "find_parametric_witness",
@@ -87,6 +84,5 @@ __all__ = [
     "witness_prime_int",
     "witness_prime_rat",
     "witness_prime_signed",
-    "zeta",
     "zeta_euler_product",
 ]

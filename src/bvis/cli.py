@@ -97,7 +97,7 @@ def _parse_box(b_spec: str, case: str | None, n: int | None, box_spec: str | Non
         raise UsageError("need exactly one of --N or --box")
     kind, vector = parse_b_spec(b_spec, case)
     if box_spec is None:
-        return kind, vector, counting.box_edges(kind, _require_n(n), vector)
+        return kind, vector, counting.box_edges(_require_n(n), vector)
     edges = _parse_ints(box_spec, "--box", minimum=0)
     if len(edges) != len(vector):
         raise UsageError(f"--box has {len(edges)} edges, exponent vector has {len(vector)}")
@@ -296,15 +296,14 @@ def sieve(b_spec, n, box_spec, limit, case, fmt):
     grid = itertools.product(*(range(1, e + 1) for e in edges))
     points = [pt for pt in grid if witness(pt) is None]
     if fmt == "json":
-        click.echo(
-            json.dumps(
-                {
-                    **_family(kind, vector),
-                    "box": list(edges),
-                    "count": len(points),
-                    "points": [list(pt) for pt in points],
-                }
-            )
+        _emit(
+            fmt,
+            {
+                **_family(kind, vector),
+                "box": list(edges),
+                "count": len(points),
+                "points": [list(pt) for pt in points],
+            },
         )
     elif fmt == "csv":
         buf = io.StringIO()

@@ -17,8 +17,11 @@ A table past the sieve budget raises ResourceLimitError (CLI exit 4)
 before anything is allocated.
 
 ``count_box`` is the one path from a box to a count for all three
-families: ``density_report``, the ``count_visible_*`` functions and
-``bvis count`` all go through it, with the box from ``box_edges``.
+families: ``density_report``, ``count_visible_int`` and ``bvis count`` all
+go through it, with the box from ``box_edges``.  This module reads no
+family name: ``visibility.constrained_exponents`` checks it and decides
+which coordinates constrain, and ``box_edges`` is one formula for every
+family.
 
 Counts are exact big integers; only the empirical proportion inside a
 DensityReport touches floating point.  Brute-force enumeration with an
@@ -38,7 +41,6 @@ from .arith import Mertens, floor_root, iroot
 from .errors import ResourceLimitError, UsageError
 from .visibility import (
     Constraint,
-    RationalExponentVector,
     as_exponent_vector,
     as_rational_exponent_vector,
     constrained_exponents,
@@ -166,17 +168,16 @@ def mobius_box_count(edges: Sequence[int], exps: Sequence[int]) -> int:
     return total
 
 
-def box_edges(kind: str, N: int, vec) -> tuple[int, ...]:
-    """The box a family's density is measured on: [1,N]^k for integer b,
-    the restricted-lattice box of ``rational_box_edges`` otherwise."""
+def box_edges(N: int, b) -> tuple[int, ...]:
+    """The box a density is measured on, for exponents bi/ai of any family.
+
+    Edge i is Mi = floor(N**(ai/alpha)) with alpha = lcm(ai): the base
+    tuples whose expanded coordinates stay <= N.  Integer entries have
+    ai = 1, so their box is [1,N]^k.
+    """
     if N < 1:
         raise UsageError(f"N must be >= 1, got {N}")
-    if kind == "int":
-        return (N,) * len(vec)
-    return rational_box_edges(N, vec)
-
-
-def rational_box_edges(N: int, vec: RationalExponentVector) -> tuple[int, ...]:
+    vec = as_rational_exponent_vector(b)
     alpha = vec.denominator_lcm
     return tuple(floor_root(N, a, alpha) for a in vec.denominators)
 
@@ -208,29 +209,9 @@ def _count_constrained(constraint: Constraint, edges: Sequence[int]) -> tuple[in
 
 def count_visible_int(N: int, b) -> int:
     """Number of b-visible points in [1,N]^k, exactly (b reduced by its gcd)."""
-    return count_box("int", b, box_edges("int", N, b))[0]
-
-
-def count_visible_rat(N: int, b) -> DensityReport:
-    """Density report for positive rational exponents bi/ai.
-
-    Base tuples l range over the box with edges Mi = floor(N**(ai/alpha));
-    l is visible exactly when it is visible for the integer numerator
-    vector, so the Moebius sum runs with exponents bi.  The limiting
-    density is 1/zeta(sum bi).
-    """
-    return density_report(N, b, "rat")
-
-
-def count_visible_signed(N: int, b) -> DensityReport:
-    """Density report for signed rational exponents.
-
-    Only coordinates with negative exponents constrain visibility, so the
-    count is (product of the other edges) times a Moebius count over the
-    negative positions with exponents |bj|.  The limiting density is
-    1/zeta(sum over J of |bj|); with J empty no finite density applies.
-    """
-    return density_report(N, b, "signed")
+    # a bad vector is reported before a bad N, as in density_report
+    constraint = constrained_exponents("int", b)
+    return _count_constrained(constraint, box_edges(N, b))[0]
 
 
 def brute_force_limit(limit: int | None = None) -> int:
@@ -289,29 +270,16 @@ def brute_prefix_counts(n_max: int, b) -> list[int]:
     return list(itertools.accumulate(buckets))
 
 
-def _normalize_case(case: str) -> str:
-    text = case.strip().lower()
-    if text in ("int", "integer"):
-        return "int"
-    if text in ("rat", "rational"):
-        return "rat"
-    if text == "signed":
-        return "signed"
-    raise UsageError(f"unknown case {case!r}; expected int, rat, or signed")
-
-
 def density_report(N: int, b, case: str) -> DensityReport:
     """Count + empirical proportion + theoretical 1/zeta density, one call.
 
-    ``case`` selects the exponent family: "int" (positive integers over
-    [1,N]^k), "rat" (positive rationals over the restricted-lattice box),
-    or "signed".
+    ``case`` names the exponent family, exactly "int", "rat" or "signed";
+    ``constrained_exponents`` checks it.  The box is ``box_edges(N, b)``
+    for every family, and s is the exponent sum of ``count_box``.
     """
-    kind = _normalize_case(case)
-    vec = as_exponent_vector(b) if kind == "int" else as_rational_exponent_vector(b)
     # a bad vector is reported before a bad N
-    constraint = constrained_exponents(kind, vec)
-    edges = box_edges(kind, N, vec)
+    constraint = constrained_exponents(case, b)
+    edges = box_edges(N, b)
     visible, s = _count_constrained(constraint, edges)
     return DensityReport(
         box=BoxSpec(edges),

@@ -114,7 +114,12 @@ class RationalExponentVector:
 def as_exponent_vector(b) -> ExponentVector:
     if isinstance(b, ExponentVector):
         return b
-    return ExponentVector(tuple(int(x) for x in b))
+    items = tuple(b)
+    entries = tuple(int(x) for x in items)
+    # int() truncates 3/2 to 1, where box_edges reads the same entry as 3/2
+    if entries != items and any(Fraction(x) != e for x, e in zip(items, entries)):
+        raise UsageError(f"integer exponents must be whole numbers, got {items}")
+    return ExponentVector(entries)
 
 
 def as_rational_exponent_vector(b) -> RationalExponentVector:
@@ -211,14 +216,17 @@ class Constraint(NamedTuple):
 def constrained_exponents(kind: str, b) -> Constraint:
     """Validate b once for a family and return its ``Constraint``.
 
-    For "int" every position constrains, with the gcd-reduced entries;
-    for "rat" every position, with the numerators; for "signed" the
-    negative positions, with |numerator|.  The rational families require
-    the gcd-one condition.
+    This is the library's one family dispatch.  For "int" every position
+    constrains, with the gcd-reduced entries; for "rat" every position,
+    with the numerators; for "signed" the negative positions, with
+    |numerator|.  The rational families require the gcd-one condition.
+    Any other ``kind`` is a UsageError.
     """
     if kind == "int":
         exps = reduce_b(b).entries
         return Constraint(len(exps), range(len(exps)), exps)
+    if kind not in ("rat", "signed"):
+        raise UsageError(f"unknown case {kind!r}; expected int, rat, or signed")
     vec = as_rational_exponent_vector(b)
     nums = vec.numerators
     if kind == "rat" and any(n < 0 for n in nums):

@@ -15,19 +15,18 @@ from bvis.counting import (
     count_box,
     count_visible_bruteforce,
     count_visible_int,
-    count_visible_rat,
-    count_visible_signed,
     density_report,
     mobius_box_count,
-    rational_box_edges,
 )
 from bvis.errors import PreconditionError, ResourceLimitError, UsageError
 from bvis.visibility import (
     as_exponent_vector,
     as_rational_exponent_vector,
+    constrained_exponents,
     is_visible_int,
     is_visible_rat,
     is_visible_signed,
+    witness_prime,
 )
 
 
@@ -226,30 +225,34 @@ def test_density_converges_for_coprime_pairs():
 
 def test_rational_box_edges():
     vec = as_rational_exponent_vector(["2/3", "1/2"])
-    assert rational_box_edges(64, vec) == (8, 4)
-    assert rational_box_edges(63, vec) == (7, 3)
+    assert box_edges(64, vec) == (8, 4)
+    assert box_edges(63, vec) == (7, 3)
     same_alpha = as_rational_exponent_vector(["1/2", "1/2"])
-    assert rational_box_edges(100, same_alpha) == (100, 100)
+    assert box_edges(100, same_alpha) == (100, 100)
+    # one formula for every family, from plain lists as well as vectors
+    assert box_edges(64, ["2/3", "1/2"]) == (8, 4)
+    assert box_edges(7, [2, 4]) == (7, 7)
+    assert box_edges(5, [1, -2]) == (5, 5)
 
 
 def test_count_visible_rat_frozen():
-    report = count_visible_rat(64, ["2/3", "1/2"])
+    report = density_report(64, ["2/3", "1/2"], "rat")
     assert report.box.edges == (8, 4)
     assert report.visible_count == 28
     assert report.total == 32
     assert report.exponent_sum == 3
 
     # a common denominator makes the base box the full [1,N]^k box
-    halved = count_visible_rat(100, ["1/2", "1/2"])
+    halved = density_report(100, ["1/2", "1/2"], "rat")
     assert halved.box.edges == (100, 100)
     assert halved.visible_count == count_visible_int(100, (1, 1))
 
-    unit = count_visible_rat(10, ["1/1", "1/1"])
+    unit = density_report(10, ["1/1", "1/1"], "rat")
     assert unit.visible_count == 63
 
 
 def test_count_visible_rat_matches_predicate():
-    report = count_visible_rat(64, ["2/3", "1/2"])
+    report = density_report(64, ["2/3", "1/2"], "rat")
     brute = count_visible_bruteforce(
         report.box, lambda pt: is_visible_rat(pt, ["2/3", "1/2"])
     )
@@ -258,7 +261,7 @@ def test_count_visible_rat_matches_predicate():
 
 def test_count_visible_rat_no_density_below_two():
     # exponent sum 1/2 + 1/3 has numerator sum 1 + 1 = 2; use 1/2 alone (sum 1)
-    report = count_visible_rat(50, ["1/2"])
+    report = density_report(50, ["1/2"], "rat")
     assert report.exponent_sum == 1
     assert report.theoretical is None
     assert report.abs_error is None
@@ -266,28 +269,28 @@ def test_count_visible_rat_no_density_below_two():
 
 def test_count_visible_rat_errors():
     with pytest.raises(PreconditionError):
-        count_visible_rat(100, ["2/3", "2/3"])
+        density_report(100, ["2/3", "2/3"], "rat")
     with pytest.raises(UsageError):
-        count_visible_rat(100, ["1/2", "-1/2"])
+        density_report(100, ["1/2", "-1/2"], "rat")
 
 
 # ---------------------------------------------------------------- signed
 
 
 def test_count_visible_signed_frozen():
-    report = count_visible_signed(100, [1, -2])
+    report = density_report(100, [1, -2], "signed")
     assert report.box.edges == (100, 100)
     assert report.visible_count == 6100
     assert report.exponent_sum == 2
 
-    all_negative = count_visible_signed(10, [-1, -1])
+    all_negative = density_report(10, [-1, -1], "signed")
     assert all_negative.visible_count == 63
 
-    assert count_visible_signed(1, [1, -2]).visible_count == 1
+    assert density_report(1, [1, -2], "signed").visible_count == 1
 
 
 def test_count_visible_signed_empty_j():
-    report = count_visible_signed(50, ["1/2", "2/3"])
+    report = density_report(50, ["1/2", "2/3"], "signed")
     assert report.visible_count == report.total
     assert report.exponent_sum == 0
     assert report.theoretical is None
@@ -295,7 +298,7 @@ def test_count_visible_signed_empty_j():
 
 def test_count_visible_signed_matches_bruteforce_k2():
     for N in (1, 2, 5, 10, 20, 50):
-        report = count_visible_signed(N, [1, -2])
+        report = density_report(N, [1, -2], "signed")
         brute = count_visible_bruteforce(
             report.box, lambda pt: is_visible_signed(pt, [1, -2])
         )
@@ -305,7 +308,7 @@ def test_count_visible_signed_matches_bruteforce_k2():
 def test_count_visible_signed_matches_bruteforce_k3():
     b = [3, -2, -3]
     for N in (1, 2, 5, 10, 20, 30):
-        report = count_visible_signed(N, b)
+        report = density_report(N, b, "signed")
         brute = count_visible_bruteforce(
             report.box, lambda pt: is_visible_signed(pt, b)
         )
@@ -314,7 +317,7 @@ def test_count_visible_signed_matches_bruteforce_k3():
 
 def test_signed_factorizes_over_negative_coordinates():
     # the free coordinate contributes a plain factor of its edge
-    narrow = count_visible_signed(50, [1, -2]).visible_count
+    narrow = density_report(50, [1, -2], "signed").visible_count
     squarefree = sum(
         1 for n in range(1, 51) if all(m == 1 for _, m in factorize(n).factors)
     )
@@ -375,11 +378,11 @@ def test_brute_force_limit_rejects_a_bad_ceiling(monkeypatch, limit, env, messag
 
 
 def test_density_report_dispatch():
-    as_int = density_report(10, [2, 3], "integer")
+    as_int = density_report(10, [2, 3], "int")
     assert as_int.visible_count == 98
     assert as_int.exponent_sum == 5
 
-    as_rat = density_report(64, ["2/3", "1/2"], "rational")
+    as_rat = density_report(64, ["2/3", "1/2"], "rat")
     assert as_rat.visible_count == 28
 
     as_signed = density_report(100, [1, -2], "signed")
@@ -387,6 +390,18 @@ def test_density_report_dispatch():
 
     with pytest.raises(UsageError):
         density_report(10, [1, 1], "complex")
+
+    # only "int", "rat" and "signed" name a family, everywhere
+    unknown = "unknown case {!r}; expected int, rat, or signed"
+    with pytest.raises(UsageError) as exc:
+        count_box("integer", [1, 1], (10, 10))
+    assert str(exc.value) == unknown.format("integer")
+    with pytest.raises(UsageError) as exc:
+        witness_prime((2, 4), "rational", ["1/2", "1/2"])
+    assert str(exc.value) == unknown.format("rational")
+    with pytest.raises(UsageError) as exc:
+        constrained_exponents("", (1, 1))
+    assert str(exc.value) == unknown.format("")
 
 
 def test_density_report_int_uses_reduced_exponent_sum():
@@ -412,7 +427,7 @@ def test_density_report_int_uses_reduced_exponent_sum():
 def test_count_box_agrees_with_density_report(kind, b, N):
     report = density_report(N, b, kind)
     vec = as_exponent_vector(b) if kind == "int" else as_rational_exponent_vector(b)
-    edges = box_edges(kind, N, vec)
+    edges = box_edges(N, vec)
     assert edges == report.box.edges
     assert count_box(kind, vec, edges) == (report.visible_count, report.exponent_sum)
 

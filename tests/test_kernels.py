@@ -12,6 +12,16 @@ def test_backend_name():
     assert bvis.KERNEL_BACKEND == "python"
 
 
+def test_package_exports():
+    # a stale entry in __all__ fails here, not in a user's import
+    assert len(set(bvis.__all__)) == len(bvis.__all__)
+    for name in bvis.__all__:
+        assert hasattr(bvis, name), name
+    assert not hasattr(bvis, "count_visible_rat")
+    assert not hasattr(bvis, "count_visible_signed")
+    assert not callable(bvis.zeta)
+
+
 # ---------------------------------------------------------------- zeta kernel
 
 

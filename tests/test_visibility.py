@@ -12,6 +12,7 @@ from bvis.errors import PreconditionError, ResourceLimitError, UsageError
 from bvis.visibility import (
     ExponentVector,
     RationalExponentVector,
+    as_exponent_vector,
     base_from_expanded,
     find_parametric_witness,
     gcd_is_one_rational,
@@ -46,6 +47,13 @@ def test_exponent_vector_validation():
         ExponentVector((0, 1))
     with pytest.raises(UsageError):
         ExponentVector((1, -2))
+    # a non-integral entry is refused, not truncated; integral values of
+    # other types are read as the integer
+    with pytest.raises(UsageError, match="whole numbers"):
+        as_exponent_vector([1.5, 1])
+    with pytest.raises(UsageError, match="whole numbers"):
+        as_exponent_vector([Fraction(3, 2), 1])
+    assert as_exponent_vector([2.0, "3", Fraction(4)]).entries == (2, 3, 4)
 
 
 def test_rational_vector_validation():

@@ -1,8 +1,10 @@
 import math
+import types
 from fractions import Fraction
 
 import pytest
 
+import bvis
 from bvis._kernels import zeta_partial_sum
 from bvis.arith import sieve_primes
 from bvis.zeta import MIN_TOL, inv_zeta, zeta, zeta_euler_product
@@ -27,6 +29,11 @@ def test_zeta2_enclosure_at_coarse_tol():
     for s, exact in ZETA.items():
         zv = zeta(s, 1e-6)
         assert Fraction(zv.value) <= exact <= Fraction(zv.value) + Fraction(zv.tail_bound)
+
+
+def test_package_name_zeta_is_the_module():
+    assert isinstance(bvis.zeta, types.ModuleType)
+    assert bvis.zeta.zeta(2, 1e-6) == zeta(2, 1e-6)
 
 
 def test_zeta_value_at_least_one():
