@@ -47,8 +47,8 @@ from .zeta import ZetaValue, inv_zeta, zeta_euler_product
 
 __version__ = "0.1.0"
 
-# The kernels have one implementation, in numpy; perfbench still records
-# this name with its results.
+# bvis._kernels has one implementation, its numpy reference loop; perfbench
+# still records this name with its results.
 KERNEL_BACKEND = "python"
 
 __all__ = [

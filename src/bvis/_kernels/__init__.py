@@ -1,14 +1,15 @@
-"""Two numpy loops kept as independent references.
+"""One numpy loop kept as an independent reference.
 
 ``zeta_partial_sum`` sums the zeta series directly; ``bvis.zeta`` does not
 call it, and the tests check its Euler-Maclaurin enclosure against it.
-``count_visible_box`` marks the divisibility grid of a box (up to 1e7
-points) without any Moebius inversion, so ``bvis verify`` and the tests
-can check the Moebius counts against it.  numpy is imported by each
-function when it runs, so importing the package does not load it.
+numpy is imported when it runs, so importing the package does not load it.
 """
 
 from __future__ import annotations
+
+# Grid marking lives in bvis.counting, in pure Python.  The name stays
+# here only because perfbench/tracing.py traces bvis._kernels.count_visible_box.
+from ..counting import count_visible_box  # noqa: F401
 
 _CHUNK = 8_000_000
 
@@ -38,31 +39,3 @@ def zeta_partial_sum(s: int, m: int) -> float:
         total = t
         hi = lo
     return total
-
-
-def count_visible_box(edges, prime_powers) -> int:
-    """Count points n in [1,e1]x...x[1,ek] not divisible by any witness row.
-
-    ``prime_powers`` is a sequence of k-tuples; a point is excluded when
-    some row q satisfies q[i] | n[i] for every coordinate.  Direct grid
-    marking — deliberately independent of Moebius inversion so the two
-    counting routes can check each other.
-    """
-    import numpy as np
-
-    edges = tuple(int(e) for e in edges)
-    k = len(edges)
-    if any(e <= 0 for e in edges):
-        return 0
-    visible = np.ones(edges, dtype=bool)
-    for row in prime_powers:
-        mask = None
-        for i in range(k):
-            vec = (np.arange(1, edges[i] + 1, dtype=np.int64) % int(row[i])) == 0
-            shape = [1] * k
-            shape[i] = edges[i]
-            v = vec.reshape(shape)
-            mask = v if mask is None else (mask & v)
-        if mask is not None:
-            visible &= ~mask
-    return int(np.count_nonzero(visible))

@@ -23,7 +23,6 @@ from fractions import Fraction
 import click
 
 from . import __version__, counting
-from ._kernels import count_visible_box
 from .arith import iroot, sieve_primes
 from .counting import brute_prefix_counts, count_visible_bruteforce, mobius_box_count
 from .errors import PreconditionError, ResourceLimitError, UsageError
@@ -291,18 +290,17 @@ def sieve(b_spec, n, box_spec, limit, case, fmt):
     volume = math.prod(edges)
     if volume > cap:
         raise ResourceLimitError(f"sieve box of {volume} points exceeds limit {cap}", limit=cap)
-    # The vector is validated once; per point only the gcd test remains.
-    witness = constrained_exponents(kind, vector).witness
-    grid = itertools.product(*(range(1, e + 1) for e in edges))
-    points = [pt for pt in grid if witness(pt) is None]
+    marks = counting.mark_box(edges, _prime_rows(constrained_exponents(kind, vector), edges))
+    # an iterator: only the JSON payload holds every point at once
+    points = itertools.compress(itertools.product(*(range(1, e + 1) for e in edges)), marks)
     if fmt == "json":
         _emit(
             fmt,
             {
                 **_family(kind, vector),
                 "box": list(edges),
-                "count": len(points),
-                "points": [list(pt) for pt in points],
+                "count": marks.count(1),
+                "points": list(points),
             },
         )
     elif fmt == "csv":
@@ -312,8 +310,28 @@ def sieve(b_spec, n, box_spec, limit, case, fmt):
         writer.writerows(points)
         click.echo(buf.getvalue().rstrip("\n"))
     else:
-        for pt in points:
-            click.echo(",".join(map(str, pt)))
+        line = ",".join(["%d"] * len(edges))
+        text = "\n".join(line % pt for pt in points)
+        if text:
+            click.echo(text)
+
+
+def _prime_rows(constraint, edges) -> list[list[int]]:
+    """The rows ``counting.mark_box`` strikes out for a vector's constraint.
+
+    One row per prime p up to the depth min_j iroot(M_j, e_j), holding
+    p**e_j at each constrained position j and 1 at the free ones; a larger
+    p has p**e_j > M_j somewhere, so its row would strike out nothing.
+    """
+    k, positions, exps = constraint
+    depth = min((iroot(edges[j], e) for j, e in zip(positions, exps)), default=0)
+    rows = []
+    for p in sieve_primes(depth) if depth else ():
+        row = [1] * k
+        for j, e in zip(positions, exps):
+            row[j] = p**e
+        rows.append(row)
+    return rows
 
 
 @main.command("zeta")
@@ -426,22 +444,22 @@ def verify_checks(profile: str, seed: int):
                     mismatches += 1
             if not quick:
                 # whole boxes enumerated one by one, apart from the prefix sweep
-                predicate = functools.partial(is_visible_int, b=b)
+                witness = constrained_exponents("int", b).witness
                 for n in (1, 7, 60):
-                    if count_visible_bruteforce((n,) * len(b), predicate) != brute[n]:
+                    visible = count_visible_bruteforce((n,) * len(b), lambda pt: witness(pt) is None)
+                    if visible != brute[n]:
                         mismatches += 1
         return mismatches == 0, f"N <= {n_max}, {len(vectors)} vectors, {mismatches} mismatches"
 
     @row
     def grid_marking_vs_mobius():
-        # the kernel marks the invisibility grid directly; no Moebius
-        # inversion involved, so agreement checks the closed form at a
-        # scale point-by-point enumeration cannot reach
+        # the marker strikes the invisible points out of the grid; no
+        # Moebius inversion involved, so agreement checks the closed form
+        # at a scale point-by-point enumeration cannot reach
         edges = (500, 500) if quick else (2000, 2000)
         for exps in [(1, 1), (1, 2)]:
-            bound = min(iroot(m, e) for m, e in zip(edges, exps))
-            rows = [tuple(p**e for e in exps) for p in sieve_primes(bound)]
-            marked = count_visible_box(edges, rows)
+            rows = _prime_rows(constrained_exponents("int", exps), edges)
+            marked = counting.count_visible_box(edges, rows)
             closed = mobius_box_count(edges, exps)
             if marked != closed:
                 return False, f"edges {edges}, exps {exps}: {marked} != {closed}"

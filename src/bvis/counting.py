@@ -24,8 +24,11 @@ which coordinates constrain, and ``box_edges`` is one formula for every
 family.
 
 Counts are exact big integers; only the empirical proportion inside a
-DensityReport touches floating point.  Brute-force enumeration with an
-arbitrary predicate is kept as an independent cross-check of the identity.
+DensityReport touches floating point.  Two routes that use no Moebius
+inversion are kept as independent cross-checks of the identity:
+``mark_box`` strikes the invisible points out of a box, a sieve that
+``bvis sieve`` lists from, and brute-force enumeration tests every point
+with a predicate.
 """
 
 from __future__ import annotations
@@ -41,10 +44,8 @@ from .arith import Mertens, floor_root, iroot
 from .errors import ResourceLimitError, UsageError
 from .visibility import (
     Constraint,
-    as_exponent_vector,
     as_rational_exponent_vector,
     constrained_exponents,
-    is_visible_int,
 )
 from .zeta import inv_zeta
 
@@ -209,9 +210,44 @@ def _count_constrained(constraint: Constraint, edges: Sequence[int]) -> tuple[in
 
 def count_visible_int(N: int, b) -> int:
     """Number of b-visible points in [1,N]^k, exactly (b reduced by its gcd)."""
-    # a bad vector is reported before a bad N, as in density_report
-    constraint = constrained_exponents("int", b)
-    return _count_constrained(constraint, box_edges(N, b))[0]
+    # b is read once, so an iterator serves both calls; a bad vector is
+    # reported before a bad N, as in density_report
+    vec = as_rational_exponent_vector(b)
+    constraint = constrained_exponents("int", vec)
+    return _count_constrained(constraint, box_edges(N, vec))[0]
+
+
+def mark_box(edges: Sequence[int], rows: Iterable[Sequence[int]]) -> bytearray:
+    """One byte per point of the box [1,M1]x...x[1,Mk], in lexicographic order.
+
+    A row q holds one modulus per coordinate, 1 where a coordinate is free;
+    a point n gets 0 when some row has q[i] | n[i] at every i, else 1.  For
+    each row the multiples along the first k-1 axes are walked, and each
+    line they reach along the last axis is cleared by one strided slice
+    assignment.  No Moebius inversion is involved.
+    """
+    edges = tuple(int(m) for m in edges)
+    grid = bytearray(b"\1") * math.prod(edges)
+    if not grid:
+        return grid
+    *outer, last = edges
+    strides = [math.prod(edges[i + 1 :]) for i in range(len(outer))]
+    for *heads, q in rows:
+        zeros = bytes(last // q)
+        if not zeros:
+            continue
+        lines = itertools.product(
+            *(range((h - 1) * s, m * s, h * s) for h, m, s in zip(heads, outer, strides))
+        )
+        for offsets in lines:
+            base = sum(offsets)
+            grid[base + q - 1 : base + last : q] = zeros
+    return grid
+
+
+def count_visible_box(edges: Sequence[int], rows: Iterable[Sequence[int]]) -> int:
+    """Points of the box that no row of ``mark_box`` strikes out."""
+    return mark_box(edges, rows).count(1)
 
 
 def brute_force_limit(limit: int | None = None) -> int:
@@ -260,12 +296,14 @@ def brute_prefix_counts(n_max: int, b) -> list[int]:
     """counts[N] = visible points of [1,N]^k by enumeration, for every N <= n_max.
 
     One sweep of the largest box, bucketed by max coordinate, covers all
-    the nested boxes at once.
+    the nested boxes at once.  b is validated once; each point is then
+    tested for a witness prime on its own.
     """
-    k = len(as_exponent_vector(b))
+    constraint = constrained_exponents("int", b)
+    witness = constraint.witness
     buckets = [0] * (n_max + 1)
-    for point in itertools.product(range(1, n_max + 1), repeat=k):
-        if is_visible_int(point, b):
+    for point in itertools.product(range(1, n_max + 1), repeat=constraint.k):
+        if witness(point) is None:
             buckets[max(point)] += 1
     return list(itertools.accumulate(buckets))
 
@@ -277,9 +315,11 @@ def density_report(N: int, b, case: str) -> DensityReport:
     ``constrained_exponents`` checks it.  The box is ``box_edges(N, b)``
     for every family, and s is the exponent sum of ``count_box``.
     """
-    # a bad vector is reported before a bad N
-    constraint = constrained_exponents(case, b)
-    edges = box_edges(N, b)
+    # b is read once, so an iterator serves both calls; a bad vector is
+    # reported before a bad N
+    vec = as_rational_exponent_vector(b)
+    constraint = constrained_exponents(case, vec)
+    edges = box_edges(N, vec)
     visible, s = _count_constrained(constraint, edges)
     return DensityReport(
         box=BoxSpec(edges),

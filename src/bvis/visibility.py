@@ -110,6 +110,9 @@ class RationalExponentVector:
     def __len__(self):
         return len(self.numerators)
 
+    def __iter__(self):
+        return iter(self.fractions)
+
 
 def as_exponent_vector(b) -> ExponentVector:
     if isinstance(b, ExponentVector):

@@ -12,11 +12,13 @@ import tracemalloc
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bvis.counting
 from bvis.cli import main, parse_b_spec
 from bvis.errors import UsageError
-from bvis.visibility import is_visible_int, is_visible_rat, is_visible_signed
+from bvis.visibility import constrained_exponents, is_visible_int, is_visible_rat, is_visible_signed
 from bvis.zeta import inv_zeta
 
 
@@ -425,6 +427,54 @@ def test_sieve_resource_limits(runner):
 
 
 @pytest.mark.parametrize(
+    "fmt,stdout",
+    [
+        ("plain", ""),
+        ("csv", "x1,x2\n"),
+        ("json", '{"b": ["1", "1"], "case": "int", "box": [5, 0], "count": 0, "points": []}\n'),
+    ],
+)
+def test_sieve_of_an_empty_box(runner, fmt, stdout):
+    result = runner.invoke(main, ["sieve", "--b", "1,1", "--box", "5,0", "--format", fmt])
+    assert result.exit_code == 0
+    assert result.stdout == stdout
+    assert result.stderr == ""
+
+
+_SIEVE_VECTORS = (
+    # int, with and without a common factor
+    "1", "2", "1,1", "1,2", "2,4", "3,3", "1,1,1", "1,2,3",
+    # rat
+    "1/2", "2/3,1/2", "2/3,3/2", "1/2,1/3,1/5",
+    # signed: free coordinates before, between and after the constrained ones
+    "-1", "-1/2", "-1,2", "1,-2", "2,-1,3", "1,-2,3", "3,-2,-3", "-1,-1,-1",
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(_SIEVE_VECTORS + ("1,2 signed", "1 signed")).flatmap(
+        lambda spec: st.tuples(
+            st.just(spec),
+            st.tuples(*[st.integers(min_value=0, max_value=12)] * len(spec.split()[0].split(","))),
+        )
+    )
+)
+def test_sieve_lists_what_the_witness_loop_accepts(spec_edges):
+    # "1,2 signed" has no negative entry, so the marker gets no rows
+    spec, edges = spec_edges
+    b_spec, *case = spec.split()
+    kind, vector = parse_b_spec(b_spec, case[0] if case else None)
+    witness = constrained_exponents(kind, vector).witness
+    grid = itertools.product(*(range(1, m + 1) for m in edges))
+    expected = [list(pt) for pt in grid if witness(pt) is None]
+    args = ["sieve", "--b", b_spec, "--box", ",".join(map(str, edges)), "--format", "json"]
+    result = CliRunner().invoke(main, args + ["--case", case[0]] if case else args)
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["points"] == expected
+
+
+@pytest.mark.parametrize(
     "args,env,stderr",
     [
         ("--limit 0", {}, "error: --limit must be an integer >= 1, got 0\n"),
@@ -472,6 +522,8 @@ run("check", "--b", "2,4,3,7", "--point", "4,16,40,128")
 assert "numpy" not in sys.modules, "check"
 run("sieve", "--b", "1,-2", "--N", "3", "--format", "csv")
 assert "numpy" not in sys.modules, "sieve"
+run("verify", "--profile", "quick")
+assert "numpy" not in sys.modules, "verify"
 run("zeta", "--s", "2", "--euler-limit", "100000", "--format", "json")
 assert "numpy" not in sys.modules, "zeta"
 run("density", "--b", "1,1", "--N", "1000000", "--format", "json")
@@ -498,6 +550,7 @@ def test_check_sieve_and_zeta_never_import_numpy():
     lines = out.stdout.splitlines()
     assert lines[0] == "invisible: witness prime 2, image 1,1,5,1"
     assert lines[1:5] == ["x1,x2", "1,1", "1,2", "1,3"]  # 9 points, none with 4 | x2
+    assert lines[24] == "12/12 checks passed (quick profile)"  # verify, 14 lines from 11 on
     zeta = json.loads(lines[-5])
     assert zeta["value"] == pytest.approx(math.pi**2 / 6, abs=1e-9)
     assert 0 < zeta["value"] - zeta["euler_product"] < 1e-5

@@ -12,10 +12,12 @@ from bvis.counting import (
     DensityReport,
     box_edges,
     brute_force_limit,
+    brute_prefix_counts,
     count_box,
     count_visible_bruteforce,
     count_visible_int,
     density_report,
+    mark_box,
     mobius_box_count,
 )
 from bvis.errors import PreconditionError, ResourceLimitError, UsageError
@@ -205,6 +207,19 @@ def test_count_visible_int_matches_bruteforce():
             assert count_visible_int(N, b) == brute
 
 
+def test_b_is_read_once():
+    # a generator is used up by its first read, so a second read would fail
+    assert density_report(10, (x for x in [1, 1]), "int").visible_count == 63
+    assert count_visible_int(10, (x for x in [1, 1])) == 63
+    assert brute_prefix_counts(10, (x for x in [1, 1]))[10] == 63
+
+
+def test_brute_prefix_counts_match_mobius():
+    for b in [(1, 1), (2, 4), (1, 1, 1)]:
+        expected = [0] + [count_visible_int(n, b) for n in range(1, 13)]
+        assert brute_prefix_counts(12, b) == expected
+
+
 def test_count_visible_int_monotone():
     previous = 0
     for N in range(1, 81):
@@ -322,6 +337,36 @@ def test_signed_factorizes_over_negative_coordinates():
         1 for n in range(1, 51) if all(m == 1 for _, m in factorize(n).factors)
     )
     assert narrow == 50 * squarefree
+
+
+# ---------------------------------------------------------------- grid marker
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda k: st.tuples(
+            st.tuples(*[st.integers(min_value=0, max_value=12)] * k),
+            st.lists(st.tuples(*[st.integers(min_value=1, max_value=15)] * k), max_size=4),
+        )
+    )
+)
+def test_mark_box_matches_its_definition(box):
+    # moduli up to 15 pass every edge of at most 12; the row list may be empty
+    edges, rows = box
+    points = itertools.product(*(range(1, m + 1) for m in edges))
+    expected = [
+        0 if any(all(n % q == 0 for n, q in zip(pt, row)) for row in rows) else 1 for pt in points
+    ]
+    assert list(mark_box(edges, rows)) == expected
+
+
+def test_mark_box_edge_cases():
+    assert mark_box((0, 5), [(2, 2)]) == bytearray()
+    assert mark_box((3,), []) == bytearray(b"\1\1\1")
+    # rows whose moduli pass an edge strike nothing out
+    assert mark_box((2, 3), [(3, 1), (1, 4)]) == bytearray(b"\1") * 6
+    assert mark_box((2, 3), [(1, 1)]) == bytearray(6)
 
 
 # ---------------------------------------------------------------- brute force

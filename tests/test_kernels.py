@@ -3,9 +3,9 @@ import math
 import pytest
 
 import bvis
-from bvis._kernels import count_visible_box, zeta_partial_sum
+from bvis._kernels import zeta_partial_sum
 from bvis.arith import iroot, sieve_primes
-from bvis.counting import mobius_box_count
+from bvis.counting import count_visible_box, mobius_box_count
 
 
 def test_backend_name():
@@ -42,7 +42,7 @@ def test_zeta_partial_sum_spans_chunks():
     assert math.pi**2 / 6 - 1 / m < value < math.pi**2 / 6 - 1 / (m + 1)
 
 
-# ---------------------------------------------------------------- box kernel
+# ---------------------------------------------------------------- grid marker
 
 
 def _prime_rows(edges, exps):
