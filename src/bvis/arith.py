@@ -85,6 +85,16 @@ def sieve_primes(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> tuple[int, .
     return tuple(_iter_primes(limit, budget))
 
 
+def _check_sieve_limit(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> None:
+    """Refuse a prime sieve limit below 1 or above ``budget``."""
+    if limit < 1:
+        raise ValueError(f"sieve limit must be >= 1, got {limit}")
+    if limit > budget:
+        raise ResourceLimitError(
+            f"sieve limit {limit} exceeds memory budget {budget}", limit=budget
+        )
+
+
 def _iter_primes(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> Iterator[int]:
     """The primes <= limit in ascending order, read off a finished sieve.
 
@@ -93,12 +103,7 @@ def _iter_primes(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> Iterator[int
     The limit is checked before anything is allocated; a caller that only
     iterates never holds the primes as Python ints at once.
     """
-    if limit < 1:
-        raise ValueError(f"sieve limit must be >= 1, got {limit}")
-    if limit > budget:
-        raise ResourceLimitError(
-            f"sieve limit {limit} exceeds memory budget {budget}", limit=budget
-        )
+    _check_sieve_limit(limit, budget)
     if limit < 2:
         return iter(())
     # odd[i] stands for 2 * i + 1

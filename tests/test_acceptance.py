@@ -46,7 +46,7 @@ CRITERIA = {
     "6": {"gcd-reduction": None},
     "7": {"mobius-vs-bruteforce": 30.0},
     "8": {"worked-example": None},
-    "9": {"zeta-certification": None, "euler-product": None},
+    "9": {"zeta-certification": None, "euler-product": 1.0},
 }
 UNNAMED = [name for name in CHECKS if all(name not in rows for rows in CRITERIA.values())]
 

@@ -504,6 +504,24 @@ def test_zeta_command(runner):
     assert bad.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "s, product", [(3, 1.2020569031595065), (4, 1.0823232337111537), (5, 1.0369277551433724)]
+)
+def test_zeta_euler_product_frozen_json(runner, s, product):
+    args = ["zeta", "--s", str(s), "--euler-limit", "10000000", "--format", "json"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.stdout)
+    assert payload["euler_product"].hex() == product.hex()
+    assert payload["euler_prime_limit"] == 10_000_000
+
+
+def test_zeta_euler_product_frozen_plain(runner):
+    result = runner.invoke(main, ["zeta", "--s", "2", "--euler-limit", "1000000"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.splitlines()[1] == "euler product (p <= 1000000): 1.6449339553616829"
+
+
 # ---------------------------------------------------------------- numpy on demand
 
 _NUMPY_PROBE = """
@@ -631,6 +649,21 @@ def test_zeta_euler_limit_past_the_sieve_budget_exits_4(runner):
     result = runner.invoke(main, ["zeta", "--s", "2", "--euler-limit", "300000000"])
     assert result.exit_code == 4
     assert "exceeds memory budget" in result.stderr
+
+
+def test_zeta_euler_limit_past_the_sieve_budget_exits_4_above_the_cut(runner):
+    # s = 5 would only sieve to 2352, but the limit is refused all the same
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["zeta", "--s", "5", "--euler-limit", "300000000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 4
+    assert "exceeds memory budget" in result.stderr
+    assert peak < 4 << 20  # refused before any sieve array existed
+    s2 = runner.invoke(main, ["zeta", "--s", "2", "--euler-limit", "300000000"])
+    assert result.stderr == s2.stderr
 
 
 def test_count_coprime_pairs_at_1e9(runner):

@@ -1,3 +1,5 @@
+import bisect
+import itertools
 import math
 import types
 from fractions import Fraction
@@ -6,7 +8,8 @@ import pytest
 
 import bvis
 from bvis._kernels import zeta_partial_sum
-from bvis.arith import sieve_primes
+from bvis.arith import DEFAULT_SIEVE_BUDGET, iroot, sieve_primes
+from bvis.errors import ResourceLimitError
 from bvis.zeta import MIN_TOL, inv_zeta, zeta, zeta_euler_product
 
 PI2_OVER_6 = math.pi**2 / 6
@@ -67,6 +70,8 @@ def test_euler_product_single_factor():
 
 def test_euler_product_empty():
     assert zeta_euler_product(5, 1) == 1.0
+    # Every factor is 1.0 from s = 57 on, so none is evaluated, even past float range.
+    assert zeta_euler_product(10**400, 10**6) == 1.0
 
 
 def test_euler_product_monotone_and_below_series():
@@ -92,6 +97,47 @@ def test_euler_product_runs_over_the_prime_table():
     for p in sieve_primes(10**6):
         product /= 1.0 - float(p) ** -3
     assert zeta_euler_product(3, 10**6) == product
+
+
+def _euler_cut_limits(s, primes):
+    """P - 1, P and P + 1 for P = iroot(2**56, floor(s)) + 1, and the primes next to P."""
+    first_one = iroot(2**56, math.floor(s)) + 1  # P: from here on every factor is 1.0
+    i = bisect.bisect_left(primes, first_one)
+    return {first_one - 1, first_one, first_one + 1, *primes[max(i - 2, 0) : i + 2]} - {0}
+
+
+@pytest.mark.parametrize("s", [3, 4, 5, 6, 7, 8, 63, 64, 100, 3.5])
+def test_euler_product_is_bit_identical_across_the_cut(s):
+    primes = sieve_primes(iroot(2**56, 3) + 100)
+    for limit in sorted(_euler_cut_limits(s, primes)):
+        product = 1.0
+        for p in itertools.takewhile(lambda p: p <= limit, primes):
+            product /= 1.0 - float(p) ** -s
+        assert zeta_euler_product(s, limit).hex() == product.hex(), (s, limit)
+
+
+def test_euler_product_s2_cut_lies_past_the_sieve_budget():
+    # s = 2's P is 2**28 + 1, so every limit next to it is refused.
+    first_one = iroot(2**56, 2) + 1
+    assert first_one > DEFAULT_SIEVE_BUDGET
+    for limit in (first_one - 1, first_one, first_one + 1):
+        with pytest.raises(ResourceLimitError):
+            zeta_euler_product(2, limit)
+
+
+def test_euler_product_sieves_only_to_the_cut(monkeypatch):
+    asked = []
+
+    def record(limit, *args):
+        asked.append(limit)
+        return iter(())
+
+    monkeypatch.setattr(bvis.zeta, "_iter_primes", record)
+    for s in (5, 3, 2):
+        zeta_euler_product(s, 10**7)
+    assert asked[0] <= 2**12
+    assert asked[1] <= 2**19
+    assert asked[2] == 10**7
 
 
 def test_domain_errors():
