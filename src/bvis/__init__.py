@@ -28,8 +28,6 @@ from .counting import (
 )
 from .errors import PreconditionError, ResourceLimitError, UsageError
 from .visibility import (
-    ExponentVector,
-    RationalExponentVector,
     base_from_expanded,
     find_parametric_witness,
     gcd_is_one_rational,
@@ -54,10 +52,8 @@ KERNEL_BACKEND = "python"
 __all__ = [
     "BoxSpec",
     "DensityReport",
-    "ExponentVector",
     "KERNEL_BACKEND",
     "PreconditionError",
-    "RationalExponentVector",
     "ResourceLimitError",
     "UsageError",
     "ZetaValue",

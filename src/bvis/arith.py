@@ -428,6 +428,9 @@ def iroot(x: int, k: int) -> int:
         return x
     if k == 2:
         return math.isqrt(x)
+    if x.bit_length() <= k:
+        # x < 2**k; Newton would build r**(k-1), millions of digits for huge k
+        return 1
     # Newton iteration from a slight overestimate converges downward.
     r = 1 << ((x.bit_length() + k - 1) // k + 1)
     while True:
@@ -448,12 +451,15 @@ def floor_root(n: int, a: int, alpha: int) -> int:
 
     Requires n >= 1 and 1 <= a <= alpha.  Never touches floating point:
     a float pow at a box edge can be off by one and silently corrupt
-    an exact count.
+    an exact count.  a/alpha is put in lowest terms first, so a box edge,
+    where a divides alpha, costs iroot(n, alpha // a) and builds no n**a.
     """
     if n < 1:
         raise ValueError(f"floor_root expects n >= 1, got {n}")
     if not 1 <= a <= alpha:
         raise ValueError(f"floor_root expects 1 <= a <= alpha, got a={a}, alpha={alpha}")
+    g = math.gcd(a, alpha)
+    a, alpha = a // g, alpha // g
     if a == alpha:
         return n
     return iroot(n**a, alpha)

@@ -27,7 +27,6 @@ from .arith import iroot, sieve_primes
 from .counting import brute_prefix_counts, count_visible_bruteforce, mobius_box_count
 from .errors import PreconditionError, ResourceLimitError, UsageError
 from .visibility import (
-    as_exponent_vector,
     as_rational_exponent_vector,
     base_from_expanded,
     constrained_exponents,
@@ -44,7 +43,7 @@ _B_ENTRY = re.compile(r"-?\d+(?:/\d+)?$")
 
 
 def parse_b_spec(text: str, case: str | None = None):
-    """Parse a comma-separated exponent spec into (case, vector).
+    """Parse a comma-separated exponent spec into (case, tuple of Fractions).
 
     Entries are `[-]digits[/digits]`.  All-integer, all-positive specs
     select the integer case; any fraction selects the rational case and
@@ -74,8 +73,7 @@ def parse_b_spec(text: str, case: str | None = None):
             raise UsageError(
                 "integer case needs positive integer exponents; use --case rat or signed"
             )
-        return "int", as_exponent_vector(int(f) for f in fracs)
-    if case == "rat" and any(f < 0 for f in fracs):
+    elif case == "rat" and any(f < 0 for f in fracs):
         raise UsageError("rational case needs positive exponents; use --case signed")
     return case, as_rational_exponent_vector(fracs)
 
@@ -105,8 +103,7 @@ def _parse_box(b_spec: str, case: str | None, n: int | None, box_spec: str | Non
 
 def _family(kind: str, vector) -> dict:
     """The "b" and "case" fields that open every payload."""
-    entries = vector.entries if kind == "int" else vector.fractions
-    return {"b": [str(e) for e in entries], "case": kind}
+    return {"b": [str(e) for e in vector], "case": kind}
 
 
 def _parse_ints(text: str, label: str, minimum: int = 1) -> tuple[int, ...]:
@@ -216,8 +213,7 @@ def check(b_spec, point_spec, expanded, case, fmt):
 
 
 def _witness_image(point, b, prime):
-    red = reduce_b(b)
-    return tuple(c // prime**e for c, e in zip(point, red.entries))
+    return tuple(c // prime**e for c, e in zip(point, reduce_b(b)))
 
 
 @main.command()
@@ -252,11 +248,10 @@ def density(b_spec, n, case, fmt):
     """Density report: exact count vs the theoretical 1/zeta density."""
     kind, vector = parse_b_spec(b_spec, case)
     _require_n(n)
-    if kind == "int" and vector.g > 1:
-        red = reduce_b(vector)
+    if kind == "int" and (g := math.gcd(*(f.numerator for f in vector))) > 1:
         click.echo(
-            f"note: exponents share gcd {vector.g}; visibility is equivalent to "
-            f"the reduced vector ({','.join(map(str, red.entries))}), which sets the density",
+            f"note: exponents share gcd {g}; visibility is equivalent to "
+            f"the reduced vector ({','.join(map(str, reduce_b(vector)))}), which sets the density",
             err=True,
         )
     report = counting.density_report(n, vector, kind)

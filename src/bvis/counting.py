@@ -178,9 +178,9 @@ def box_edges(N: int, b) -> tuple[int, ...]:
     """
     if N < 1:
         raise UsageError(f"N must be >= 1, got {N}")
-    vec = as_rational_exponent_vector(b)
-    alpha = vec.denominator_lcm
-    return tuple(floor_root(N, a, alpha) for a in vec.denominators)
+    fracs = as_rational_exponent_vector(b)
+    alpha = math.lcm(*(f.denominator for f in fracs))
+    return tuple(floor_root(N, f.denominator, alpha) for f in fracs)
 
 
 def count_box(kind: str, vec, edges: Sequence[int]) -> tuple[int, int]:

@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 from .arith import factorize, is_perfect_power
 from .errors import PreconditionError, ResourceLimitError, UsageError
@@ -46,89 +45,32 @@ LatticePoint = tuple[int, ...]
 RationalPoint = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ExponentVector:
-    """Positive integer exponents (b1,...,bk), k >= 1."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.entries) < 1:
-            raise UsageError("exponent vector must have at least one entry")
-        if any(b < 1 for b in self.entries):
-            raise UsageError(f"integer exponents must be >= 1, got {self.entries}")
-
-    @cached_property
-    def g(self) -> int:
-        return math.gcd(*self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
-@dataclass(frozen=True)
-class RationalExponentVector:
-    """Nonzero rational exponents bi/ai in lowest terms, ai > 0."""
-
-    numerators: tuple[int, ...]
-    denominators: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.numerators) < 1 or len(self.numerators) != len(self.denominators):
-            raise UsageError("numerators and denominators must align, k >= 1")
-        for b, a in zip(self.numerators, self.denominators):
-            if b == 0:
-                raise UsageError("rational exponents must be nonzero")
-            if a < 1:
-                raise UsageError(f"denominators must be positive, got {a}")
-            if math.gcd(abs(b), a) != 1:
-                raise UsageError(f"exponent {b}/{a} is not in lowest terms")
-
-    @classmethod
-    def from_fractions(cls, items: Iterable) -> "RationalExponentVector":
-        fracs = [Fraction(item) for item in items]
-        return cls(
-            numerators=tuple(f.numerator for f in fracs),
-            denominators=tuple(f.denominator for f in fracs),
-        )
-
-    @cached_property
-    def denominator_lcm(self) -> int:
-        return math.lcm(*self.denominators)
-
-    @cached_property
-    def negative_indices(self) -> frozenset[int]:
-        return frozenset(i for i, b in enumerate(self.numerators) if b < 0)
-
-    @property
-    def fractions(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(b, a) for b, a in zip(self.numerators, self.denominators))
-
-    def __len__(self):
-        return len(self.numerators)
-
-    def __iter__(self):
-        return iter(self.fractions)
-
-
-def as_exponent_vector(b) -> ExponentVector:
-    if isinstance(b, ExponentVector):
-        return b
+def as_exponent_vector(b) -> tuple[int, ...]:
+    """b as positive integer exponents (b1,...,bk), k >= 1, or a UsageError."""
     items = tuple(b)
     entries = tuple(int(x) for x in items)
     # int() truncates 3/2 to 1, where box_edges reads the same entry as 3/2
     if entries != items and any(Fraction(x) != e for x, e in zip(items, entries)):
         raise UsageError(f"integer exponents must be whole numbers, got {items}")
-    return ExponentVector(entries)
+    if not entries:
+        raise UsageError("exponent vector must have at least one entry")
+    if any(e < 1 for e in entries):
+        raise UsageError(f"integer exponents must be >= 1, got {entries}")
+    return entries
 
 
-def as_rational_exponent_vector(b) -> RationalExponentVector:
-    if isinstance(b, RationalExponentVector):
-        return b
-    return RationalExponentVector.from_fractions(b)
+def as_rational_exponent_vector(b) -> tuple[Fraction, ...]:
+    """b as nonzero rational exponents bi/ai, k >= 1, or a UsageError.
+
+    Entries are anything ``Fraction`` reads, such as ints or "p/q" strings;
+    a Fraction is in lowest terms with ai > 0.
+    """
+    fracs = tuple(Fraction(x) for x in b)
+    if not fracs:
+        raise UsageError("numerators and denominators must align, k >= 1")
+    if not all(fracs):
+        raise UsageError("rational exponents must be nonzero")
+    return fracs
 
 
 def _as_point(point: Sequence[int], k: int | None = None) -> tuple[int, ...]:
@@ -140,19 +82,17 @@ def _as_point(point: Sequence[int], k: int | None = None) -> tuple[int, ...]:
     return coords
 
 
-def reduce_b(b) -> ExponentVector:
+def reduce_b(b) -> tuple[int, ...]:
     """Divide the exponent vector through by its gcd.
 
     Visibility verdicts are identical for b and b/gcd(b), so predicates
     reduce internally; this is the canonical form with gcd 1.
     """
-    vec = as_exponent_vector(b)
-    # not vec.g: a cached_property takes a lock on first use, and most
-    # vectors reaching here are built for one predicate call
-    g = math.gcd(*vec.entries)
+    entries = as_exponent_vector(b)
+    g = math.gcd(*entries)
     if g == 1:
-        return vec
-    return ExponentVector(tuple(e // g for e in vec.entries))
+        return entries
+    return tuple(e // g for e in entries)
 
 
 def gcd_is_one_rational(b) -> bool:
@@ -161,9 +101,9 @@ def gcd_is_one_rational(b) -> bool:
     With alpha = lcm(ai), the integer span of {bi/ai} is (g/alpha)*Z for
     g = gcd(bi*alpha/ai); it contains 1 exactly when g divides alpha.
     """
-    vec = as_rational_exponent_vector(b)
-    alpha = vec.denominator_lcm
-    g = math.gcd(*(abs(n) * (alpha // a) for n, a in zip(vec.numerators, vec.denominators)))
+    fracs = as_rational_exponent_vector(b)
+    alpha = math.lcm(*(f.denominator for f in fracs))
+    g = math.gcd(*(f.numerator * (alpha // f.denominator) for f in fracs))
     return alpha % g == 0
 
 
@@ -176,10 +116,10 @@ def _prime_factors(g: int) -> tuple[int, ...]:
     return factorize(g).primes()
 
 
-def require_gcd_one(vec: RationalExponentVector) -> None:
-    if not gcd_is_one_rational(vec):
+def require_gcd_one(fracs: tuple[Fraction, ...]) -> None:
+    if not gcd_is_one_rational(fracs):
         raise PreconditionError(
-            f"exponent vector ({', '.join(str(f) for f in vec.fractions)}) violates "
+            f"exponent vector ({', '.join(map(str, fracs))}) violates "
             "the gcd-one condition: no integer combination of the entries equals 1"
         )
 
@@ -201,6 +141,8 @@ class Constraint(NamedTuple):
         Such a prime divides every constraining coordinate, hence their
         gcd; it suffices to test the prime factors of the gcd.  This runs
         once per point of a sieve, so it reads no more fields than it needs.
+        A power p**e with e * (bits(p) - 1) >= bits(c) exceeds c, so it is
+        never built: for b = (10**9, 1) it would take gigabytes.
         """
         exps = self.exps
         if len(exps) < len(coords):
@@ -211,7 +153,8 @@ class Constraint(NamedTuple):
         if g == 1:
             return None
         for p in _prime_factors(g):
-            if all(c % p**e == 0 for c, e in zip(coords, exps)):
+            low = p.bit_length() - 1
+            if all(e * low < c.bit_length() and c % p**e == 0 for c, e in zip(coords, exps)):
                 return p
         return None
 
@@ -226,18 +169,18 @@ def constrained_exponents(kind: str, b) -> Constraint:
     Any other ``kind`` is a UsageError.
     """
     if kind == "int":
-        exps = reduce_b(b).entries
+        exps = reduce_b(b)
         return Constraint(len(exps), range(len(exps)), exps)
     if kind not in ("rat", "signed"):
         raise UsageError(f"unknown case {kind!r}; expected int, rat, or signed")
-    vec = as_rational_exponent_vector(b)
-    nums = vec.numerators
+    fracs = as_rational_exponent_vector(b)
+    nums = tuple(f.numerator for f in fracs)
     if kind == "rat" and any(n < 0 for n in nums):
         raise UsageError("positive-rational predicate got negative exponents; use the signed predicate")
-    require_gcd_one(vec)
+    require_gcd_one(fracs)
     if kind == "rat":
         return Constraint(len(nums), range(len(nums)), nums)
-    neg = tuple(sorted(vec.negative_indices))
+    neg = tuple(j for j, n in enumerate(nums) if n < 0)
     return Constraint(len(nums), neg, tuple(-nums[j] for j in neg))
 
 
@@ -297,12 +240,12 @@ def base_from_expanded(coords: Sequence[int], b) -> RationalPoint:
     Coordinate i must be an exact (alpha/ai)-th power; anything else is off
     the restricted lattice and rejected.
     """
-    vec = as_rational_exponent_vector(b)
-    expanded = _as_point(coords, len(vec))
-    alpha = vec.denominator_lcm
+    fracs = as_rational_exponent_vector(b)
+    expanded = _as_point(coords, len(fracs))
+    alpha = math.lcm(*(f.denominator for f in fracs))
     base = []
-    for i, (c, a) in enumerate(zip(expanded, vec.denominators)):
-        exp = alpha // a
+    for i, (c, f) in enumerate(zip(expanded, fracs)):
+        exp = alpha // f.denominator
         ok, root = is_perfect_power(c, exp)
         if not ok:
             raise UsageError(
@@ -330,8 +273,8 @@ def find_parametric_witness(
     and covers irrational t, since it enumerates image points rather than
     scaling factors.  Returns the first witness found, or None.
     """
-    vec = as_exponent_vector(b)
-    coords = _as_point(point, len(vec))
+    entries = as_exponent_vector(b)
+    coords = _as_point(point, len(entries))
     box = math.prod(coords)
     if box > box_limit:
         raise ResourceLimitError(
@@ -341,8 +284,8 @@ def find_parametric_witness(
         # t < 1 shrinks every coordinate strictly, so no image point exists.
         return None
     k = len(coords)
-    lcm_b = math.lcm(*vec.entries)
-    exps = [lcm_b // e for e in vec.entries]
+    lcm_b = math.lcm(*entries)
+    exps = [lcm_b // e for e in entries]
     coord_pows = [c**e for c, e in zip(coords, exps)]
     # tables[j][w-1] = w**exps[j] for w in 1..coords[j]-1, strictly increasing
     tables = [[w ** exps[j] for w in range(1, coords[j])] for j in range(k)]

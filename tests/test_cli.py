@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -40,20 +41,20 @@ def test_version(runner):
 def test_parse_b_spec_inference():
     case, vec = parse_b_spec("2,4,3,7", None)
     assert case == "int"
-    assert vec.entries == (2, 4, 3, 7)
+    assert vec == (2, 4, 3, 7)
 
     case, vec = parse_b_spec("2/3,1/2", None)
     assert case == "rat"
-    assert vec.numerators == (2, 1)
+    assert tuple(f.numerator for f in vec) == (2, 1)
 
     case, vec = parse_b_spec("1,-2", None)
     assert case == "signed"
-    assert vec.negative_indices == frozenset({1})
+    assert constrained_exponents(case, vec).positions == (1,)
 
     # integers are valid rationals when the case is forced
     case, vec = parse_b_spec("1,2", "rat")
     assert case == "rat"
-    assert vec.denominators == (1, 1)
+    assert tuple(f.denominator for f in vec) == (1, 1)
 
 
 def test_parse_b_spec_rejections():
@@ -554,14 +555,19 @@ assert "numpy" in sys.modules, "count past the crossover"
 """
 
 
-def test_check_sieve_and_zeta_never_import_numpy():
+def _src_env() -> dict:
+    """The environment for a child Python that imports bvis from this tree."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_check_sieve_and_zeta_never_import_numpy():
     out = subprocess.run(
         [sys.executable, "-c", _NUMPY_PROBE],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_src_env(),
         timeout=60,
     )
     assert out.returncode == 0, out.stderr
@@ -574,6 +580,49 @@ def test_check_sieve_and_zeta_never_import_numpy():
     assert 0 < zeta["value"] - zeta["euler_product"] < 1e-5
     assert json.loads(lines[-4])["visible"] == "607927104783"  # OEIS A018805(10**6)
     assert json.loads(lines[-3])["visible"] == "6087"  # OEIS A018805(100)
+
+
+# ---------------------------------------------------------------- huge exponents
+
+_ROOTS_OF_HUGE_POWERS = """
+from bvis.arith import floor_root, iroot
+assert iroot(10, 10**9) == 1
+for k in (3, 64, 1000, 10**5):
+    assert iroot(2**k, k) == 2, k
+    assert iroot(2**k - 1, k) == 1, k
+assert floor_root(10, 10**9, 2 * 10**9) == 3
+print("ok")
+"""
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "args,line",
+    [
+        # box_edges took floor_root(10, 3000000, alpha), which built 10**3000000
+        # and then a Newton step of 4**(alpha - 1)
+        (["-m", "bvis.cli", "density", "--b", "1/3000000,1/3000001", "--N", "10"], "box: 1,1"),
+        # the witness test built 2**(10**12) to see that it does not divide 2
+        (["-m", "bvis.cli", "check", "--b", "1000000000000,1", "--point", "2,2"], "visible"),
+        (["-c", _ROOTS_OF_HUGE_POWERS], "ok"),
+    ],
+)
+def test_huge_exponents_build_no_huge_powers(args, line):
+    # in a child capped at 1 GiB of address space, so that a huge power
+    # fails this test instead of exhausting the machine's memory
+    out = subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        timeout=10,
+        preexec_fn=_cap_address_space,
+    )
+    assert out.returncode == 0, out.stderr
+    assert line in out.stdout.splitlines()
 
 
 # ---------------------------------------------------------------- exit codes
@@ -603,6 +652,15 @@ def test_usage_errors_exit_2(runner):
         # a bad N is reported before the gcd-one condition (exit 3)
         ("density --b 2/3,2/3 --N 0", "error: --N must be >= 1, got 0\n"),
         ("check --b 1,2 --point 1,2,3", "error: point has 3 coordinates, exponent vector has 2\n"),
+        ("density --b 0,1/2 --N 10", "error: rational exponents must be nonzero\n"),
+        (
+            "check --b 1/2,1 --case int --point 4,6",
+            "error: integer case needs positive integer exponents; use --case rat or signed\n",
+        ),
+        (
+            "check --b 1,-2 --case rat --point 4,6",
+            "error: rational case needs positive exponents; use --case signed\n",
+        ),
     ],
 )
 def test_usage_error_precedence(runner, args, stderr):

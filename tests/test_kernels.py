@@ -1,4 +1,7 @@
+import doctest
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +22,21 @@ def test_package_exports():
         assert hasattr(bvis, name), name
     assert not hasattr(bvis, "count_visible_rat")
     assert not hasattr(bvis, "count_visible_signed")
+    for name in ("ExponentVector", "RationalExponentVector"):
+        assert not hasattr(bvis, name)
+        assert not hasattr(bvis.visibility, name)
     assert not callable(bvis.zeta)
+
+
+def test_readme_library_examples():
+    # doctest.testfile reads a closing fence right after an output line as
+    # part of that output, so each ```python block is cut at its fence; the
+    # blocks share one namespace, as in a single session
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    test = doctest.DocTestParser().get_doctest("\n".join(blocks), {}, "README.md", "README.md", 0)
+    failed, attempted = doctest.DocTestRunner().run(test)
+    assert (failed, attempted) == (0, 14)
 
 
 # ---------------------------------------------------------------- zeta kernel
