@@ -19,7 +19,6 @@ from .arith import (
     sieve_primes,
 )
 from .counting import (
-    BoxSpec,
     DensityReport,
     count_visible_bruteforce,
     count_visible_int,
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 KERNEL_BACKEND = "python"
 
 __all__ = [
-    "BoxSpec",
     "DensityReport",
     "KERNEL_BACKEND",
     "PreconditionError",

@@ -33,8 +33,7 @@ from .errors import ResourceLimitError
 if TYPE_CHECKING:
     import numpy
 
-# A sieve above this limit would allocate hundreds of MB; callers that
-# genuinely need more should raise the budget explicitly.
+# A sieve above this limit would allocate hundreds of MB.
 DEFAULT_SIEVE_BUDGET = 200_000_000
 
 # The Moebius sieve holds an int8 mu, an int32 cofactor array and a bool
@@ -77,25 +76,26 @@ class Factorization:
         return out
 
 
-def sieve_primes(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> tuple[int, ...]:
+def sieve_primes(limit: int) -> tuple[int, ...]:
     """Sieve of Eratosthenes: every prime <= limit, ascending.
 
-    Raises ResourceLimitError when ``limit`` exceeds ``budget``.
+    Raises ResourceLimitError when ``limit`` exceeds DEFAULT_SIEVE_BUDGET.
     """
-    return tuple(_iter_primes(limit, budget))
+    return tuple(_iter_primes(limit))
 
 
-def _check_sieve_limit(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> None:
-    """Refuse a prime sieve limit below 1 or above ``budget``."""
+def _check_sieve_limit(limit: int) -> None:
+    """Refuse a prime sieve limit below 1 or above DEFAULT_SIEVE_BUDGET."""
     if limit < 1:
         raise ValueError(f"sieve limit must be >= 1, got {limit}")
-    if limit > budget:
+    if limit > DEFAULT_SIEVE_BUDGET:
         raise ResourceLimitError(
-            f"sieve limit {limit} exceeds memory budget {budget}", limit=budget
+            f"sieve limit {limit} exceeds memory budget {DEFAULT_SIEVE_BUDGET}",
+            limit=DEFAULT_SIEVE_BUDGET,
         )
 
 
-def _iter_primes(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> Iterator[int]:
+def _iter_primes(limit: int) -> Iterator[int]:
     """The primes <= limit in ascending order, read off a finished sieve.
 
     Only odd candidates are stored, one byte each, and each prime's odd
@@ -103,7 +103,7 @@ def _iter_primes(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> Iterator[int
     The limit is checked before anything is allocated; a caller that only
     iterates never holds the primes as Python ints at once.
     """
-    _check_sieve_limit(limit, budget)
+    _check_sieve_limit(limit)
     if limit < 2:
         return iter(())
     # odd[i] stands for 2 * i + 1

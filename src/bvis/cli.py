@@ -23,7 +23,6 @@ from fractions import Fraction
 import click
 
 from . import __version__, counting
-from .arith import iroot, sieve_primes
 from .counting import brute_prefix_counts, count_visible_bruteforce, mobius_box_count
 from .errors import PreconditionError, ResourceLimitError, UsageError
 from .visibility import (
@@ -35,11 +34,12 @@ from .visibility import (
     reduce_b,
     witness_prime,
 )
-from .zeta import inv_zeta
 from .zeta import zeta as zeta_eval
 from .zeta import zeta_euler_product
 
 _B_ENTRY = re.compile(r"-?\d+(?:/\d+)?$")
+# Points per piece of `bvis sieve` output.
+SIEVE_CHUNK = 1 << 16
 
 
 def parse_b_spec(text: str, case: str | None = None):
@@ -120,14 +120,18 @@ def _emit(fmt: str, fields: dict) -> None:
     if fmt == "json":
         click.echo(json.dumps(fields))
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(fields.keys())
-        writer.writerow([_cell(v, none="") for v in fields.values()])
-        click.echo(buf.getvalue().rstrip("\n"))
+        rows = [fields.keys(), [_cell(v, none="") for v in fields.values()]]
+        click.echo(_csv_text(rows).rstrip("\n"))
     else:
         for key, value in fields.items():
             click.echo(f"{key}: {_cell(value, none='-')}")
+
+
+def _csv_text(rows) -> str:
+    """Rows as CSV text, each ending in csv's own line terminator."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def _cell(value, none: str) -> str:
@@ -259,7 +263,7 @@ def density(b_spec, n, case, fmt):
         fmt,
         {
             **_family(kind, vector),
-            "box": list(report.box.edges),
+            "box": list(report.box),
             "visible": str(report.visible_count),
             "total": str(report.total),
             "empirical": report.empirical,
@@ -285,48 +289,24 @@ def sieve(b_spec, n, box_spec, limit, case, fmt):
     volume = math.prod(edges)
     if volume > cap:
         raise ResourceLimitError(f"sieve box of {volume} points exceeds limit {cap}", limit=cap)
-    marks = counting.mark_box(edges, _prime_rows(constrained_exponents(kind, vector), edges))
-    # an iterator: only the JSON payload holds every point at once
+    marks = counting.mark_box(edges, constrained_exponents(kind, vector))
     points = itertools.compress(itertools.product(*(range(1, e + 1) for e in edges)), marks)
+    # every format writes SIEVE_CHUNK points at a time; no payload is held whole
+    chunks = iter(lambda: list(itertools.islice(points, SIEVE_CHUNK)), [])
     if fmt == "json":
-        _emit(
-            fmt,
-            {
-                **_family(kind, vector),
-                "box": list(edges),
-                "count": marks.count(1),
-                "points": list(points),
-            },
-        )
+        head = {**_family(kind, vector), "box": list(edges), "count": marks.count(1), "points": []}
+        click.echo(json.dumps(head)[:-2], nl=False)  # up to the points' opening bracket
+        for i, chunk in enumerate(chunks):
+            click.echo((", " if i else "") + json.dumps(chunk)[1:-1], nl=False)
+        click.echo("]}")
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow([f"x{i + 1}" for i in range(len(edges))])
-        writer.writerows(points)
-        click.echo(buf.getvalue().rstrip("\n"))
+        click.echo(_csv_text([[f"x{i + 1}" for i in range(len(edges))]]), nl=False)
+        for chunk in chunks:
+            click.echo(_csv_text(chunk), nl=False)
     else:
         line = ",".join(["%d"] * len(edges))
-        text = "\n".join(line % pt for pt in points)
-        if text:
-            click.echo(text)
-
-
-def _prime_rows(constraint, edges) -> list[list[int]]:
-    """The rows ``counting.mark_box`` strikes out for a vector's constraint.
-
-    One row per prime p up to the depth min_j iroot(M_j, e_j), holding
-    p**e_j at each constrained position j and 1 at the free ones; a larger
-    p has p**e_j > M_j somewhere, so its row would strike out nothing.
-    """
-    k, positions, exps = constraint
-    depth = min((iroot(edges[j], e) for j, e in zip(positions, exps)), default=0)
-    rows = []
-    for p in sieve_primes(depth) if depth else ():
-        row = [1] * k
-        for j, e in zip(positions, exps):
-            row[j] = p**e
-        rows.append(row)
-    return rows
+        for chunk in chunks:
+            click.echo("\n".join(line % pt for pt in chunk))
 
 
 @main.command("zeta")
@@ -453,8 +433,7 @@ def verify_checks(profile: str, seed: int):
         # at a scale point-by-point enumeration cannot reach
         edges = (500, 500) if quick else (2000, 2000)
         for exps in [(1, 1), (1, 2)]:
-            rows = _prime_rows(constrained_exponents("int", exps), edges)
-            marked = counting.count_visible_box(edges, rows)
+            marked = counting.count_visible_box(edges, constrained_exponents("int", exps))
             closed = mobius_box_count(edges, exps)
             if marked != closed:
                 return False, f"edges {edges}, exps {exps}: {marked} != {closed}"
@@ -485,10 +464,9 @@ def verify_checks(profile: str, seed: int):
             report = counting.density_report(n, b, case)
             if report.exponent_sum != s:
                 return False, f"exponent sum {report.exponent_sum}, expected {s}"
-            if min(report.box.edges) < min_edge:
-                return False, f"box {report.box.edges} has an edge below {min_edge}"
-            err = abs(report.empirical - inv_zeta(s, counting.DENSITY_ZETA_TOL))
-            return err <= tol, f"abs_error {err:.6f} vs tol {tol}"
+            if min(report.box) < min_edge:
+                return False, f"box {report.box} has an edge below {min_edge}"
+            return report.abs_error <= tol, f"abs_error {report.abs_error:.6f} vs tol {tol}"
 
         return run
 

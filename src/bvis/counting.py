@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .arith import Mertens, floor_root, iroot
+from .arith import Mertens, floor_root, iroot, sieve_primes
 from .errors import ResourceLimitError, UsageError
 from .visibility import (
     Constraint,
@@ -61,27 +61,6 @@ DENSITY_ZETA_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class BoxSpec:
-    """Per-coordinate upper bounds (N1,...,Nk); the box is [1,N1]x...x[1,Nk].
-
-    Density boxes always have every edge >= 1; a zero edge (empty box) is
-    tolerated for brute-force cross-checks and counts as zero points.
-    """
-
-    edges: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.edges) < 1:
-            raise UsageError("box needs at least one edge")
-        if any(e < 0 for e in self.edges):
-            raise UsageError(f"box edges must be >= 0, got {self.edges}")
-
-    @property
-    def volume(self) -> int:
-        return math.prod(self.edges)
-
-
-@dataclass(frozen=True)
 class DensityReport:
     """Exact count over a box next to the limiting density 1/zeta(s).
 
@@ -92,9 +71,8 @@ class DensityReport:
     it exactly from a serialized report.
     """
 
-    box: BoxSpec
+    box: tuple[int, ...]
     visible_count: int
-    total: int
     exponent_sum: int
     theoretical: float | None
 
@@ -105,6 +83,10 @@ class DensityReport:
             raise UsageError(
                 f"count {self.visible_count} outside [0, {self.total}]"
             )
+
+    @property
+    def total(self) -> int:
+        return math.prod(self.box)
 
     @property
     def empirical(self) -> float:
@@ -217,22 +199,30 @@ def count_visible_int(N: int, b) -> int:
     return _count_constrained(constraint, box_edges(N, vec))[0]
 
 
-def mark_box(edges: Sequence[int], rows: Iterable[Sequence[int]]) -> bytearray:
+def mark_box(edges: Sequence[int], constraint: Constraint) -> bytearray:
     """One byte per point of the box [1,M1]x...x[1,Mk], in lexicographic order.
 
-    A row q holds one modulus per coordinate, 1 where a coordinate is free;
-    a point n gets 0 when some row has q[i] | n[i] at every i, else 1.  For
-    each row the multiples along the first k-1 axes are walked, and each
-    line they reach along the last axis is cleared by one strided slice
+    A point n gets 0 when some prime p up to the depth min_j iroot(M_j, e_j)
+    has p**e_j | n[j] at every constrained position j, else 1.  For each
+    prime the multiples along the first k-1 axes are walked, and each line
+    they reach along the last axis is cleared by one strided slice
     assignment.  No Moebius inversion is involved.
     """
     edges = tuple(int(m) for m in edges)
+    k, positions, exps = constraint
+    if len(edges) != k:
+        raise UsageError(f"box has {len(edges)} edges, exponent vector has {k}")
     grid = bytearray(b"\1") * math.prod(edges)
-    if not grid:
+    if not grid or not positions:
         return grid
+    # exponent of each coordinate; a free one gets 0, so its modulus is 1
+    powers = [0] * k
+    for j, e in zip(positions, exps):
+        powers[j] = e
     *outer, last = edges
     strides = [math.prod(edges[i + 1 :]) for i in range(len(outer))]
-    for *heads, q in rows:
+    for p in sieve_primes(min(iroot(edges[j], e) for j, e in zip(positions, exps))):
+        *heads, q = (p**e for e in powers)
         zeros = bytes(last // q)
         if not zeros:
             continue
@@ -245,9 +235,9 @@ def mark_box(edges: Sequence[int], rows: Iterable[Sequence[int]]) -> bytearray:
     return grid
 
 
-def count_visible_box(edges: Sequence[int], rows: Iterable[Sequence[int]]) -> int:
-    """Points of the box that no row of ``mark_box`` strikes out."""
-    return mark_box(edges, rows).count(1)
+def count_visible_box(edges: Sequence[int], constraint: Constraint) -> int:
+    """Points of the box that ``mark_box`` leaves standing."""
+    return mark_box(edges, constraint).count(1)
 
 
 def brute_force_limit(limit: int | None = None) -> int:
@@ -271,24 +261,25 @@ def brute_force_limit(limit: int | None = None) -> int:
 
 
 def count_visible_bruteforce(
-    box: BoxSpec | Iterable[int],
-    predicate: Callable[[tuple[int, ...]], bool],
-    limit: int | None = None,
+    edges: Iterable[int], predicate: Callable[[tuple[int, ...]], bool]
 ) -> int:
     """Full enumeration of the box, counting points where predicate holds.
 
     Independent of the Moebius identity; used to cross-validate it.  The
     box volume must stay within the configured limit.
     """
-    spec = box if isinstance(box, BoxSpec) else BoxSpec(tuple(int(e) for e in box))
-    cap = brute_force_limit(limit)
-    if spec.volume > cap:
+    edges = tuple(int(e) for e in edges)
+    if not edges:
+        raise UsageError("box needs at least one edge")
+    if any(e < 0 for e in edges):
+        raise UsageError(f"box edges must be >= 0, got {edges}")
+    cap = brute_force_limit()
+    volume = math.prod(edges)
+    if volume > cap:
         raise ResourceLimitError(
-            f"brute-force box of {spec.volume} points exceeds limit {cap}", limit=cap
+            f"brute-force box of {volume} points exceeds limit {cap}", limit=cap
         )
-    if spec.volume == 0:
-        return 0
-    ranges = [range(1, e + 1) for e in spec.edges]
+    ranges = [range(1, e + 1) for e in edges]
     return sum(1 for point in itertools.product(*ranges) if predicate(point))
 
 
@@ -322,9 +313,8 @@ def density_report(N: int, b, case: str) -> DensityReport:
     edges = box_edges(N, vec)
     visible, s = _count_constrained(constraint, edges)
     return DensityReport(
-        box=BoxSpec(edges),
+        box=edges,
         visible_count=visible,
-        total=math.prod(edges),
         exponent_sum=s,
         theoretical=inv_zeta(s, DENSITY_ZETA_TOL) if s >= 2 else None,
     )

@@ -40,6 +40,9 @@ from .errors import PreconditionError, ResourceLimitError, UsageError
 
 # Ceiling on the conceptual witness-search box of the parametric oracle.
 DEFAULT_ORACLE_BOX_LIMIT = 100_000_000
+# Ceiling on the bits of the power tables the oracle builds (8 MiB); a huge
+# exponent would otherwise make it build a huge power.
+ORACLE_BIT_BUDGET = 1 << 26
 
 LatticePoint = tuple[int, ...]
 RationalPoint = tuple[int, ...]
@@ -67,7 +70,7 @@ def as_rational_exponent_vector(b) -> tuple[Fraction, ...]:
     """
     fracs = tuple(Fraction(x) for x in b)
     if not fracs:
-        raise UsageError("numerators and denominators must align, k >= 1")
+        raise UsageError("exponent vector must have at least one entry")
     if not all(fracs):
         raise UsageError("rational exponents must be nonzero")
     return fracs
@@ -114,14 +117,6 @@ def _prime_factors(g: int) -> tuple[int, ...]:
     A ResourceLimitError propagates uncached, so the refusal repeats.
     """
     return factorize(g).primes()
-
-
-def require_gcd_one(fracs: tuple[Fraction, ...]) -> None:
-    if not gcd_is_one_rational(fracs):
-        raise PreconditionError(
-            f"exponent vector ({', '.join(map(str, fracs))}) violates "
-            "the gcd-one condition: no integer combination of the entries equals 1"
-        )
 
 
 class Constraint(NamedTuple):
@@ -177,7 +172,11 @@ def constrained_exponents(kind: str, b) -> Constraint:
     nums = tuple(f.numerator for f in fracs)
     if kind == "rat" and any(n < 0 for n in nums):
         raise UsageError("positive-rational predicate got negative exponents; use the signed predicate")
-    require_gcd_one(fracs)
+    if not gcd_is_one_rational(fracs):
+        raise PreconditionError(
+            f"exponent vector ({', '.join(map(str, fracs))}) violates "
+            "the gcd-one condition: no integer combination of the entries equals 1"
+        )
     if kind == "rat":
         return Constraint(len(nums), range(len(nums)), nums)
     neg = tuple(j for j, n in enumerate(nums) if n < 0)
@@ -256,9 +255,7 @@ def base_from_expanded(coords: Sequence[int], b) -> RationalPoint:
     return tuple(base)
 
 
-def find_parametric_witness(
-    point: Sequence[int], b, box_limit: int = DEFAULT_ORACLE_BOX_LIMIT
-) -> LatticePoint | None:
+def find_parametric_witness(point: Sequence[int], b) -> LatticePoint | None:
     """Brute-force search for a smaller integer image of the point.
 
     Enumerates candidate image points w with 1 <= wi < ni and checks that
@@ -271,14 +268,17 @@ def find_parametric_witness(
 
     This search is deliberately independent of the prime characterization
     and covers irrational t, since it enumerates image points rather than
-    scaling factors.  Returns the first witness found, or None.
+    scaling factors.  Returns the first witness found, or None.  A search
+    box past DEFAULT_ORACLE_BOX_LIMIT points or power tables past
+    ORACLE_BIT_BUDGET bits raise ResourceLimitError before anything is built.
     """
     entries = as_exponent_vector(b)
     coords = _as_point(point, len(entries))
     box = math.prod(coords)
-    if box > box_limit:
+    if box > DEFAULT_ORACLE_BOX_LIMIT:
         raise ResourceLimitError(
-            f"witness search box of {box} points exceeds limit {box_limit}", limit=box_limit
+            f"witness search box of {box} points exceeds limit {DEFAULT_ORACLE_BOX_LIMIT}",
+            limit=DEFAULT_ORACLE_BOX_LIMIT,
         )
     if any(c == 1 for c in coords):
         # t < 1 shrinks every coordinate strictly, so no image point exists.
@@ -286,6 +286,13 @@ def find_parametric_witness(
     k = len(coords)
     lcm_b = math.lcm(*entries)
     exps = [lcm_b // e for e in entries]
+    # a table and its c**e hold c powers of at most e * bits(c) bits each
+    bits = sum(c * e * c.bit_length() for c, e in zip(coords, exps))
+    if bits > ORACLE_BIT_BUDGET:
+        raise ResourceLimitError(
+            f"witness search powers of up to {bits} bits exceed budget {ORACLE_BIT_BUDGET}",
+            limit=ORACLE_BIT_BUDGET,
+        )
     coord_pows = [c**e for c, e in zip(coords, exps)]
     # tables[j][w-1] = w**exps[j] for w in 1..coords[j]-1, strictly increasing
     tables = [[w ** exps[j] for w in range(1, coords[j])] for j in range(k)]
@@ -307,8 +314,6 @@ def find_parametric_witness(
     return None
 
 
-def oracle_visible_parametric(
-    point: Sequence[int], b, box_limit: int = DEFAULT_ORACLE_BOX_LIMIT
-) -> bool:
+def oracle_visible_parametric(point: Sequence[int], b) -> bool:
     """Defining-search verdict: visible iff no smaller integer image exists."""
-    return find_parametric_witness(point, b, box_limit=box_limit) is None
+    return find_parametric_witness(point, b) is None

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bvis import arith
 from bvis.arith import (
+    DEFAULT_SIEVE_BUDGET,
     factorize,
     floor_root,
     iroot,
@@ -45,7 +46,7 @@ def test_sieve_matches_trial_division():
 
 def test_sieve_budget():
     with pytest.raises(ResourceLimitError):
-        sieve_primes(10**12, budget=10**6)
+        sieve_primes(DEFAULT_SIEVE_BUDGET + 1)
 
 
 def test_factorize_known():

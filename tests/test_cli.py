@@ -16,6 +16,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bvis.cli
 import bvis.counting
 from bvis.cli import main, parse_b_spec
 from bvis.errors import UsageError
@@ -462,7 +463,7 @@ _SIEVE_VECTORS = (
     )
 )
 def test_sieve_lists_what_the_witness_loop_accepts(spec_edges):
-    # "1,2 signed" has no negative entry, so the marker gets no rows
+    # "1,2 signed" has no negative entry, so the marker strikes nothing
     spec, edges = spec_edges
     b_spec, *case = spec.split()
     kind, vector = parse_b_spec(b_spec, case[0] if case else None)
@@ -473,6 +474,25 @@ def test_sieve_lists_what_the_witness_loop_accepts(spec_edges):
     result = CliRunner().invoke(main, args + ["--case", case[0]] if case else args)
     assert result.exit_code == 0, result.output
     assert json.loads(result.stdout)["points"] == expected
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_sieve_writes_the_same_payload_in_any_chunk_size(runner, monkeypatch, fmt):
+    points = [pt for pt in itertools.product(range(1, 8), range(1, 10)) if is_visible_signed(pt, (1, -2))]
+    whole = {
+        "json": json.dumps(
+            {"b": ["1", "-2"], "case": "signed", "box": [7, 9], "count": len(points), "points": points}
+        )
+        + "\n",
+        "csv": "x1,x2\n" + "".join(f"{x},{y}\n" for x, y in points),
+        "plain": "".join(f"{x},{y}\n" for x, y in points),
+    }[fmt]
+    args = ["sieve", "--b", "1,-2", "--box", "7,9", "--format", fmt]
+    for size in (1, 2, 5, len(points), bvis.cli.SIEVE_CHUNK):
+        monkeypatch.setattr(bvis.cli, "SIEVE_CHUNK", size)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.stdout == whole, size
 
 
 @pytest.mark.parametrize(
@@ -595,6 +615,23 @@ print("ok")
 """
 
 
+_ORACLE_REFUSES_HUGE_POWERS = """
+import time
+from bvis.errors import ResourceLimitError
+from bvis.visibility import find_parametric_witness
+# the tables would hold 2**(10**8) and 2**(10**12)
+for b in ((10**8, 1), (10**12, 1)):
+    start = time.perf_counter()
+    try:
+        find_parametric_witness((2, 2), b)
+    except ResourceLimitError:
+        assert time.perf_counter() - start < 1.0, b
+    else:
+        raise AssertionError(b)
+print("ok")
+"""
+
+
 def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -608,6 +645,7 @@ def _cap_address_space():
         # the witness test built 2**(10**12) to see that it does not divide 2
         (["-m", "bvis.cli", "check", "--b", "1000000000000,1", "--point", "2,2"], "visible"),
         (["-c", _ROOTS_OF_HUGE_POWERS], "ok"),
+        (["-c", _ORACLE_REFUSES_HUGE_POWERS], "ok"),
     ],
 )
 def test_huge_exponents_build_no_huge_powers(args, line):
@@ -623,6 +661,30 @@ def test_huge_exponents_build_no_huge_powers(args, line):
     )
     assert out.returncode == 0, out.stderr
     assert line in out.stdout.splitlines()
+
+
+# ---------------------------------------------------------------- benchmark tracer
+
+
+def test_benchmark_tracer_sees_the_grid_marker(tmp_path):
+    # perfbench/tracing.py wraps library functions by module and name; a
+    # rename it no longer finds would silently empty a layer of traced runs
+    spans_file = tmp_path / "spans.json"
+    out = subprocess.run(
+        [sys.executable, "perfbench/tracing.py", str(spans_file), "0", "verify", "--profile", "quick"],
+        capture_output=True,
+        text=True,
+        cwd=os.path.join(os.path.dirname(__file__), os.pardir),
+        env=_src_env(),
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "12/12 checks passed (quick profile)" in out.stdout.splitlines()
+    trace = json.loads(spans_file.read_text())
+    names = trace["names"]
+    # the grid row's two counts, each over the quick profile's 500 x 500 box
+    cells = [span[5] for span in trace["spans"] if names[span[0]] == "kernels.count_visible_box"]
+    assert cells == [250_000, 250_000]
 
 
 # ---------------------------------------------------------------- exit codes

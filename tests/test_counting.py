@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bvis import arith
 from bvis.arith import Mertens, factorize, iroot, mobius, mobius_sieve, mobius_table
 from bvis.counting import (
-    BoxSpec,
     DensityReport,
     box_edges,
     brute_force_limit,
@@ -22,6 +21,7 @@ from bvis.counting import (
 )
 from bvis.errors import PreconditionError, ResourceLimitError, UsageError
 from bvis.visibility import (
+    Constraint,
     as_exponent_vector,
     as_rational_exponent_vector,
     constrained_exponents,
@@ -36,33 +36,35 @@ from bvis.visibility import (
 
 
 def test_box_spec():
-    box = BoxSpec((3, 4, 5))
-    assert box.volume == 60
-    assert BoxSpec((7, 0)).volume == 0
-    with pytest.raises(UsageError):
-        BoxSpec((3, -1))
-    with pytest.raises(UsageError):
-        BoxSpec(())
+    # a box is its edges tuple; a zero edge is an empty box
+    assert count_visible_bruteforce((3, 4, 5), lambda pt: True) == 60
+    assert count_visible_bruteforce((7, 0), lambda pt: True) == 0
+    with pytest.raises(UsageError) as exc:
+        count_visible_bruteforce((3, -1), lambda pt: True)
+    assert str(exc.value) == "box edges must be >= 0, got (3, -1)"
+    with pytest.raises(UsageError) as exc:
+        count_visible_bruteforce((), lambda pt: True)
+    assert str(exc.value) == "box needs at least one edge"
 
 
 def test_density_report_fields():
     report = DensityReport(
-        box=BoxSpec((10, 10)),
+        box=(10, 10),
         visible_count=63,
-        total=100,
         exponent_sum=2,
         theoretical=0.6079271018540267,
     )
+    assert report.total == 100
     assert report.empirical == 0.63
     assert report.abs_error == pytest.approx(0.63 - 0.6079271018540267, abs=1e-15)
-    no_limit = DensityReport(
-        box=BoxSpec((10,)), visible_count=10, total=10, exponent_sum=0, theoretical=None
-    )
+    no_limit = DensityReport(box=(10,), visible_count=10, exponent_sum=0, theoretical=None)
     assert no_limit.abs_error is None
-    with pytest.raises(UsageError):
-        DensityReport(
-            box=BoxSpec((10,)), visible_count=11, total=10, exponent_sum=1, theoretical=None
-        )
+    with pytest.raises(UsageError) as exc:
+        DensityReport(box=(10,), visible_count=11, exponent_sum=1, theoretical=None)
+    assert str(exc.value) == "count 11 outside [0, 10]"
+    with pytest.raises(UsageError) as exc:
+        DensityReport(box=(10, 0), visible_count=0, exponent_sum=2, theoretical=None)
+    assert str(exc.value) == "density reports need a nonempty box"
 
 
 # ---------------------------------------------------------------- mobius sum
@@ -252,14 +254,14 @@ def test_rational_box_edges():
 
 def test_count_visible_rat_frozen():
     report = density_report(64, ["2/3", "1/2"], "rat")
-    assert report.box.edges == (8, 4)
+    assert report.box == (8, 4)
     assert report.visible_count == 28
     assert report.total == 32
     assert report.exponent_sum == 3
 
     # a common denominator makes the base box the full [1,N]^k box
     halved = density_report(100, ["1/2", "1/2"], "rat")
-    assert halved.box.edges == (100, 100)
+    assert halved.box == (100, 100)
     assert halved.visible_count == count_visible_int(100, (1, 1))
 
     unit = density_report(10, ["1/1", "1/1"], "rat")
@@ -294,7 +296,7 @@ def test_count_visible_rat_errors():
 
 def test_count_visible_signed_frozen():
     report = density_report(100, [1, -2], "signed")
-    assert report.box.edges == (100, 100)
+    assert report.box == (100, 100)
     assert report.visible_count == 6100
     assert report.exponent_sum == 2
 
@@ -347,26 +349,37 @@ def test_signed_factorizes_over_negative_coordinates():
     st.integers(min_value=1, max_value=3).flatmap(
         lambda k: st.tuples(
             st.tuples(*[st.integers(min_value=0, max_value=12)] * k),
-            st.lists(st.tuples(*[st.integers(min_value=1, max_value=15)] * k), max_size=4),
+            st.lists(st.integers(min_value=0, max_value=4), min_size=k, max_size=k),
         )
     )
 )
 def test_mark_box_matches_its_definition(box):
-    # moduli up to 15 pass every edge of at most 12; the row list may be empty
-    edges, rows = box
+    # exponent 0 leaves a coordinate free, so the positions may be empty;
+    # primes up to 11 cover every coordinate of at most 12
+    edges, powers = box
+    positions = tuple(j for j, e in enumerate(powers) if e)
+    constraint = Constraint(len(edges), positions, tuple(powers[j] for j in positions))
     points = itertools.product(*(range(1, m + 1) for m in edges))
     expected = [
-        0 if any(all(n % q == 0 for n, q in zip(pt, row)) for row in rows) else 1 for pt in points
+        0
+        if positions
+        and any(all(pt[j] % p ** powers[j] == 0 for j in positions) for p in (2, 3, 5, 7, 11))
+        else 1
+        for pt in points
     ]
-    assert list(mark_box(edges, rows)) == expected
+    assert list(mark_box(edges, constraint)) == expected
 
 
 def test_mark_box_edge_cases():
-    assert mark_box((0, 5), [(2, 2)]) == bytearray()
-    assert mark_box((3,), []) == bytearray(b"\1\1\1")
-    # rows whose moduli pass an edge strike nothing out
-    assert mark_box((2, 3), [(3, 1), (1, 4)]) == bytearray(b"\1") * 6
-    assert mark_box((2, 3), [(1, 1)]) == bytearray(6)
+    assert mark_box((0, 5), Constraint(2, (0, 1), (1, 1))) == bytearray()
+    assert mark_box((3,), Constraint(1, (), ())) == bytearray(b"\1\1\1")
+    # a prime power past an edge strikes nothing out
+    assert mark_box((2, 3), Constraint(2, (0, 1), (2, 2))) == bytearray(b"\1") * 6
+    # only the constrained first coordinate decides
+    assert mark_box((2, 3), Constraint(2, (0,), (1,))) == bytearray(b"\1\1\1\0\0\0")
+    with pytest.raises(UsageError) as exc:
+        mark_box((2, 3, 4), Constraint(2, (0, 1), (1, 1)))
+    assert str(exc.value) == "box has 3 edges, exponent vector has 2"
 
 
 # ---------------------------------------------------------------- brute force
@@ -382,12 +395,15 @@ def test_bruteforce_examples():
     )
 
 
-def test_bruteforce_limit():
+def test_bruteforce_limit(monkeypatch):
+    monkeypatch.delenv("BVIS_BRUTE_LIMIT", raising=False)
     with pytest.raises(ResourceLimitError):
         count_visible_bruteforce((10**4, 10**4), lambda pt: True)
-    assert count_visible_bruteforce((10, 10), lambda pt: True, limit=100) == 100
+    monkeypatch.setenv("BVIS_BRUTE_LIMIT", "100")
+    assert count_visible_bruteforce((10, 10), lambda pt: True) == 100
+    monkeypatch.setenv("BVIS_BRUTE_LIMIT", "99")
     with pytest.raises(ResourceLimitError):
-        count_visible_bruteforce((10, 10), lambda pt: True, limit=99)
+        count_visible_bruteforce((10, 10), lambda pt: True)
 
 
 def test_brute_force_limit_env(monkeypatch):
@@ -473,7 +489,7 @@ def test_count_box_agrees_with_density_report(kind, b, N):
     report = density_report(N, b, kind)
     vec = as_exponent_vector(b) if kind == "int" else as_rational_exponent_vector(b)
     edges = box_edges(N, vec)
-    assert edges == report.box.edges
+    assert edges == report.box
     assert count_box(kind, vec, edges) == (report.visible_count, report.exponent_sum)
 
 

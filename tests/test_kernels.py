@@ -7,8 +7,8 @@ import pytest
 
 import bvis
 from bvis._kernels import zeta_partial_sum
-from bvis.arith import iroot, sieve_primes
 from bvis.counting import count_visible_box, mobius_box_count
+from bvis.visibility import Constraint
 
 
 def test_backend_name():
@@ -25,6 +25,8 @@ def test_package_exports():
     for name in ("ExponentVector", "RationalExponentVector"):
         assert not hasattr(bvis, name)
         assert not hasattr(bvis.visibility, name)
+    assert not hasattr(bvis, "BoxSpec")
+    assert not hasattr(bvis.counting, "BoxSpec")
     assert not callable(bvis.zeta)
 
 
@@ -62,11 +64,6 @@ def test_zeta_partial_sum_spans_chunks():
 # ---------------------------------------------------------------- grid marker
 
 
-def _prime_rows(edges, exps):
-    bound = min(iroot(m, e) for m, e in zip(edges, exps))
-    return [tuple(p**e for e in exps) for p in sieve_primes(bound)]
-
-
 def test_count_visible_box_against_mobius():
     cases = [
         ((10, 10), (1, 1)),
@@ -76,15 +73,16 @@ def test_count_visible_box_against_mobius():
         ((100,), (2,)),
     ]
     for edges, exps in cases:
-        rows = _prime_rows(edges, exps)
-        assert count_visible_box(edges, rows) == mobius_box_count(edges, exps)
+        # every position constrains, with exponents not reduced by their gcd
+        constraint = Constraint(len(exps), range(len(exps)), exps)
+        assert count_visible_box(edges, constraint) == mobius_box_count(edges, exps)
 
 
 def test_count_visible_box_edge_cases():
-    assert count_visible_box((5, 5), []) == 25
-    assert count_visible_box((0, 5), [(2, 2)]) == 0
-    assert count_visible_box((1, 1), [(2, 2)]) == 1
+    assert count_visible_box((5, 5), Constraint(2, (), ())) == 25
+    assert count_visible_box((0, 5), Constraint(2, (0, 1), (1, 1))) == 0
+    assert count_visible_box((1, 1), Constraint(2, (0, 1), (1, 1))) == 1
 
 
 def test_count_visible_box_frozen():
-    assert count_visible_box((100, 50), [(4, 16), (9, 81), (25, 625)]) == 4925
+    assert count_visible_box((100, 50), Constraint(2, (0, 1), (2, 4))) == 4925

@@ -59,6 +59,9 @@ def test_exponent_vector_validation():
 def test_rational_vector_validation():
     with pytest.raises(UsageError):
         as_rational_exponent_vector(["1/2", "0/3"])
+    with pytest.raises(UsageError) as exc:
+        as_rational_exponent_vector([])
+    assert str(exc.value) == "exponent vector must have at least one entry"
     fracs = as_rational_exponent_vector(["2/3", "1/2"])
     assert tuple(f.numerator for f in fracs) == (2, 1)
     assert tuple(f.denominator for f in fracs) == (3, 2)
@@ -183,13 +186,27 @@ def test_oracle_paper_examples():
     assert oracle_visible_parametric((1, 1, 5, 1), (2, 4, 3, 7))
 
 
-def test_oracle_resource_limit():
+def test_oracle_resource_limit(monkeypatch):
     with pytest.raises(ResourceLimitError):
         oracle_visible_parametric((10**5, 10**4), (1, 1))
-    # explicit limit override
-    assert oracle_visible_parametric((3, 5), (1, 1), box_limit=15)
+    monkeypatch.setattr(visibility, "DEFAULT_ORACLE_BOX_LIMIT", 15)
+    assert oracle_visible_parametric((3, 5), (1, 1))
     with pytest.raises(ResourceLimitError):
-        oracle_visible_parametric((4, 5), (1, 1), box_limit=15)
+        oracle_visible_parametric((4, 5), (1, 1))
+
+
+def test_oracle_power_budget(monkeypatch):
+    # (2, 2) under b = (10**8, 1) would tabulate 2**(10**8); refused unbuilt
+    with pytest.raises(ResourceLimitError) as exc:
+        find_parametric_witness((2, 2), (10**8, 1))
+    assert exc.value.limit == visibility.ORACLE_BIT_BUDGET
+    # the bound is 3*1*2 + 5*1*3 = 21 bits for (3, 5) under (1, 1)
+    monkeypatch.setattr(visibility, "ORACLE_BIT_BUDGET", 21)
+    assert oracle_visible_parametric((3, 5), (1, 1))
+    with pytest.raises(ResourceLimitError):
+        oracle_visible_parametric((3, 6), (1, 1))
+    # a coordinate 1 has no image and needs no table
+    assert oracle_visible_parametric((1, 2), (10**12, 1))
 
 
 @settings(max_examples=200, deadline=None)
