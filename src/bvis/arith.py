@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import ResourceLimitError
@@ -55,27 +54,6 @@ PURE_SIEVE_LIMIT = 400_000
 _NEGATE_BYTE = bytes(-b & 0xFF for b in range(256))
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Canonical factorization ``value = prod(p**m for p, m in factors)``.
-
-    Primes appear in strictly increasing order; ``factors`` is empty for
-    ``value == 1``.
-    """
-
-    value: int
-    factors: tuple[tuple[int, int], ...] = field(default_factory=tuple)
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-    def reconstruct(self) -> int:
-        out = 1
-        for p, m in self.factors:
-            out *= p**m
-        return out
-
-
 def sieve_primes(limit: int) -> tuple[int, ...]:
     """Sieve of Eratosthenes: every prime <= limit, ascending.
 
@@ -90,8 +68,7 @@ def _check_sieve_limit(limit: int) -> None:
         raise ValueError(f"sieve limit must be >= 1, got {limit}")
     if limit > DEFAULT_SIEVE_BUDGET:
         raise ResourceLimitError(
-            f"sieve limit {limit} exceeds memory budget {DEFAULT_SIEVE_BUDGET}",
-            limit=DEFAULT_SIEVE_BUDGET,
+            f"sieve limit {limit} exceeds memory budget {DEFAULT_SIEVE_BUDGET}"
         )
 
 
@@ -138,16 +115,16 @@ RHO_STEP_BUDGET = 1 << 21
 _RHO_BATCH = 128
 
 
-def factorize(n: int) -> Factorization:
-    """Prime factorization of n >= 1.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of n >= 1: its (prime, multiplicity) pairs.
 
-    Trial division by the primes below 1000 comes first; what is left has
-    only larger prime factors and goes to ``_factor_cofactor``.  Raises
-    ResourceLimitError when that cofactor cannot be split or certified.
+    The primes ascend, and n = 1 has none.  Trial division by the primes
+    below 1000 comes first; what is left has only larger prime factors and
+    goes to ``_factor_cofactor``.  Raises ResourceLimitError when that
+    cofactor cannot be split or certified.
     """
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
-    value = n
     factors: list[tuple[int, int]] = []
     for p in _TRIAL_PRIMES:
         if p * p > n:
@@ -162,7 +139,7 @@ def factorize(n: int) -> Factorization:
         factors += _factor_cofactor(n)
     elif n > 1:
         factors.append((n, 1))
-    return Factorization(value, tuple(factors))
+    return tuple(factors)
 
 
 def _factor_cofactor(n: int) -> list[tuple[int, int]]:
@@ -183,8 +160,7 @@ def _factor_cofactor(n: int) -> list[tuple[int, int]]:
             if m >= MR_EXACT_LIMIT:
                 raise ResourceLimitError(
                     f"cannot certify a {m.bit_length()}-bit probable prime: Miller-Rabin "
-                    f"with the bases 2..41 is exact only below {MR_EXACT_LIMIT}",
-                    limit=MR_EXACT_LIMIT,
+                    f"with the bases 2..41 is exact only below {MR_EXACT_LIMIT}"
                 )
             found[m] = found.get(m, 0) + mult
             continue
@@ -243,8 +219,7 @@ def _pollard_brent(n: int, remaining: int) -> tuple[int, int]:
         if remaining < 0:
             raise ResourceLimitError(
                 f"cannot split a {n.bit_length()}-bit composite within "
-                f"{RHO_STEP_BUDGET} Pollard-Brent steps",
-                limit=RHO_STEP_BUDGET,
+                f"{RHO_STEP_BUDGET} Pollard-Brent steps"
             )
 
     for c in itertools.count(1):
@@ -281,10 +256,10 @@ def mobius(d: int) -> int:
     """Moebius function: 0 on non-squarefree d, else (-1)**(#prime factors)."""
     if d < 1:
         raise ValueError(f"mobius expects d >= 1, got {d}")
-    fact = factorize(d)
-    if any(m > 1 for _, m in fact.factors):
+    factors = factorize(d)
+    if any(m > 1 for _, m in factors):
         return 0
-    return -1 if len(fact.factors) % 2 else 1
+    return -1 if len(factors) % 2 else 1
 
 
 def mobius_sieve(limit: int) -> numpy.ndarray | memoryview:
@@ -306,8 +281,7 @@ def mobius_sieve(limit: int) -> numpy.ndarray | memoryview:
     if need > DEFAULT_SIEVE_BUDGET:
         raise ResourceLimitError(
             f"Moebius sieve limit {limit} needs {need} bytes ({SIEVE_BYTES_PER_ENTRY} per entry), "
-            f"which exceeds memory budget {DEFAULT_SIEVE_BUDGET} bytes",
-            limit=DEFAULT_SIEVE_BUDGET // SIEVE_BYTES_PER_ENTRY,
+            f"which exceeds memory budget {DEFAULT_SIEVE_BUDGET} bytes"
         )
     if limit < PURE_SIEVE_LIMIT:
         return _mobius_bytes(limit)
@@ -400,9 +374,7 @@ class Mertens:
         for d in range(2, split + 1):
             total -= self(x // d)
         if len(self._memo) >= MERTENS_MEMO_CAP:
-            raise ResourceLimitError(
-                f"Mertens memo would pass {MERTENS_MEMO_CAP} entries", limit=MERTENS_MEMO_CAP
-            )
+            raise ResourceLimitError(f"Mertens memo would pass {MERTENS_MEMO_CAP} entries")
         self._memo[x] = total
         return total
 

@@ -230,7 +230,7 @@ def _witness_image(point, b, prime):
 def count(b_spec, n, box_spec, case, fmt):
     """Exact number of visible points in a box (Moebius inclusion-exclusion)."""
     kind, vector, edges = _parse_box(b_spec, case, n, box_spec)
-    visible, _ = counting.count_box(kind, vector, edges)
+    visible = counting.count_box(edges, constrained_exponents(kind, vector))
     _emit(
         fmt,
         {
@@ -288,7 +288,7 @@ def sieve(b_spec, n, box_spec, limit, case, fmt):
     cap = counting.brute_force_limit(limit)
     volume = math.prod(edges)
     if volume > cap:
-        raise ResourceLimitError(f"sieve box of {volume} points exceeds limit {cap}", limit=cap)
+        raise ResourceLimitError(f"sieve box of {volume} points exceeds limit {cap}")
     marks = counting.mark_box(edges, constrained_exponents(kind, vector))
     points = itertools.compress(itertools.product(*(range(1, e + 1) for e in edges)), marks)
     # every format writes SIEVE_CHUNK points at a time; no payload is held whole

@@ -16,12 +16,13 @@ max(head, D**(2/3)) time instead of D; for b = (1, 1) the head is sqrt(D).
 A table past the sieve budget raises ResourceLimitError (CLI exit 4)
 before anything is allocated.
 
-``count_box`` is the one path from a box to a count for all three
-families: ``density_report``, ``count_visible_int`` and ``bvis count`` all
-go through it, with the box from ``box_edges``.  This module reads no
-family name: ``visibility.constrained_exponents`` checks it and decides
-which coordinates constrain, and ``box_edges`` is one formula for every
-family.
+``count_box(edges, constraint)`` is the one path from a box to a count
+for all three families.  It takes the box edges and the ``Constraint``
+that ``visibility.constrained_exponents`` builds for a vector, and
+``density_report``, ``count_visible_int`` and ``bvis count`` all call it.
+This module reads no family name: ``constrained_exponents`` checks it and
+decides which coordinates constrain, and ``box_edges`` is one formula for
+every family.
 
 Counts are exact big integers; only the empirical proportion inside a
 DensityReport touches floating point.  Two routes that use no Moebius
@@ -54,10 +55,6 @@ DEFAULT_BRUTE_LIMIT = 10_000_000
 # The head of a Moebius sum reads mu in slices of this many values, so its
 # Python list never outgrows the sieve's own arrays.
 HEAD_CHUNK = 1 << 16
-
-# Density comparisons happen at 1e-2..1e-3 scale; 1e-6 on the zeta side is
-# three orders finer than any of them.
-DENSITY_ZETA_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -156,38 +153,39 @@ def box_edges(N: int, b) -> tuple[int, ...]:
 
     Edge i is Mi = floor(N**(ai/alpha)) with alpha = lcm(ai): the base
     tuples whose expanded coordinates stay <= N.  Integer entries have
-    ai = 1, so their box is [1,N]^k.
+    ai = 1, so their box is [1,N]^k.  N is read like an integer exponent:
+    a whole int, float or Fraction becomes that int.
     """
-    if N < 1:
-        raise UsageError(f"N must be >= 1, got {N}")
+    try:
+        n = int(N)
+        whole = Fraction(N) == n
+    except (TypeError, ValueError, OverflowError):  # None, nan, inf, "x"
+        whole = False
+    if not whole:
+        raise UsageError(f"N must be a whole number, got {N}")
+    if n < 1:
+        raise UsageError(f"N must be >= 1, got {n}")
     fracs = as_rational_exponent_vector(b)
     alpha = math.lcm(*(f.denominator for f in fracs))
-    return tuple(floor_root(N, f.denominator, alpha) for f in fracs)
+    return tuple(floor_root(n, f.denominator, alpha) for f in fracs)
 
 
-def count_box(kind: str, vec, edges: Sequence[int]) -> tuple[int, int]:
-    """(visible points in the box, exponent sum s of the limit 1/zeta(s)).
+def count_box(edges: Sequence[int], constraint: Constraint) -> int:
+    """Visible points in the box [1,M1]x...x[1,Mk] for a validated vector.
 
     Every family reduces to one Moebius count over the positions of its
     ``Constraint``: all of them with the gcd-reduced entries for "int" and
     the numerators for "rat", the negative positions J with |bj| for
-    "signed".  The other edges only multiply the count.  A signed vector
-    with J empty has every point visible and s = 0, meaning no finite
-    density.
+    "signed".  The other edges only multiply the count, and a signed
+    vector with J empty has every point visible.
     """
-    return _count_constrained(constrained_exponents(kind, vec), edges)
-
-
-def _count_constrained(constraint: Constraint, edges: Sequence[int]) -> tuple[int, int]:
-    """``count_box`` for a vector that ``constrained_exponents`` already validated."""
     k, positions, exps = constraint
     if len(edges) != k:
         raise UsageError(f"box has {len(edges)} edges, exponent vector has {k}")
-    if not positions:
-        return math.prod(edges), 0
     free = math.prod(m for j, m in enumerate(edges) if j not in positions)
-    constrained = mobius_box_count([edges[j] for j in positions], exps)
-    return free * constrained, sum(exps)
+    if not positions:
+        return free
+    return free * mobius_box_count([edges[j] for j in positions], exps)
 
 
 def count_visible_int(N: int, b) -> int:
@@ -196,7 +194,7 @@ def count_visible_int(N: int, b) -> int:
     # reported before a bad N, as in density_report
     vec = as_rational_exponent_vector(b)
     constraint = constrained_exponents("int", vec)
-    return _count_constrained(constraint, box_edges(N, vec))[0]
+    return count_box(box_edges(N, vec), constraint)
 
 
 def mark_box(edges: Sequence[int], constraint: Constraint) -> bytearray:
@@ -276,9 +274,7 @@ def count_visible_bruteforce(
     cap = brute_force_limit()
     volume = math.prod(edges)
     if volume > cap:
-        raise ResourceLimitError(
-            f"brute-force box of {volume} points exceeds limit {cap}", limit=cap
-        )
+        raise ResourceLimitError(f"brute-force box of {volume} points exceeds limit {cap}")
     ranges = [range(1, e + 1) for e in edges]
     return sum(1 for point in itertools.product(*ranges) if predicate(point))
 
@@ -304,17 +300,19 @@ def density_report(N: int, b, case: str) -> DensityReport:
 
     ``case`` names the exponent family, exactly "int", "rat" or "signed";
     ``constrained_exponents`` checks it.  The box is ``box_edges(N, b)``
-    for every family, and s is the exponent sum of ``count_box``.
+    for every family, and s is the sum of the constraint's exponents: 0
+    for a signed vector with no negative entry, which has no finite
+    density.
     """
     # b is read once, so an iterator serves both calls; a bad vector is
     # reported before a bad N
     vec = as_rational_exponent_vector(b)
     constraint = constrained_exponents(case, vec)
     edges = box_edges(N, vec)
-    visible, s = _count_constrained(constraint, edges)
+    s = sum(constraint.exps)
     return DensityReport(
         box=edges,
-        visible_count=visible,
+        visible_count=count_box(edges, constraint),
         exponent_sum=s,
-        theoretical=inv_zeta(s, DENSITY_ZETA_TOL) if s >= 2 else None,
+        theoretical=inv_zeta(s) if s >= 2 else None,
     )

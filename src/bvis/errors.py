@@ -15,7 +15,3 @@ class PreconditionError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """The request exceeds a configured memory or enumeration budget."""
-
-    def __init__(self, message: str, limit: int | None = None):
-        super().__init__(message)
-        self.limit = limit

@@ -76,11 +76,11 @@ def as_rational_exponent_vector(b) -> tuple[Fraction, ...]:
     return fracs
 
 
-def _as_point(point: Sequence[int], k: int | None = None) -> tuple[int, ...]:
+def _as_point(point: Sequence[int], k: int) -> tuple[int, ...]:
     coords = tuple(int(x) for x in point)
     if any(c < 1 for c in coords):
         raise UsageError(f"lattice coordinates must be >= 1, got {coords}")
-    if k is not None and len(coords) != k:
+    if len(coords) != k:
         raise UsageError(f"point has {len(coords)} coordinates, exponent vector has {k}")
     return coords
 
@@ -116,7 +116,7 @@ def _prime_factors(g: int) -> tuple[int, ...]:
 
     A ResourceLimitError propagates uncached, so the refusal repeats.
     """
-    return factorize(g).primes()
+    return tuple(p for p, _ in factorize(g))
 
 
 class Constraint(NamedTuple):
@@ -135,7 +135,8 @@ class Constraint(NamedTuple):
 
         Such a prime divides every constraining coordinate, hence their
         gcd; it suffices to test the prime factors of the gcd.  This runs
-        once per point of a sieve, so it reads no more fields than it needs.
+        once per point of the brute-force sweeps, so it reads no more fields
+        than it needs.
         A power p**e with e * (bits(p) - 1) >= bits(c) exceeds c, so it is
         never built: for b = (10**9, 1) it would take gigabytes.
         """
@@ -277,8 +278,7 @@ def find_parametric_witness(point: Sequence[int], b) -> LatticePoint | None:
     box = math.prod(coords)
     if box > DEFAULT_ORACLE_BOX_LIMIT:
         raise ResourceLimitError(
-            f"witness search box of {box} points exceeds limit {DEFAULT_ORACLE_BOX_LIMIT}",
-            limit=DEFAULT_ORACLE_BOX_LIMIT,
+            f"witness search box of {box} points exceeds limit {DEFAULT_ORACLE_BOX_LIMIT}"
         )
     if any(c == 1 for c in coords):
         # t < 1 shrinks every coordinate strictly, so no image point exists.
@@ -290,8 +290,7 @@ def find_parametric_witness(point: Sequence[int], b) -> LatticePoint | None:
     bits = sum(c * e * c.bit_length() for c, e in zip(coords, exps))
     if bits > ORACLE_BIT_BUDGET:
         raise ResourceLimitError(
-            f"witness search powers of up to {bits} bits exceed budget {ORACLE_BIT_BUDGET}",
-            limit=ORACLE_BIT_BUDGET,
+            f"witness search powers of up to {bits} bits exceed budget {ORACLE_BIT_BUDGET}"
         )
     coord_pows = [c**e for c, e in zip(coords, exps)]
     # tables[j][w-1] = w**exps[j] for w in 1..coords[j]-1, strictly increasing

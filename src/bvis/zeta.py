@@ -65,6 +65,9 @@ def _validate(s: int, tol: float) -> None:
         raise ValueError(f"zeta series diverges for s <= 1, got s={s}")
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    if tol == math.inf:
+        # the tail bound carries 1% of tol, and JSON has no infinity
+        raise ValueError("tolerance must be finite, got inf")
     if tol < MIN_TOL:
         raise ValueError(f"tolerance {tol} below double-precision floor {MIN_TOL}")
 
@@ -109,13 +112,14 @@ def zeta(s: int, tol: float = 1e-9) -> ZetaValue:
     return ZetaValue(s=s, value=value, tail_bound=tail + 0.01 * tol, terms=(n - 1) + _EM_M)
 
 
-def inv_zeta(s: int, tol: float = 1e-9) -> float:
-    """1/zeta(s) within tol of the true value.
+def inv_zeta(s: int) -> float:
+    """1/zeta(s), the reciprocal of the certified ``zeta(s).value``.
 
-    Since zeta(s) >= 1 and the value is within tail_bound <= tol of
-    zeta(s), the reciprocal inherits the same absolute error bound.
+    That value does not depend on zeta's tolerance.  zeta(s) >= 1 lies in
+    [value, value + tail_bound] with tail_bound <= 1e-9, so the reciprocal
+    is within 1e-9 of 1/zeta(s).
     """
-    return 1.0 / zeta(s, tol).value
+    return 1.0 / zeta(s).value
 
 
 def zeta_euler_product(s: int, prime_limit: int) -> float:

@@ -50,15 +50,14 @@ def test_sieve_budget():
 
 
 def test_factorize_known():
-    assert factorize(360).factors == ((2, 3), (3, 2), (5, 1))
-    assert factorize(1).factors == ()
-    assert factorize(97).factors == ((97, 1),)
+    assert factorize(360) == ((2, 3), (3, 2), (5, 1))
+    assert factorize(1) == ()
+    assert factorize(97) == ((97, 1),)
 
 
 def test_factorize_reconstructs():
     for n in range(1, 10_001):
-        fact = factorize(n)
-        assert math.prod(p**m for p, m in fact.factors) == n
+        assert math.prod(p**m for p, m in factorize(n)) == n
 
 
 # Every prime below 2**20: enough to trial-divide any factor below 2**40.
@@ -70,11 +69,11 @@ def _is_prime_by_trial_division(p: int) -> bool:
     return p > 1 and all(p % q for q in itertools.takewhile(lambda q: q * q <= p, _SMALL_PRIMES))
 
 
-def _assert_prime_factorization(n: int, fact) -> None:
-    primes = fact.primes()
-    assert fact.reconstruct() == n
-    assert list(primes) == sorted(set(primes))  # strictly increasing
-    assert all(m >= 1 for _, m in fact.factors)
+def _assert_prime_factorization(n: int, factors) -> None:
+    primes = [p for p, _ in factors]
+    assert math.prod(p**m for p, m in factors) == n
+    assert primes == sorted(set(primes))  # strictly increasing
+    assert all(m >= 1 for _, m in factors)
     assert all(_is_prime_by_trial_division(p) for p in primes)
 
 
@@ -95,16 +94,15 @@ def test_factorize_strong_pseudoprimes():
         318665857834031151167461: ((399165290221, 1), (798330580441, 1)),
     }
     for n, factors in expected.items():
-        fact = factorize(n)
-        assert fact.factors == factors
-        _assert_prime_factorization(n, fact)
+        assert factorize(n) == factors
+        _assert_prime_factorization(n, factors)
 
 
 def test_factorize_mersenne_powers_and_pure_powers():
     m31, m61 = 2**31 - 1, 2**61 - 1  # Mersenne primes
-    assert factorize(m31 * m61**2 * 97).factors == ((97, 1), (m31, 1), (m61, 2))
-    assert factorize(m61**3).factors == ((m61, 3),)
-    assert factorize(2**200).factors == ((2, 200),)
+    assert factorize(m31 * m61**2 * 97) == ((97, 1), (m31, 1), (m61, 2))
+    assert factorize(m61**3) == ((m61, 3),)
+    assert factorize(2**200) == ((2, 200),)
 
 
 def test_factorize_semiprimes_of_27_bit_primes():
@@ -121,7 +119,7 @@ def test_factorize_semiprimes_of_27_bit_primes():
     for _ in range(50):
         p, q = prime_27_bits(), prime_27_bits()
         expected = ((p, 2),) if p == q else ((min(p, q), 1), (max(p, q), 1))
-        assert factorize(p * q).factors == expected
+        assert factorize(p * q) == expected
 
 
 def test_mobius_first_values():

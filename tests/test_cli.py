@@ -6,10 +6,12 @@ import math
 import os
 import re
 import resource
+import shlex
 import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -305,7 +307,7 @@ def test_density_json_is_consistent(runner):
     assert total == 200 * 200
     assert payload["empirical"] == pytest.approx(visible / total, abs=1e-12)
     assert payload["exponent_sum"] == 3
-    assert payload["theoretical"] == pytest.approx(inv_zeta(3, 1e-9), abs=1e-5)
+    assert payload["theoretical"] == pytest.approx(inv_zeta(3), abs=1e-5)
     assert payload["abs_error"] == pytest.approx(
         abs(payload["empirical"] - payload["theoretical"]), abs=1e-12
     )
@@ -523,6 +525,14 @@ def test_zeta_command(runner):
 
     bad = runner.invoke(main, ["zeta", "--s", "1"])
     assert bad.exit_code == 2
+
+
+def test_zeta_refuses_an_infinite_tolerance(runner):
+    # the tail bound would be inf, which json.dumps writes as Infinity
+    result = runner.invoke(main, ["zeta", "--s", "2", "--tol", "inf", "--format", "json"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: tolerance must be finite, got inf\n"
 
 
 @pytest.mark.parametrize(
@@ -868,3 +878,40 @@ def test_verify_frozen_output(runner, args, expected):
     # the timing column is the only part that varies from run to run
     masked = [re.sub(r" +\d+\.\d\ds  ", "  ", line, count=1) for line in lines]
     assert "".join(masked) == expected
+
+
+# ---------------------------------------------------------------- README
+
+
+def _readme_command_examples():
+    """(argv, shown output lines) for each `$ bvis` line of README's Command line block.
+
+    An output line that starts with a space continues the line above it, as
+    the wrapped density JSON does; a trailing `# ...` comment is dropped.
+    """
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"^## Command line\n+```sh\n(.*?)^```$", readme, re.M | re.S).group(1)
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ bvis "):
+            examples.append((shlex.split(line[2:], comments=True)[1:], []))
+        elif line.startswith(" "):
+            examples[-1][1][-1] += line
+        elif line:
+            examples[-1][1].append(line)
+    return examples
+
+
+@pytest.mark.parametrize(
+    "args, shown",
+    [pytest.param(args, shown, id=" ".join(args)) for args, shown in _readme_command_examples()],
+)
+def test_readme_command_line_examples(runner, args, shown):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    text = "".join(line + "\n" for line in shown)
+    if "..." in text:
+        # the README elides the rest of the output from here on
+        assert result.stdout.startswith(text.split("...")[0])
+    elif shown:
+        assert result.stdout == text

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +66,30 @@ def test_density_report_fields():
     with pytest.raises(UsageError) as exc:
         DensityReport(box=(10, 0), visible_count=0, exponent_sum=2, theoretical=None)
     assert str(exc.value) == "density reports need a nonempty box"
+
+
+def test_density_report_reads_a_whole_n_as_an_int():
+    report = density_report(1e3, (1, 1), "int")
+    assert report.box == (1000, 1000)
+    assert all(type(m) is int for m in report.box)
+    assert report.empirical == 0.608383
+    assert report.abs_error == abs(0.608383 - report.theoretical)
+    assert count_visible_int(1e3, (1, 1)) == 608383
+    assert box_edges(Fraction(64), ["2/3", "1/2"]) == (8, 4)
+
+
+def test_density_report_refuses_a_fractional_n():
+    for N in (10.5, Fraction(21, 2), math.inf, math.nan, "x"):
+        with pytest.raises(UsageError) as exc:
+            density_report(N, (1, 1), "int")
+        assert str(exc.value) == f"N must be a whole number, got {N}"
+    # wholeness is checked before the lower bound
+    with pytest.raises(UsageError) as exc:
+        count_visible_int(0.5, (1, 1))
+    assert str(exc.value) == "N must be a whole number, got 0.5"
+    with pytest.raises(UsageError) as exc:
+        count_visible_int(0.0, (1, 1))
+    assert str(exc.value) == "N must be >= 1, got 0"
 
 
 # ---------------------------------------------------------------- mobius sum
@@ -336,7 +361,7 @@ def test_signed_factorizes_over_negative_coordinates():
     # the free coordinate contributes a plain factor of its edge
     narrow = density_report(50, [1, -2], "signed").visible_count
     squarefree = sum(
-        1 for n in range(1, 51) if all(m == 1 for _, m in factorize(n).factors)
+        1 for n in range(1, 51) if all(m == 1 for _, m in factorize(n))
     )
     assert narrow == 50 * squarefree
 
@@ -455,7 +480,7 @@ def test_density_report_dispatch():
     # only "int", "rat" and "signed" name a family, everywhere
     unknown = "unknown case {!r}; expected int, rat, or signed"
     with pytest.raises(UsageError) as exc:
-        count_box("integer", [1, 1], (10, 10))
+        density_report(10, [1, 1], "integer")
     assert str(exc.value) == unknown.format("integer")
     with pytest.raises(UsageError) as exc:
         witness_prime((2, 4), "rational", ["1/2", "1/2"])
@@ -490,12 +515,15 @@ def test_count_box_agrees_with_density_report(kind, b, N):
     vec = as_exponent_vector(b) if kind == "int" else as_rational_exponent_vector(b)
     edges = box_edges(N, vec)
     assert edges == report.box
-    assert count_box(kind, vec, edges) == (report.visible_count, report.exponent_sum)
+    constraint = constrained_exponents(kind, vec)
+    assert count_box(edges, constraint) == report.visible_count
+    assert sum(constraint.exps) == report.exponent_sum
 
 
 def test_count_box_empty_box():
     # density reports reject empty boxes; count_box just answers zero
-    assert count_box("int", as_exponent_vector([1, 1]), (0, 5)) == (0, 2)
-    assert count_box("signed", as_rational_exponent_vector([-1, -1]), (12, 0)) == (0, 2)
-    with pytest.raises(UsageError):
-        count_box("signed", as_rational_exponent_vector([1, -2]), (8,))
+    assert count_box((0, 5), constrained_exponents("int", [1, 1])) == 0
+    assert count_box((12, 0), constrained_exponents("signed", [-1, -1])) == 0
+    with pytest.raises(UsageError) as exc:
+        count_box((8,), constrained_exponents("signed", [1, -2]))
+    assert str(exc.value) == "box has 1 edges, exponent vector has 2"

@@ -28,6 +28,10 @@ def test_package_exports():
     assert not hasattr(bvis, "BoxSpec")
     assert not hasattr(bvis.counting, "BoxSpec")
     assert not callable(bvis.zeta)
+    assert not hasattr(bvis.arith, "Factorization")
+    assert not hasattr(bvis.counting, "_count_constrained")
+    assert not hasattr(bvis.counting, "DENSITY_ZETA_TOL")
+    assert not hasattr(bvis.ResourceLimitError("x"), "limit")
 
 
 def test_readme_library_examples():

@@ -53,13 +53,13 @@ def test_zeta_large_s_dominated_by_first_terms():
 
 def test_inv_zeta_reference_values():
     # 6/pi^2 and high-precision series values
-    assert abs(inv_zeta(2, 1e-9) - 0.6079271018540267) < 1e-8
-    assert abs(inv_zeta(3, 1e-9) - 0.8319073725807075) < 1e-8
-    assert abs(inv_zeta(5, 1e-9) - 0.9643873404292624) < 1e-8
+    assert abs(inv_zeta(2) - 0.6079271018540267) < 1e-8
+    assert abs(inv_zeta(3) - 0.8319073725807075) < 1e-8
+    assert abs(inv_zeta(5) - 0.9643873404292624) < 1e-8
 
 
 def test_inv_zeta_strictly_increasing():
-    values = [inv_zeta(s, 1e-9) for s in range(2, 11)]
+    values = [inv_zeta(s) for s in range(2, 11)]
     assert all(0 < v <= 1 for v in values)
     assert all(a < b for a, b in zip(values, values[1:]))
 
@@ -147,6 +147,8 @@ def test_domain_errors():
         zeta(2, 0.0)
     with pytest.raises(ValueError):
         zeta(2, 1e-13)
+    with pytest.raises(ValueError, match="finite"):
+        zeta(2, math.inf)
     with pytest.raises(ValueError):
         zeta_euler_product(1, 100)
 
