@@ -1,26 +1,28 @@
 """Command-line front end: predicates, counts, density reports, sieves.
 
 Exit codes are stable across subcommands: 0 success, 2 usage error
-(malformed flags, dimension mismatch), 3 precondition violation (gcd
-condition), 4 resource limit (box, prime sieve or Moebius sieve too large,
-or a gcd that cannot be factored and certified within budget).
+(a malformed command line, dimension mismatch), 3 precondition violation
+(gcd condition), 4 resource limit (box, prime sieve or Moebius sieve too
+large, or a gcd that cannot be factored and certified within budget).
 Warnings go to stderr; JSON/CSV payloads stay machine-readable.
+
+The table COMMANDS reads ``--opt VALUE`` and ``--opt=VALUE``; a repeated
+option keeps its last value, and a value may start with "-" (``--b -1,2``).
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import json
 import math
+import os
 import random
 import re
+import sys
 import time
 from fractions import Fraction
-
-import click
 
 from . import __version__, counting
 from .counting import brute_prefix_counts, count_visible_bruteforce, mobius_box_count
@@ -70,9 +72,7 @@ def parse_b_spec(text: str, case: str | None = None):
             case = "rat"
     if case == "int":
         if any(f.denominator != 1 or f < 1 for f in fracs):
-            raise UsageError(
-                "integer case needs positive integer exponents; use --case rat or signed"
-            )
+            raise UsageError("integer case needs positive integer exponents; use --case rat or signed")
     elif case == "rat" and any(f < 0 for f in fracs):
         raise UsageError("rational case needs positive exponents; use --case signed")
     return case, as_rational_exponent_vector(fracs)
@@ -106,6 +106,11 @@ def _family(kind: str, vector) -> dict:
     return {"b": [str(e) for e in vector], "case": kind}
 
 
+def _box_fields(kind: str, vector, edges, visible: int) -> dict:
+    """The payload fields of an exact count over a box."""
+    return {**_family(kind, vector), "box": list(edges), "visible": str(visible), "total": str(math.prod(edges))}
+
+
 def _parse_ints(text: str, label: str, minimum: int = 1) -> tuple[int, ...]:
     try:
         values = tuple(int(part.strip()) for part in text.split(","))
@@ -118,13 +123,13 @@ def _parse_ints(text: str, label: str, minimum: int = 1) -> tuple[int, ...]:
 
 def _emit(fmt: str, fields: dict) -> None:
     if fmt == "json":
-        click.echo(json.dumps(fields))
+        print(json.dumps(fields))
     elif fmt == "csv":
         rows = [fields.keys(), [_cell(v, none="") for v in fields.values()]]
-        click.echo(_csv_text(rows).rstrip("\n"))
+        print(_csv_text(rows).rstrip("\n"))
     else:
         for key, value in fields.items():
-            click.echo(f"{key}: {_cell(value, none='-')}")
+            print(f"{key}: {_cell(value, none='-')}")
 
 
 def _csv_text(rows) -> str:
@@ -143,49 +148,6 @@ def _cell(value, none: str) -> str:
     return str(value)
 
 
-def _exits_with_codes(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except PreconditionError as exc:
-            _fail(exc, 3)
-        except ResourceLimitError as exc:
-            _fail(exc, 4)
-        except (UsageError, ValueError) as exc:
-            _fail(exc, 2)
-
-    return wrapper
-
-
-def _fail(exc: Exception, code: int) -> None:
-    click.echo(f"error: {exc}", err=True)
-    raise SystemExit(code)
-
-
-_FORMAT = click.option(
-    "--format", "fmt", type=click.Choice(["json", "csv", "plain"]), default="plain"
-)
-_CASE = click.option("--case", type=click.Choice(["int", "rat", "signed"]), default=None)
-
-
-@click.group()
-@click.version_option(__version__, prog_name="bvis")
-def main():
-    """Lattice-point visibility: exact counts and densities against 1/zeta."""
-
-
-@main.command()
-@click.option("--b", "b_spec", required=True, help="exponent vector, e.g. 2,4,3,7 or 1/2,1/2")
-@click.option("--point", "point_spec", required=True, help="lattice point, e.g. 4,16,40,128")
-@click.option(
-    "--expanded",
-    is_flag=True,
-    help="point is given in expanded lattice coordinates; convert to the base tuple",
-)
-@_CASE
-@_FORMAT
-@_exits_with_codes
 def check(b_spec, point_spec, expanded, case, fmt):
     """Visibility verdict for one point, with a witness when invisible."""
     kind, vector = parse_b_spec(b_spec, case)
@@ -195,9 +157,7 @@ def check(b_spec, point_spec, expanded, case, fmt):
             raise UsageError("--expanded only applies to fractional exponents")
         point = base_from_expanded(point, vector)
     witness = witness_prime(point, kind, vector)
-    image = None
-    if kind == "int" and witness is not None:
-        image = _witness_image(point, vector, witness)
+    image = _witness_image(point, vector, witness) if kind == "int" and witness is not None else None
     fields = {
         **_family(kind, vector),
         "point": list(point),
@@ -207,11 +167,11 @@ def check(b_spec, point_spec, expanded, case, fmt):
     }
     if fmt == "plain":
         if witness is None:
-            click.echo("visible")
+            print("visible")
         elif image is not None:
-            click.echo(f"invisible: witness prime {witness}, image {','.join(map(str, image))}")
+            print(f"invisible: witness prime {witness}, image {','.join(map(str, image))}")
         else:
-            click.echo(f"invisible: witness prime {witness}")
+            print(f"invisible: witness prime {witness}")
     else:
         _emit(fmt, fields)
 
@@ -220,52 +180,27 @@ def _witness_image(point, b, prime):
     return tuple(c // prime**e for c, e in zip(point, reduce_b(b)))
 
 
-@main.command()
-@click.option("--b", "b_spec", required=True)
-@click.option("--N", "n", type=int, default=None)
-@click.option("--box", "box_spec", default=None, help="explicit box edges, e.g. 8,4")
-@_CASE
-@_FORMAT
-@_exits_with_codes
 def count(b_spec, n, box_spec, case, fmt):
     """Exact number of visible points in a box (Moebius inclusion-exclusion)."""
     kind, vector, edges = _parse_box(b_spec, case, n, box_spec)
-    visible = counting.count_box(edges, constrained_exponents(kind, vector))
-    _emit(
-        fmt,
-        {
-            **_family(kind, vector),
-            "box": list(edges),
-            "visible": str(visible),
-            "total": str(math.prod(edges)),
-        },
-    )
+    _emit(fmt, _box_fields(kind, vector, edges, counting.count_box(edges, constrained_exponents(kind, vector))))
 
 
-@main.command()
-@click.option("--b", "b_spec", required=True)
-@click.option("--N", "n", type=int, required=True)
-@_CASE
-@_FORMAT
-@_exits_with_codes
 def density(b_spec, n, case, fmt):
     """Density report: exact count vs the theoretical 1/zeta density."""
     kind, vector = parse_b_spec(b_spec, case)
     _require_n(n)
     if kind == "int" and (g := math.gcd(*(f.numerator for f in vector))) > 1:
-        click.echo(
+        print(
             f"note: exponents share gcd {g}; visibility is equivalent to "
             f"the reduced vector ({','.join(map(str, reduce_b(vector)))}), which sets the density",
-            err=True,
+            file=sys.stderr,
         )
     report = counting.density_report(n, vector, kind)
     _emit(
         fmt,
         {
-            **_family(kind, vector),
-            "box": list(report.box),
-            "visible": str(report.visible_count),
-            "total": str(report.total),
+            **_box_fields(kind, vector, report.box, report.visible_count),
             "empirical": report.empirical,
             "exponent_sum": report.exponent_sum,
             "theoretical": report.theoretical,
@@ -274,14 +209,6 @@ def density(b_spec, n, case, fmt):
     )
 
 
-@main.command()
-@click.option("--b", "b_spec", required=True)
-@click.option("--N", "n", type=int, default=None)
-@click.option("--box", "box_spec", default=None)
-@click.option("--limit", type=int, default=None, help="brute-force box limit override")
-@_CASE
-@_FORMAT
-@_exits_with_codes
 def sieve(b_spec, n, box_spec, limit, case, fmt):
     """List every visible point of the box in lexicographic order."""
     kind, vector, edges = _parse_box(b_spec, case, n, box_spec)
@@ -293,49 +220,34 @@ def sieve(b_spec, n, box_spec, limit, case, fmt):
     points = itertools.compress(itertools.product(*(range(1, e + 1) for e in edges)), marks)
     # every format writes SIEVE_CHUNK points at a time; no payload is held whole
     chunks = iter(lambda: list(itertools.islice(points, SIEVE_CHUNK)), [])
+    write = sys.stdout.write
     if fmt == "json":
         head = {**_family(kind, vector), "box": list(edges), "count": marks.count(1), "points": []}
-        click.echo(json.dumps(head)[:-2], nl=False)  # up to the points' opening bracket
+        write(json.dumps(head)[:-2])  # up to the points' opening bracket
         for i, chunk in enumerate(chunks):
-            click.echo((", " if i else "") + json.dumps(chunk)[1:-1], nl=False)
-        click.echo("]}")
+            write((", " if i else "") + json.dumps(chunk)[1:-1])
+        write("]}\n")
     elif fmt == "csv":
-        click.echo(_csv_text([[f"x{i + 1}" for i in range(len(edges))]]), nl=False)
+        write(_csv_text([[f"x{i + 1}" for i in range(len(edges))]]))
         for chunk in chunks:
-            click.echo(_csv_text(chunk), nl=False)
+            write(_csv_text(chunk))
     else:
         line = ",".join(["%d"] * len(edges))
         for chunk in chunks:
-            click.echo("\n".join(line % pt for pt in chunk))
+            print("\n".join(line % pt for pt in chunk))
 
 
-@main.command("zeta")
-@click.option("--s", "s", type=int, required=True)
-@click.option("--tol", type=float, default=1e-9)
-@click.option(
-    "--euler-limit",
-    type=int,
-    default=None,
-    help="also report the Euler product over primes up to this bound",
-)
-@_FORMAT
-@_exits_with_codes
 def zeta_cmd(s, tol, euler_limit, fmt):
     """Certified zeta(s) by exact Euler-Maclaurin summation with an explicit tail bound."""
     value = zeta_eval(s, tol)
-    fields = {
-        "s": value.s,
-        "value": value.value,
-        "tail_bound": value.tail_bound,
-        "terms": value.terms,
-    }
+    fields = value._asdict()
     if euler_limit is not None:
         fields["euler_product"] = zeta_euler_product(s, euler_limit)
         fields["euler_prime_limit"] = euler_limit
     if fmt == "plain":
-        click.echo(f"zeta({value.s}) = {value.value!r} (tail <= {value.tail_bound!r}, {value.terms} terms)")
+        print(f"zeta({value.s}) = {value.value!r} (tail <= {value.tail_bound!r}, {value.terms} terms)")
         if euler_limit is not None:
-            click.echo(f"euler product (p <= {euler_limit}): {fields['euler_product']!r}")
+            print(f"euler product (p <= {euler_limit}): {fields['euler_product']!r}")
     else:
         _emit(fmt, fields)
 
@@ -406,11 +318,7 @@ def verify_checks(profile: str, seed: int):
     @row
     def mobius_vs_bruteforce():
         n_max = 30 if quick else 60
-        vectors = (
-            [(1, 1), (1, 2), (1, 1, 1)]
-            if quick
-            else [(1, 1), (1, 2), (2, 3), (1, 1, 1), (1, 2, 3)]
-        )
+        vectors = [(1, 1), (1, 2), (1, 1, 1)] if quick else [(1, 1), (1, 2), (2, 3), (1, 1, 1), (1, 2, 3)]
         mismatches = 0
         for b in vectors:
             brute = brute_prefix_counts(n_max, b)
@@ -492,23 +400,115 @@ def verify_checks(profile: str, seed: int):
     return checks
 
 
-@main.command()
-@click.option("--profile", type=click.Choice(["quick", "full"]), default="quick")
-@click.option("--seed", type=int, default=0)
-@_exits_with_codes
 def verify(profile, seed):
     """Run the built-in theorem checks; nonzero exit if any fail."""
     checks = verify_checks(profile, seed)
     failures = 0
-    click.echo(f"{'check':<36} {'status':<7} {'time':>8}  detail")
+    print(f"{'check':<36} {'status':<7} {'time':>8}  detail")
     for name, fn in checks:
         start = time.perf_counter()
         ok, detail = fn()
         elapsed = time.perf_counter() - start
         failures += 0 if ok else 1
-        click.echo(f"{name:<36} {'PASS' if ok else 'FAIL':<7} {elapsed:>7.2f}s  {detail}")
-    click.echo(f"{len(checks) - failures}/{len(checks)} checks passed ({profile} profile)")
+        print(f"{name:<36} {'PASS' if ok else 'FAIL':<7} {elapsed:>7.2f}s  {detail}")
+    print(f"{len(checks) - failures}/{len(checks)} checks passed ({profile} profile)")
     if failures:
+        raise SystemExit(1)
+
+
+_B = ("--b", "b_spec", str, None, True)
+_N, _BOX = ("--N", "n", int, None, False), ("--box", "box_spec", str, None, False)
+_CASE = ("--case", "case", ("int", "rat", "signed"), None, False)
+_FORMAT = ("--format", "fmt", ("json", "csv", "plain"), "plain", False)
+# subcommand: (handler, options), an option being (flag, dest, convert, default, required);
+# convert is str, int, float, a tuple of the values allowed, or None for a flag (no value, sets True).
+COMMANDS = {
+    "check": (check, (_B, ("--point", "point_spec", str, None, True),
+                      ("--expanded", "expanded", None, False, False), _CASE, _FORMAT)),
+    "count": (count, (_B, _N, _BOX, _CASE, _FORMAT)),
+    "density": (density, (_B, ("--N", "n", int, None, True), _CASE, _FORMAT)),
+    "sieve": (sieve, (_B, _N, _BOX, ("--limit", "limit", int, None, False), _CASE, _FORMAT)),
+    "verify": (verify, (("--profile", "profile", ("quick", "full"), "quick", False),
+                        ("--seed", "seed", int, 0, False))),
+    "zeta": (zeta_cmd, (("--s", "s", int, None, True), ("--tol", "tol", float, 1e-9, False),
+                        ("--euler-limit", "euler_limit", int, None, False), _FORMAT)),
+}
+
+
+def _parse(command: str, argv: list[str]) -> dict:
+    """The handler's keyword arguments from the words after ``command``."""
+    options, given, extra, tokens = {opt[0]: opt for opt in COMMANDS[command][1]}, {}, [], iter(argv)
+    for token in tokens:
+        flag, has_value, value = token.partition("=")
+        if not token.startswith("-"):
+            extra.append(token)
+        elif flag not in options:
+            raise UsageError(f"No such option '{flag}'.")
+        elif options[flag][2] is None and has_value:
+            raise UsageError(f"Option '{flag}' does not take a value.")
+        else:
+            given[flag] = True if options[flag][2] is None else value if has_value else next(tokens, None)
+            if given[flag] is None:
+                raise UsageError(f"Option '{flag}' requires an argument.")
+    kwargs = {}
+    for flag, dest, convert, default, required in options.values():
+        value = kwargs[dest] = given.get(flag, default)
+        bad = f"Invalid value for '{flag}': '{value}' is not"
+        if flag not in given and required:
+            raise UsageError(f"Missing option '{flag}'.")
+        if flag in given and isinstance(convert, tuple) and value not in convert:
+            raise UsageError(f"{bad} one of {', '.join(map(repr, convert))}.")
+        if flag in given and convert in (int, float):
+            try:
+                kwargs[dest] = convert(value)
+            except ValueError:
+                raise UsageError(f"{bad} a valid {'integer' if convert is int else 'float'}.") from None
+    if extra:
+        raise UsageError(f"Got unexpected extra argument{'s' * (len(extra) > 1)} ({' '.join(extra)})")
+    return kwargs
+
+
+def _help(usage: str, command: str | None) -> str:
+    if command is None:
+        text = [main.__doc__.splitlines()[0], "", "Options: --version, --help", "", "Commands:"]
+        text += [f"  {name:<8} {handler.__doc__}" for name, (handler, _options) in COMMANDS.items()]
+    else:
+        text = [COMMANDS[command][0].__doc__, "", "Options:"]
+        for flag, _dest, convert, _default, required in COMMANDS[command][1]:
+            kind = "|".join(convert) if isinstance(convert, tuple) else getattr(convert, "__name__", "").upper()
+            text.append(f"  {flag} {kind}".rstrip() + " (required)" * required)
+    return "\n".join([usage, "", *text])
+
+
+def main(args=None, prog_name=None) -> None:
+    """Lattice-point visibility: exact counts and densities against 1/zeta.
+
+    Runs ``args`` (default ``sys.argv[1:]``); ``prog_name`` (default "bvis") names
+    the program in usage texts.  Errors end in SystemExit with their exit code.
+    """
+    prog = prog_name or "bvis"
+    argv = sys.argv[1:] if args is None else list(args)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    usage = f"Usage: {prog} {command} [OPTIONS]" if command else f"Usage: {prog} [OPTIONS] COMMAND [ARGS]..."
+    if argv[:1] in (["--version"], ["--help"]) or command and "--help" in argv:
+        print(f"bvis, version {__version__}" if argv[0] == "--version" else _help(usage, command))
+        return
+    try:
+        if command is None:
+            what = "option" if argv and argv[0].startswith("-") else "command"
+            raise UsageError(f"No such {what} '{argv[0]}'." if argv else "Missing command.")
+        kwargs = _parse(command, argv[1:])
+    except UsageError as exc:
+        sys.stderr.write(f"{usage}\nTry '{prog} {command + ' ' if command else ''}--help' for help.\n\nError: {exc}\n")
+        raise SystemExit(2)
+    try:
+        COMMANDS[command][0](**kwargs)
+        sys.stdout.flush()
+    except (ValueError, ResourceLimitError) as exc:  # UsageError and PreconditionError are ValueErrors
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(3 if isinstance(exc, PreconditionError) else 4 if isinstance(exc, ResourceLimitError) else 2)
+    except BrokenPipeError:  # the reader left early, as `bvis sieve ... | head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # no flush into the closed pipe at exit
         raise SystemExit(1)
 
 

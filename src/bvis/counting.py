@@ -37,7 +37,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -57,7 +56,6 @@ DEFAULT_BRUTE_LIMIT = 10_000_000
 HEAD_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
 class DensityReport:
     """Exact count over a box next to the limiting density 1/zeta(s).
 
@@ -68,12 +66,13 @@ class DensityReport:
     it exactly from a serialized report.
     """
 
-    box: tuple[int, ...]
-    visible_count: int
-    exponent_sum: int
-    theoretical: float | None
+    __slots__ = ("box", "visible_count", "exponent_sum", "theoretical")
 
-    def __post_init__(self):
+    def __init__(self, box: tuple[int, ...], visible_count: int, exponent_sum: int, theoretical: float | None):
+        self.box = box
+        self.visible_count = visible_count
+        self.exponent_sum = exponent_sum
+        self.theoretical = theoretical
         if self.total < 1:
             raise UsageError("density reports need a nonempty box")
         if not 0 <= self.visible_count <= self.total:

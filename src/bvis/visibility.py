@@ -51,9 +51,12 @@ RationalPoint = tuple[int, ...]
 def as_exponent_vector(b) -> tuple[int, ...]:
     """b as positive integer exponents (b1,...,bk), k >= 1, or a UsageError."""
     items = tuple(b)
-    entries = tuple(int(x) for x in items)
+    try:
+        entries = tuple(int(x) for x in items)
+    except (ValueError, OverflowError):  # nan, inf, "x"
+        entries = None
     # int() truncates 3/2 to 1, where box_edges reads the same entry as 3/2
-    if entries != items and any(Fraction(x) != e for x, e in zip(items, entries)):
+    if entries is None or (entries != items and any(Fraction(x) != e for x, e in zip(items, entries))):
         raise UsageError(f"integer exponents must be whole numbers, got {items}")
     if not entries:
         raise UsageError("exponent vector must have at least one entry")
@@ -68,7 +71,11 @@ def as_rational_exponent_vector(b) -> tuple[Fraction, ...]:
     Entries are anything ``Fraction`` reads, such as ints or "p/q" strings;
     a Fraction is in lowest terms with ai > 0.
     """
-    fracs = tuple(Fraction(x) for x in b)
+    items = tuple(b)
+    try:
+        fracs = tuple(Fraction(x) for x in items)
+    except (ValueError, OverflowError):  # nan, inf, "x"
+        raise UsageError(f"rational exponents must be finite rationals, got {items}") from None
     if not fracs:
         raise UsageError("exponent vector must have at least one entry")
     if not all(fracs):

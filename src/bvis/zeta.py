@@ -18,9 +18,9 @@ past iroot(2**56, floor(s)) every factor 1/(1 - p**-s) rounds to exactly
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
+from typing import NamedTuple
 
 from .arith import _check_sieve_limit, _iter_primes, iroot
 
@@ -37,8 +37,7 @@ _EXACT_S_LIMIT = 64
 _EULER_EXP = 56
 
 
-@dataclass(frozen=True)
-class ZetaValue:
+class ZetaValue(NamedTuple):
     """A certified evaluation: zeta(s) lies in [value, value + tail_bound].
 
     ``value`` is the largest double at or below the exact Euler–Maclaurin

@@ -1,0 +1,153 @@
+"""Write tests/cli_corpus.json: what `bvis` prints for a fixed set of command lines.
+
+    python tests/make_cli_corpus.py
+
+Each command runs as ``python -m bvis.cli`` in a fresh process, with this
+interpreter and the tree's ``src`` first on PYTHONPATH.  An entry holds the
+argv, the exit code, stderr, and stdout: verbatim up to STDOUT_INLINE bytes,
+above that as its sha256 and byte count.  `bvis verify` prints a time
+column, which every entry stores masked.  tests/test_cli.py replays the
+corpus in process.  Regenerate it only to record a change of output that
+is meant, and list each changed entry in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
+CORPUS = TESTS / "cli_corpus.json"
+STDOUT_INLINE = 2048
+WORKLOADS_SEED = 1
+
+_TIME_COLUMN = re.compile(r" +\d+\.\d\ds  ")
+
+
+def masked(argv: list[str], stdout: str) -> str:
+    """stdout with `bvis verify`'s time column cut out of every line."""
+    if argv[:1] != ["verify"]:
+        return stdout
+    return "".join(_TIME_COLUMN.sub("  ", line, count=1) for line in stdout.splitlines(keepends=True))
+
+
+def stdout_fields(stdout: str) -> dict:
+    """The stdout part of an entry: the text itself, or its digest when long."""
+    data = stdout.encode()
+    if len(data) <= STDOUT_INLINE:
+        return {"stdout": stdout}
+    return {"stdout_sha256": hashlib.sha256(data).hexdigest(), "stdout_bytes": len(data)}
+
+
+def _workload_commands() -> list[list[str]]:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    return [job.args for name in workloads.WORKLOADS for job in workloads.build(name, WORKLOADS_SEED)]
+
+
+_USAGE_ERRORS = (
+    "count --b 1,x",
+    "sieve --b 1,x",
+    "count --b 1,x --box 3",
+    "count --b 1,1 --box 3",
+    "count --b 1,1 --box 3,x",
+    "count --b 1,1 --N 0",
+    "density --b 1,1 --N 0",
+    "density --b 1,x --N 0",
+    "density --b 2/3,2/3 --N 0",
+    "check --b 1,2 --point 1,2,3",
+    "density --b 0,1/2 --N 10",
+    "check --b 1/2,1 --case int --point 4,6",
+    "check --b 1,-2 --case rat --point 4,6",
+    "check --b 1,x --point 1,2",
+    "check --b 1,2 --point 4,8 --expanded",
+    "check --b 2/3,1/2 --point 16,7 --expanded",
+    "count --b 1,1 --N 5 --box 5,5",
+    "sieve --b 1,1 --N 3 --limit 0",
+    "zeta --s 1",
+    "zeta --s 2 --tol inf --format json",
+)
+
+_GCD_ONE = (
+    "count --b 2/3,-2/3 --box 8,4",
+    "density --b 2/3,-2/3 --N 100",
+    "check --b 2/3,2/3 --point 2,3",
+)
+
+_REFUSALS = (
+    f"density --b 1,1 --N {10**30}",
+    "zeta --s 2 --euler-limit 300000000",
+    "zeta --s 5 --euler-limit 300000000",
+    "sieve --N 4000 --b 1,1",
+    f"check --b 1,1 --point {2**90 - 33},{2 * (2**90 - 33)}",
+)
+
+_OUTPUTS = (
+    "sieve --b 1,1 --box 5,0",
+    "sieve --b 1,1 --box 5,0 --format csv",
+    "sieve --b 1,1 --box 5,0 --format json",
+    "sieve --b 2/3,1/2 --box 4,4",
+    "sieve --b 1,-2 --box 3,5 --format csv",
+    "sieve --b 1,1 --N 3 --format json",
+    "count --b 1,1 --box 0,5",
+    "count --b 1,1 --N 10 --case signed",
+    "density --b 2,4 --N 50 --format csv",
+    "density --b 1 --N 10",
+    "zeta --s 3 --format json",
+    "check --b 2/3,1/2 --point 16,8 --expanded --format csv",
+    "verify --profile quick",
+)
+
+# The option grammar: negative values, --opt=value, repeats, and malformed lines.
+_PARSER = (
+    "check --b -1,2 --point 4,6",
+    "check --b=-1,2 --point 4,6",
+    "check --b 1,1 --b 2,4,3,7 --point 4,16,40,128",
+    "check --point=4,16,40,128 --format=json --b=2,4,3,7",
+    "check --b 1,1 --point 4,6 --form json",
+    "density --b 1,1 --N 1e4",
+    "zeta --s 2 --tol x",
+    "check --b 1,1 --point 4,6 --format xml",
+    "verify --profile bad",
+    "bogus",
+    "",
+    "--bogus",
+    "check --b 1,1",
+    "check",
+    "check --b 1,1 --point 4,6 extra",
+    "check --b 1,1 --point 4,6 --case",
+    "check --b 1,1 --point 4,6 --expanded=1",
+    "--version",
+)
+
+
+def commands() -> list[list[str]]:
+    lines = _USAGE_ERRORS + _GCD_ONE + _REFUSALS + _OUTPUTS + _PARSER
+    return _workload_commands() + [line.split() for line in lines]
+
+
+def run(argv: list[str]) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.pop("BVIS_BRUTE_LIMIT", None)
+    # bytes, not text: csv's "\r\n" line ends stay as written
+    out = subprocess.run([sys.executable, "-m", "bvis.cli", *argv], capture_output=True, env=env, timeout=120)
+    stdout = masked(argv, out.stdout.decode())
+    return {"argv": argv, "exit": out.returncode, "stderr": out.stderr.decode(), **stdout_fields(stdout)}
+
+
+def main() -> None:
+    entries = [run(argv) for argv in commands()]
+    CORPUS.write_text(json.dumps(entries, indent=1) + "\n")
+    print(f"{len(entries)} entries written to {CORPUS}")
+
+
+if __name__ == "__main__":
+    main()

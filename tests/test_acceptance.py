@@ -21,7 +21,6 @@ import json
 import time
 
 import pytest
-from click.testing import CliRunner
 
 from bvis.cli import main, verify_checks
 from bvis.zeta import zeta
@@ -92,10 +91,9 @@ def test_criterion_7_mobius_equals_bruteforce():
     run_rows(CRITERIA["7"])
 
 
-def test_criterion_8_worked_example():
+def test_criterion_8_worked_example(runner):
     run_rows(CRITERIA["8"])
 
-    runner = CliRunner()
     result = runner.invoke(
         main, ["check", "--b", "2,4,3,7", "--point", "4,16,40,128", "--format", "json"]
     )

@@ -14,21 +14,16 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bvis.cli
 import bvis.counting
+import make_cli_corpus
 from bvis.cli import main, parse_b_spec
 from bvis.errors import UsageError
 from bvis.visibility import constrained_exponents, is_visible_int, is_visible_rat, is_visible_signed
 from bvis.zeta import inv_zeta
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
 
 
 def test_version(runner):
@@ -36,6 +31,16 @@ def test_version(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0, result.output
     assert "0.1.0" in result.output
+
+
+@pytest.mark.parametrize("command", [None, *bvis.cli.COMMANDS])
+def test_help_lists_every_option(runner, command):
+    result = runner.invoke(main, [command, "--help"] if command else ["--help"])
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    assert result.stdout.startswith(f"Usage: bvis {command or ''}".rstrip() + " [OPTIONS]")
+    names = [opt[0] for opt in bvis.cli.COMMANDS[command][1]] if command else list(bvis.cli.COMMANDS)
+    assert all(name in result.stdout for name in names)
 
 
 # ---------------------------------------------------------------- b-spec parsing
@@ -464,7 +469,7 @@ _SIEVE_VECTORS = (
         )
     )
 )
-def test_sieve_lists_what_the_witness_loop_accepts(spec_edges):
+def test_sieve_lists_what_the_witness_loop_accepts(runner, spec_edges):
     # "1,2 signed" has no negative entry, so the marker strikes nothing
     spec, edges = spec_edges
     b_spec, *case = spec.split()
@@ -473,7 +478,7 @@ def test_sieve_lists_what_the_witness_loop_accepts(spec_edges):
     grid = itertools.product(*(range(1, m + 1) for m in edges))
     expected = [list(pt) for pt in grid if witness(pt) is None]
     args = ["sieve", "--b", b_spec, "--box", ",".join(map(str, edges)), "--format", "json"]
-    result = CliRunner().invoke(main, args + ["--case", case[0]] if case else args)
+    result = runner.invoke(main, args + ["--case", case[0]] if case else args)
     assert result.exit_code == 0, result.output
     assert json.loads(result.stdout)["points"] == expected
 
@@ -610,6 +615,45 @@ def test_check_sieve_and_zeta_never_import_numpy():
     assert 0 < zeta["value"] - zeta["euler_product"] < 1e-5
     assert json.loads(lines[-4])["visible"] == "607927104783"  # OEIS A018805(10**6)
     assert json.loads(lines[-3])["visible"] == "6087"  # OEIS A018805(100)
+
+
+# ---------------------------------------------------------------- start-up imports
+
+# click alone took about 28 ms of each process's start-up, and dataclasses
+# brings inspect with it
+_STARTUP_PROBE = """
+import sys
+from bvis.cli import main
+
+SLOW = {"click", "dataclasses", "inspect"}
+assert not SLOW & set(sys.modules), "import bvis.cli"
+for args in (
+    ["check", "--b", "2,4,3,7", "--point", "4,16,40,128"],
+    ["count", "--b", "1,1", "--N", "100", "--format", "csv"],
+    ["density", "--b", "1,-2", "--N", "1000", "--format", "json"],
+    ["sieve", "--b", "1,1", "--N", "3", "--format", "json"],
+    ["zeta", "--s", "2", "--euler-limit", "1000"],
+    ["verify", "--profile", "quick"],
+):
+    try:
+        main(args, prog_name="bvis")
+    except SystemExit as exc:
+        assert not exc.code, (args, exc.code)
+    assert not SLOW & set(sys.modules), args[0]
+print("ok")
+"""
+
+
+def test_no_command_imports_click_dataclasses_or_inspect():
+    out = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "ok"
 
 
 # ---------------------------------------------------------------- huge exponents
@@ -873,11 +917,26 @@ euler-product                        PASS  worst gap 1.32e-06 vs 1e-4
 def test_verify_frozen_output(runner, args, expected):
     result = runner.invoke(main, ["verify", *args])
     assert result.exit_code == 0
-    header, *lines = result.stdout.splitlines(keepends=True)
-    assert header == "check                                status      time  detail\n"
     # the timing column is the only part that varies from run to run
-    masked = [re.sub(r" +\d+\.\d\ds  ", "  ", line, count=1) for line in lines]
-    assert "".join(masked) == expected
+    header, *lines = make_cli_corpus.masked(["verify"], result.stdout).splitlines(keepends=True)
+    assert header == "check                                status      time  detail\n"
+    assert "".join(lines) == expected
+
+
+# ---------------------------------------------------------------- output corpus
+
+
+def test_cli_corpus_replays_byte_for_byte(runner):
+    # tests/make_cli_corpus.py recorded each entry from a `python -m bvis.cli` process
+    mismatches = []
+    for entry in json.loads(make_cli_corpus.CORPUS.read_text()):
+        argv = entry["argv"]
+        result = runner.invoke(main, argv)
+        got = {"argv": argv, "exit": result.exit_code, "stderr": result.stderr}
+        got.update(make_cli_corpus.stdout_fields(make_cli_corpus.masked(argv, result.stdout_bytes.decode())))
+        if got != entry:
+            mismatches.append((entry, got))
+    assert not mismatches
 
 
 # ---------------------------------------------------------------- README

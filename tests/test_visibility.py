@@ -56,6 +56,14 @@ def test_exponent_vector_validation():
     assert as_exponent_vector([2.0, "3", Fraction(4)]) == (2, 3, 4)
 
 
+@pytest.mark.parametrize("entry", [math.inf, math.nan])
+def test_a_non_finite_exponent_is_a_usage_error(entry):
+    with pytest.raises(UsageError, match=r"integer exponents must be whole numbers, got \((inf|nan), 1\)"):
+        as_exponent_vector([entry, 1])
+    with pytest.raises(UsageError, match=r"rational exponents must be finite rationals, got \((inf|nan), 1\)"):
+        as_rational_exponent_vector([entry, 1])
+
+
 def test_rational_vector_validation():
     with pytest.raises(UsageError):
         as_rational_exponent_vector(["1/2", "0/3"])
