@@ -20,7 +20,6 @@ from .arith import (
 )
 from .counting import (
     DensityReport,
-    count_visible_bruteforce,
     count_visible_int,
     density_report,
     mobius_box_count,
@@ -33,7 +32,6 @@ from .visibility import (
     is_visible_int,
     is_visible_rat,
     is_visible_signed,
-    oracle_visible_parametric,
     reduce_b,
     witness_prime_int,
     witness_prime_rat,
@@ -56,7 +54,6 @@ __all__ = [
     "UsageError",
     "ZetaValue",
     "base_from_expanded",
-    "count_visible_bruteforce",
     "count_visible_int",
     "density_report",
     "factorize",
@@ -72,7 +69,6 @@ __all__ = [
     "mobius",
     "mobius_box_count",
     "mobius_table",
-    "oracle_visible_parametric",
     "reduce_b",
     "sieve_primes",
     "witness_prime_int",

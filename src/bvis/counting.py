@@ -28,28 +28,25 @@ Counts are exact big integers; only the empirical proportion inside a
 DensityReport touches floating point.  Two routes that use no Moebius
 inversion are kept as independent cross-checks of the identity:
 ``mark_box`` strikes the invisible points out of a box, a sieve that
-``bvis sieve`` lists from, and brute-force enumeration tests every point
-with a predicate.
+``bvis sieve`` lists from, and ``brute_prefix_counts`` tests every point
+of a cube for a witness prime, counting all the nested cubes in one sweep.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from .arith import Mertens, floor_root, iroot, sieve_primes
-from .errors import ResourceLimitError, UsageError
+from .errors import UsageError
 from .visibility import (
     Constraint,
     as_rational_exponent_vector,
     constrained_exponents,
 )
 from .zeta import inv_zeta
-
-DEFAULT_BRUTE_LIMIT = 10_000_000
 
 # The head of a Moebius sum reads mu in slices of this many values, so its
 # Python list never outgrows the sieve's own arrays.
@@ -235,47 +232,6 @@ def mark_box(edges: Sequence[int], constraint: Constraint) -> bytearray:
 def count_visible_box(edges: Sequence[int], constraint: Constraint) -> int:
     """Points of the box that ``mark_box`` leaves standing."""
     return mark_box(edges, constraint).count(1)
-
-
-def brute_force_limit(limit: int | None = None) -> int:
-    """Ceiling on brute-force box volume: ``limit`` (the CLI's --limit) if
-    given, else BVIS_BRUTE_LIMIT if set, else DEFAULT_BRUTE_LIMIT.
-
-    A ceiling that is not an integer >= 1 is a UsageError naming its source.
-    """
-    name, value = "--limit", limit
-    if limit is None:
-        name, value = "BVIS_BRUTE_LIMIT", os.environ.get("BVIS_BRUTE_LIMIT")
-        if not value:
-            return DEFAULT_BRUTE_LIMIT
-    try:
-        cap = int(value)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise UsageError(f"{name} must be an integer >= 1, got {value!r}")
-    return cap
-
-
-def count_visible_bruteforce(
-    edges: Iterable[int], predicate: Callable[[tuple[int, ...]], bool]
-) -> int:
-    """Full enumeration of the box, counting points where predicate holds.
-
-    Independent of the Moebius identity; used to cross-validate it.  The
-    box volume must stay within the configured limit.
-    """
-    edges = tuple(int(e) for e in edges)
-    if not edges:
-        raise UsageError("box needs at least one edge")
-    if any(e < 0 for e in edges):
-        raise UsageError(f"box edges must be >= 0, got {edges}")
-    cap = brute_force_limit()
-    volume = math.prod(edges)
-    if volume > cap:
-        raise ResourceLimitError(f"brute-force box of {volume} points exceeds limit {cap}")
-    ranges = [range(1, e + 1) for e in edges]
-    return sum(1 for point in itertools.product(*ranges) if predicate(point))
 
 
 def brute_prefix_counts(n_max: int, b) -> list[int]:

@@ -22,9 +22,10 @@ Three families of exponent vectors are supported:
 ``Constraint`` (which positions constrain, with which exponents), and
 ``witness_prime`` answers every family through it.
 
-``oracle_visible_parametric`` is an independent brute-force implementation
-of the defining search over scaled image points, used to cross-check the
-divisibility characterizations.  It never reasons about primes.
+``find_parametric_witness`` is the oracle: an independent brute-force
+implementation of the defining search over scaled image points, used to
+cross-check the divisibility characterizations.  It never reasons about
+primes; a point is visible iff it finds no witness.
 """
 
 from __future__ import annotations
@@ -318,8 +319,3 @@ def find_parametric_witness(point: Sequence[int], b) -> LatticePoint | None:
         else:
             return tuple(image)
     return None
-
-
-def oracle_visible_parametric(point: Sequence[int], b) -> bool:
-    """Defining-search verdict: visible iff no smaller integer image exists."""
-    return find_parametric_witness(point, b) is None

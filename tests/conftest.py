@@ -2,7 +2,6 @@
 
 import contextlib
 import io
-import os
 
 import pytest
 
@@ -10,38 +9,27 @@ import pytest
 class Result:
     """What one command line did: its exit code and what it wrote to each stream.
 
-    ``stdout_bytes`` holds stdout as written; ``stdout`` and ``output``
-    (stdout, then stderr) read csv's "\\r\\n" line ends as "\\n", as the
-    tests' frozen texts do.
+    ``stdout`` is kept as written, csv's "\\r\\n" line ends included;
+    ``output`` is stdout, then stderr.
     """
 
     def __init__(self, exit_code: int, stdout: str, stderr: str):
         self.exit_code = exit_code
-        self.stdout_bytes = stdout.encode()
-        self.stdout = stdout.replace("\r\n", "\n")
+        self.stdout = stdout
         self.stderr = stderr
-        self.output = self.stdout + self.stderr
+        self.output = stdout + stderr
 
 
 class Runner:
-    def invoke(self, main, args, env=None) -> Result:
-        """Run ``main(args)`` with ``env`` added to the environment, stdout and stderr kept apart."""
-        saved = {key: os.environ.get(key) for key in env or {}}
+    def invoke(self, main, args) -> Result:
+        """Run ``main(args)`` with stdout and stderr kept apart."""
         out, err = io.StringIO(), io.StringIO()
-        try:
-            os.environ.update(env or {})
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    main(list(args))
-                    code = 0
-                except SystemExit as exc:
-                    code = exc.code or 0
-        finally:
-            for key, value in saved.items():
-                if value is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = value
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main(list(args))
+                code = 0
+            except SystemExit as exc:
+                code = exc.code or 0
         return Result(code, out.getvalue(), err.getvalue())
 
 

@@ -71,6 +71,7 @@ _USAGE_ERRORS = (
     "check --b 2/3,1/2 --point 16,7 --expanded",
     "count --b 1,1 --N 5 --box 5,5",
     "sieve --b 1,1 --N 3 --limit 0",
+    "sieve --b 1,1 --N 3 --limit -1",
     "zeta --s 1",
     "zeta --s 2 --tol inf --format json",
 )
@@ -86,6 +87,7 @@ _REFUSALS = (
     "zeta --s 2 --euler-limit 300000000",
     "zeta --s 5 --euler-limit 300000000",
     "sieve --N 4000 --b 1,1",
+    "sieve --b 1,1 --N 30 --limit 100",
     f"check --b 1,1 --point {2**90 - 33},{2 * (2**90 - 33)}",
 )
 
@@ -96,8 +98,10 @@ _OUTPUTS = (
     "sieve --b 2/3,1/2 --box 4,4",
     "sieve --b 1,-2 --box 3,5 --format csv",
     "sieve --b 1,1 --N 3 --format json",
+    "sieve --b 1,1 --N 30 --limit 1000 --format json",
     "count --b 1,1 --box 0,5",
     "count --b 1,1 --N 10 --case signed",
+    "count --b 2/3,1/2 --case rat --box 8,4 --format csv",
     "density --b 2,4 --N 50 --format csv",
     "density --b 1 --N 10",
     "zeta --s 3 --format json",
@@ -136,7 +140,6 @@ def commands() -> list[list[str]]:
 def run(argv: list[str]) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    env.pop("BVIS_BRUTE_LIMIT", None)
     # bytes, not text: csv's "\r\n" line ends stay as written
     out = subprocess.run([sys.executable, "-m", "bvis.cli", *argv], capture_output=True, env=env, timeout=120)
     stdout = masked(argv, out.stdout.decode())

@@ -137,28 +137,28 @@ _CHECK_CASES = {
         "invisible: witness prime 2, image 1,1,5,1\n",
         '{"b": ["2", "4", "3", "7"], "case": "int", "point": [4, 16, 40, 128], '
         '"visible": false, "witness_prime": 2, "image": [1, 1, 5, 1]}\n',
-        'b,case,point,visible,witness_prime,image\n"2,4,3,7",int,"4,16,40,128",False,2,"1,1,5,1"\n',
+        'b,case,point,visible,witness_prime,image\r\n"2,4,3,7",int,"4,16,40,128",False,2,"1,1,5,1"\r\n',
     ),
     "int-visible": (
         "--b 2,4,3,7 --point 1,1,5,1",
         "visible\n",
         '{"b": ["2", "4", "3", "7"], "case": "int", "point": [1, 1, 5, 1], '
         '"visible": true, "witness_prime": null, "image": null}\n',
-        'b,case,point,visible,witness_prime,image\n"2,4,3,7",int,"1,1,5,1",True,,\n',
+        'b,case,point,visible,witness_prime,image\r\n"2,4,3,7",int,"1,1,5,1",True,,\r\n',
     ),
     "rat-expanded-invisible": (
         "--b 2/3,1/2 --point 16,8 --expanded",
         "invisible: witness prime 2\n",
         '{"b": ["2/3", "1/2"], "case": "rat", "point": [4, 2], '
         '"visible": false, "witness_prime": 2, "image": null}\n',
-        'b,case,point,visible,witness_prime,image\n"2/3,1/2",rat,"4,2",False,2,\n',
+        'b,case,point,visible,witness_prime,image\r\n"2/3,1/2",rat,"4,2",False,2,\r\n',
     ),
     "rat-expanded-visible": (
         "--b 2/3,1/2 --point 9,8 --expanded",
         "visible\n",
         '{"b": ["2/3", "1/2"], "case": "rat", "point": [3, 2], '
         '"visible": true, "witness_prime": null, "image": null}\n',
-        'b,case,point,visible,witness_prime,image\n"2/3,1/2",rat,"3,2",True,,\n',
+        'b,case,point,visible,witness_prime,image\r\n"2/3,1/2",rat,"3,2",True,,\r\n',
     ),
     # t = 2 maps (5, 4) to (10, 1)
     "signed-invisible": (
@@ -166,21 +166,21 @@ _CHECK_CASES = {
         "invisible: witness prime 2\n",
         '{"b": ["1", "-2"], "case": "signed", "point": [5, 4], '
         '"visible": false, "witness_prime": 2, "image": null}\n',
-        'b,case,point,visible,witness_prime,image\n"1,-2",signed,"5,4",False,2,\n',
+        'b,case,point,visible,witness_prime,image\r\n"1,-2",signed,"5,4",False,2,\r\n',
     ),
     "signed-visible": (
         "--b 1,-2 --point 5,6",
         "visible\n",
         '{"b": ["1", "-2"], "case": "signed", "point": [5, 6], '
         '"visible": true, "witness_prime": null, "image": null}\n',
-        'b,case,point,visible,witness_prime,image\n"1,-2",signed,"5,6",True,,\n',
+        'b,case,point,visible,witness_prime,image\r\n"1,-2",signed,"5,6",True,,\r\n',
     ),
     "signed-no-negative-entry": (
         "--b 1,2 --case signed --point 4,8",
         "visible\n",
         '{"b": ["1", "2"], "case": "signed", "point": [4, 8], '
         '"visible": true, "witness_prime": null, "image": null}\n',
-        'b,case,point,visible,witness_prime,image\n"1,2",signed,"4,8",True,,\n',
+        'b,case,point,visible,witness_prime,image\r\n"1,2",signed,"4,8",True,,\r\n',
     ),
 }
 
@@ -282,8 +282,8 @@ def test_count_requires_box_or_n(runner):
         ),
         (
             "density --b 2,4 --N 50 --format csv",
-            "b,case,box,visible,total,empirical,exponent_sum,theoretical,abs_error\n"
-            '"2,4",int,"50,50",2101,2500,0.8404,3,0.8319073725807075,0.008492627419292575\n',
+            "b,case,box,visible,total,empirical,exponent_sum,theoretical,abs_error\r\n"
+            '"2,4",int,"50,50",2101,2500,0.8404,3,0.8319073725807075,0.008492627419292575\r\n',
             "note: exponents share gcd 2; visibility is equivalent to the reduced "
             "vector (1,2), which sets the density\n",
         ),
@@ -404,10 +404,10 @@ _SIGNED_SIEVE = "1,1\n1,2\n1,3\n1,5\n2,1\n2,2\n2,3\n2,5\n3,1\n3,2\n3,3\n3,5\n"
     [
         # numerators (2, 1): 2**2 | 4 and 2 | 2, 4 drop out
         ("--b 2/3,1/2 --box 4,4", _RAT_SIEVE),
-        ("--b 2/3,1/2 --box 4,4 --format csv", "x1,x2\n" + _RAT_SIEVE),
+        ("--b 2/3,1/2 --box 4,4 --format csv", "x1,x2\r\n" + _RAT_SIEVE.replace("\n", "\r\n")),
         # only the second coordinate decides: 4 = 2**2 drops out
         ("--b 1,-2 --box 3,5", _SIGNED_SIEVE),
-        ("--b 1,-2 --box 3,5 --format csv", "x1,x2\n" + _SIGNED_SIEVE),
+        ("--b 1,-2 --box 3,5 --format csv", "x1,x2\r\n" + _SIGNED_SIEVE.replace("\n", "\r\n")),
     ],
 )
 def test_sieve_frozen_rational_and_signed_output(runner, args, stdout):
@@ -422,10 +422,8 @@ def test_sieve_resource_limits(runner):
     assert over_default.exit_code == 4
     assert "error" in over_default.stderr
 
-    env_narrowed = runner.invoke(
-        main, ["sieve", "--N", "30", "--b", "1,1"], env={"BVIS_BRUTE_LIMIT": "100"}
-    )
-    assert env_narrowed.exit_code == 4
+    narrowed = runner.invoke(main, ["sieve", "--N", "30", "--b", "1,1", "--limit", "100"])
+    assert narrowed.exit_code == 4
 
     raised = runner.invoke(
         main,
@@ -435,11 +433,19 @@ def test_sieve_resource_limits(runner):
     assert json.loads(raised.stdout)["count"] == 555
 
 
+def test_sieve_reads_no_ceiling_from_the_environment(runner, monkeypatch):
+    # --limit is the only way to move the ceiling
+    monkeypatch.setenv("BVIS_BRUTE_LIMIT", "100")
+    result = runner.invoke(main, ["sieve", "--N", "30", "--b", "1,1"])
+    assert result.exit_code == 0
+    assert len(result.stdout.splitlines()) == 555
+
+
 @pytest.mark.parametrize(
     "fmt,stdout",
     [
         ("plain", ""),
-        ("csv", "x1,x2\n"),
+        ("csv", "x1,x2\r\n"),
         ("json", '{"b": ["1", "1"], "case": "int", "box": [5, 0], "count": 0, "points": []}\n'),
     ],
 )
@@ -491,7 +497,7 @@ def test_sieve_writes_the_same_payload_in_any_chunk_size(runner, monkeypatch, fm
             {"b": ["1", "-2"], "case": "signed", "box": [7, 9], "count": len(points), "points": points}
         )
         + "\n",
-        "csv": "x1,x2\n" + "".join(f"{x},{y}\n" for x, y in points),
+        "csv": "x1,x2\r\n" + "".join(f"{x},{y}\r\n" for x, y in points),
         "plain": "".join(f"{x},{y}\n" for x, y in points),
     }[fmt]
     args = ["sieve", "--b", "1,-2", "--box", "7,9", "--format", fmt]
@@ -503,15 +509,14 @@ def test_sieve_writes_the_same_payload_in_any_chunk_size(runner, monkeypatch, fm
 
 
 @pytest.mark.parametrize(
-    "args,env,stderr",
+    "args,stderr",
     [
-        ("--limit 0", {}, "error: --limit must be an integer >= 1, got 0\n"),
-        ("--limit -1", {}, "error: --limit must be an integer >= 1, got -1\n"),
-        ("", {"BVIS_BRUTE_LIMIT": "abc"}, "error: BVIS_BRUTE_LIMIT must be an integer >= 1, got 'abc'\n"),
+        ("--limit 0", "error: --limit must be an integer >= 1, got 0\n"),
+        ("--limit -1", "error: --limit must be an integer >= 1, got -1\n"),
     ],
 )
-def test_sieve_rejects_a_bad_limit(runner, args, env, stderr):
-    result = runner.invoke(main, ["sieve", "--b", "1,1", "--N", "3", *args.split()], env=env)
+def test_sieve_rejects_a_bad_limit(runner, args, stderr):
+    result = runner.invoke(main, ["sieve", "--b", "1,1", "--N", "3", *args.split()])
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == stderr
@@ -933,7 +938,7 @@ def test_cli_corpus_replays_byte_for_byte(runner):
         argv = entry["argv"]
         result = runner.invoke(main, argv)
         got = {"argv": argv, "exit": result.exit_code, "stderr": result.stderr}
-        got.update(make_cli_corpus.stdout_fields(make_cli_corpus.masked(argv, result.stdout_bytes.decode())))
+        got.update(make_cli_corpus.stdout_fields(make_cli_corpus.masked(argv, result.stdout)))
         if got != entry:
             mismatches.append((entry, got))
     assert not mismatches
@@ -969,8 +974,10 @@ def test_readme_command_line_examples(runner, args, shown):
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     text = "".join(line + "\n" for line in shown)
+    # README cannot show csv's "\r"
+    stdout = result.stdout.replace("\r\n", "\n")
     if "..." in text:
         # the README elides the rest of the output from here on
-        assert result.stdout.startswith(text.split("...")[0])
+        assert stdout.startswith(text.split("...")[0])
     elif shown:
-        assert result.stdout == text
+        assert stdout == text

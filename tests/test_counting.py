@@ -11,10 +11,8 @@ from bvis.arith import Mertens, factorize, iroot, mobius, mobius_sieve, mobius_t
 from bvis.counting import (
     DensityReport,
     box_edges,
-    brute_force_limit,
     brute_prefix_counts,
     count_box,
-    count_visible_bruteforce,
     count_visible_int,
     density_report,
     mark_box,
@@ -36,16 +34,15 @@ from bvis.visibility import (
 # ---------------------------------------------------------------- box / report
 
 
+def count_by_enumeration(edges, predicate):
+    """Points of the box [1,M1]x...x[1,Mk] where predicate holds, tested one by one."""
+    return sum(1 for pt in itertools.product(*(range(1, m + 1) for m in edges)) if predicate(pt))
+
+
 def test_box_spec():
     # a box is its edges tuple; a zero edge is an empty box
-    assert count_visible_bruteforce((3, 4, 5), lambda pt: True) == 60
-    assert count_visible_bruteforce((7, 0), lambda pt: True) == 0
-    with pytest.raises(UsageError) as exc:
-        count_visible_bruteforce((3, -1), lambda pt: True)
-    assert str(exc.value) == "box edges must be >= 0, got (3, -1)"
-    with pytest.raises(UsageError) as exc:
-        count_visible_bruteforce((), lambda pt: True)
-    assert str(exc.value) == "box needs at least one edge"
+    assert count_box((3, 4, 5), constrained_exponents("signed", (1, 1, 1))) == 60
+    assert count_box((7, 0), constrained_exponents("int", (1, 1))) == 0
 
 
 def test_density_report_fields():
@@ -228,7 +225,7 @@ def test_count_visible_int_matches_bruteforce():
     for b in [(1, 1), (1, 2), (2, 3), (1, 1, 1)]:
         k = len(b)
         for N in (1, 2, 5, 10, 25):
-            brute = count_visible_bruteforce(
+            brute = count_by_enumeration(
                 (N,) * k, lambda pt: is_visible_int(pt, b)
             )
             assert count_visible_int(N, b) == brute
@@ -295,7 +292,7 @@ def test_count_visible_rat_frozen():
 
 def test_count_visible_rat_matches_predicate():
     report = density_report(64, ["2/3", "1/2"], "rat")
-    brute = count_visible_bruteforce(
+    brute = count_by_enumeration(
         report.box, lambda pt: is_visible_rat(pt, ["2/3", "1/2"])
     )
     assert report.visible_count == brute
@@ -341,7 +338,7 @@ def test_count_visible_signed_empty_j():
 def test_count_visible_signed_matches_bruteforce_k2():
     for N in (1, 2, 5, 10, 20, 50):
         report = density_report(N, [1, -2], "signed")
-        brute = count_visible_bruteforce(
+        brute = count_by_enumeration(
             report.box, lambda pt: is_visible_signed(pt, [1, -2])
         )
         assert report.visible_count == brute
@@ -351,7 +348,7 @@ def test_count_visible_signed_matches_bruteforce_k3():
     b = [3, -2, -3]
     for N in (1, 2, 5, 10, 20, 30):
         report = density_report(N, b, "signed")
-        brute = count_visible_bruteforce(
+        brute = count_by_enumeration(
             report.box, lambda pt: is_visible_signed(pt, b)
         )
         assert report.visible_count == brute
@@ -411,53 +408,13 @@ def test_mark_box_edge_cases():
 
 
 def test_bruteforce_examples():
-    assert count_visible_bruteforce((10, 10), lambda pt: is_visible_int(pt, (1, 1))) == 63
-    assert count_visible_bruteforce((5, 5, 5), lambda pt: True) == 125
-    assert count_visible_bruteforce((4, 0), lambda pt: True) == 0
+    assert count_by_enumeration((10, 10), lambda pt: is_visible_int(pt, (1, 1))) == 63
+    assert count_by_enumeration((5, 5, 5), lambda pt: True) == 125
+    assert count_by_enumeration((4, 0), lambda pt: True) == 0
     assert (
-        count_visible_bruteforce((5, 5, 5), lambda pt: is_visible_int(pt, (1, 1, 1)))
+        count_by_enumeration((5, 5, 5), lambda pt: is_visible_int(pt, (1, 1, 1)))
         == mobius_box_count((5, 5, 5), (1, 1, 1))
     )
-
-
-def test_bruteforce_limit(monkeypatch):
-    monkeypatch.delenv("BVIS_BRUTE_LIMIT", raising=False)
-    with pytest.raises(ResourceLimitError):
-        count_visible_bruteforce((10**4, 10**4), lambda pt: True)
-    monkeypatch.setenv("BVIS_BRUTE_LIMIT", "100")
-    assert count_visible_bruteforce((10, 10), lambda pt: True) == 100
-    monkeypatch.setenv("BVIS_BRUTE_LIMIT", "99")
-    with pytest.raises(ResourceLimitError):
-        count_visible_bruteforce((10, 10), lambda pt: True)
-
-
-def test_brute_force_limit_env(monkeypatch):
-    monkeypatch.delenv("BVIS_BRUTE_LIMIT", raising=False)
-    assert brute_force_limit() == 10_000_000
-    monkeypatch.setenv("BVIS_BRUTE_LIMIT", "500")
-    assert brute_force_limit() == 500
-    with pytest.raises(ResourceLimitError):
-        count_visible_bruteforce((30, 30), lambda pt: True)
-    assert brute_force_limit(2000) == 2000  # explicit argument wins
-
-
-@pytest.mark.parametrize(
-    "limit,env,message",
-    [
-        (0, None, "--limit must be an integer >= 1, got 0"),
-        (-1, "500", "--limit must be an integer >= 1, got -1"),
-        (None, "abc", "BVIS_BRUTE_LIMIT must be an integer >= 1, got 'abc'"),
-        (None, "2.5", "BVIS_BRUTE_LIMIT must be an integer >= 1, got '2.5'"),
-        (None, "0", "BVIS_BRUTE_LIMIT must be an integer >= 1, got '0'"),
-    ],
-)
-def test_brute_force_limit_rejects_a_bad_ceiling(monkeypatch, limit, env, message):
-    monkeypatch.delenv("BVIS_BRUTE_LIMIT", raising=False)
-    if env is not None:
-        monkeypatch.setenv("BVIS_BRUTE_LIMIT", env)
-    with pytest.raises(UsageError) as exc:
-        brute_force_limit(limit)
-    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------- dispatcher

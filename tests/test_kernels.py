@@ -32,6 +32,10 @@ def test_package_exports():
     assert not hasattr(bvis.counting, "_count_constrained")
     assert not hasattr(bvis.counting, "DENSITY_ZETA_TOL")
     assert not hasattr(bvis.ResourceLimitError("x"), "limit")
+    assert len(bvis.__all__) == 28
+    for name in ("count_visible_bruteforce", "oracle_visible_parametric", "brute_force_limit"):
+        for module in (bvis, bvis.counting, bvis.visibility):
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_readme_library_examples():

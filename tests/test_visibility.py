@@ -19,7 +19,6 @@ from bvis.visibility import (
     is_visible_int,
     is_visible_rat,
     is_visible_signed,
-    oracle_visible_parametric,
     reduce_b,
     witness_prime_int,
     witness_prime_signed,
@@ -186,21 +185,19 @@ def test_is_visible_int_vs_gcd_for_ones():
 
 
 def test_oracle_paper_examples():
-    assert not oracle_visible_parametric((2, 4), (2, 4))
     assert find_parametric_witness((2, 4), (2, 4)) == (1, 1)
-    assert not oracle_visible_parametric((4, 16, 40, 128), (2, 4, 3, 7))
     assert find_parametric_witness((4, 16, 40, 128), (2, 4, 3, 7)) == (1, 1, 5, 1)
-    assert oracle_visible_parametric((3, 5), (1, 1))
-    assert oracle_visible_parametric((1, 1, 5, 1), (2, 4, 3, 7))
+    assert find_parametric_witness((3, 5), (1, 1)) is None
+    assert find_parametric_witness((1, 1, 5, 1), (2, 4, 3, 7)) is None
 
 
 def test_oracle_resource_limit(monkeypatch):
     with pytest.raises(ResourceLimitError):
-        oracle_visible_parametric((10**5, 10**4), (1, 1))
+        find_parametric_witness((10**5, 10**4), (1, 1))
     monkeypatch.setattr(visibility, "DEFAULT_ORACLE_BOX_LIMIT", 15)
-    assert oracle_visible_parametric((3, 5), (1, 1))
+    assert find_parametric_witness((3, 5), (1, 1)) is None
     with pytest.raises(ResourceLimitError):
-        oracle_visible_parametric((4, 5), (1, 1))
+        find_parametric_witness((4, 5), (1, 1))
 
 
 def test_oracle_power_budget(monkeypatch):
@@ -210,11 +207,11 @@ def test_oracle_power_budget(monkeypatch):
     assert f"exceed budget {visibility.ORACLE_BIT_BUDGET}" in str(exc.value)
     # the bound is 3*1*2 + 5*1*3 = 21 bits for (3, 5) under (1, 1)
     monkeypatch.setattr(visibility, "ORACLE_BIT_BUDGET", 21)
-    assert oracle_visible_parametric((3, 5), (1, 1))
+    assert find_parametric_witness((3, 5), (1, 1)) is None
     with pytest.raises(ResourceLimitError):
-        oracle_visible_parametric((3, 6), (1, 1))
+        find_parametric_witness((3, 6), (1, 1))
     # a coordinate 1 has no image and needs no table
-    assert oracle_visible_parametric((1, 2), (10**12, 1))
+    assert find_parametric_witness((1, 2), (10**12, 1)) is None
 
 
 @settings(max_examples=200, deadline=None)
@@ -230,7 +227,7 @@ def test_oracle_agrees_with_characterization(point, data):
             max_size=len(point),
         )
     )
-    assert oracle_visible_parametric(point, b) == is_visible_int(point, b)
+    assert (find_parametric_witness(point, b) is None) == is_visible_int(point, b)
 
 
 @settings(max_examples=100, deadline=None)
@@ -290,7 +287,7 @@ def test_function_independence_under_scaling():
     for scale in (2, 3):
         for point in itertools.product(range(1, 21), repeat=2):
             scaled_witness = _scaled_constrained_witness(point, b, scale)
-            assert (scaled_witness is None) == oracle_visible_parametric(point, b)
+            assert (scaled_witness is None) == (find_parametric_witness(point, b) is None)
 
 
 # ---------------------------------------------------------------- rational case
