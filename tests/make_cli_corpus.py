@@ -7,8 +7,9 @@ interpreter and the tree's ``src`` first on PYTHONPATH.  An entry holds the
 argv, the exit code, stderr, and stdout: verbatim up to STDOUT_INLINE bytes,
 above that as its sha256 and byte count.  `bvis verify` prints a time
 column, which every entry stores masked.  tests/test_cli.py replays the
-corpus in process.  Regenerate it only to record a change of output that
-is meant, and list each changed entry in CHANGES.md.
+corpus in process, one test case per entry.  Regenerate it only to record
+a change of output that is meant, and list each changed entry in
+CHANGES.md.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ def _workload_commands() -> list[list[str]]:
 
 
 _USAGE_ERRORS = (
+    # the choice of --N or --box is checked before the exponent spec
     "count --b 1,x",
     "sieve --b 1,x",
     "count --b 1,x --box 3",
@@ -61,7 +63,7 @@ _USAGE_ERRORS = (
     "count --b 1,1 --N 0",
     "density --b 1,1 --N 0",
     "density --b 1,x --N 0",
-    "density --b 2/3,2/3 --N 0",
+    "density --b 2/3,2/3 --N 0",  # a bad N is reported before the gcd-one condition
     "check --b 1,2 --point 1,2,3",
     "density --b 0,1/2 --N 10",
     "check --b 1/2,1 --case int --point 4,6",
@@ -73,7 +75,7 @@ _USAGE_ERRORS = (
     "sieve --b 1,1 --N 3 --limit 0",
     "sieve --b 1,1 --N 3 --limit -1",
     "zeta --s 1",
-    "zeta --s 2 --tol inf --format json",
+    "zeta --s 2 --tol inf --format json",  # the tail bound would be inf, which json.dumps writes as Infinity
 )
 
 _GCD_ONE = (
@@ -131,10 +133,62 @@ _PARSER = (
     "--version",
 )
 
+_FORMATS = ("plain", "json", "csv")
+
+# check in every format: a visible and an invisible point of each family
+_CHECK = tuple(
+    f"check {args} --format {fmt}"
+    for args in (
+        "--b 2,4,3,7 --point 4,16,40,128",
+        "--b 2,4,3,7 --point 1,1,5,1",
+        # (16,8) = (4**2, 2**3) sits over the base (4,2), which 2 witnesses (2**2 | 4 and 2 | 2)
+        "--b 2/3,1/2 --point 16,8 --expanded",
+        "--b 2/3,1/2 --point 9,8 --expanded",
+        "--b 1,-2 --point 5,4",  # t = 2 maps (5, 4) to (10, 1)
+        "--b 1,-2 --point 5,6",
+        "--b 1,2 --case signed --point 4,8",  # no negative entry: every point is visible
+    )
+    for fmt in _FORMATS
+)
+
+# small outputs of each command, with --format left out or given
+_MORE_OUTPUTS = (
+    "check --b 2,4,3,7 --point 1,1,5,1",
+    "check --b 2,4,3,7 --point 4,16,40,128",
+    "count --b 1,-2 --box 8,4 --format json",
+    "count --b 2/3,1/2 --case rat --box 8,4 --format json",
+    "count --b 1,1",  # neither --N nor --box
+    "density --b 1/2,2/3 --N 50",
+    "density --b 1/2,2/3 --N 50 --format csv",  # with it, every command has every format in every family
+    "sieve --N 3 --b 1,1",
+    "sieve --N 3 --b 1,1 --format json",
+    "sieve --N 3 --b 1,1 --format csv",
+    "sieve --b 2/3,1/2 --box 4,4 --format csv",  # numerators (2, 1): 2**2 | 4 and 2 | 2
+    "sieve --b 1,-2 --box 3,5",  # only the second coordinate decides: 4 = 2**2 drops out
+    "sieve --b 1,1 --box 5,0 --format plain",
+    # --N before --b: the options may come in any order
+    "sieve --N 30 --b 1,1 --limit 100",
+    "sieve --N 30 --b 1,1 --limit 1000 --format json",
+    "zeta --s 3 --euler-limit 10000000 --format json",
+    "zeta --s 4 --euler-limit 10000000 --format json",
+    "zeta --s 5 --euler-limit 10000000 --format json",
+    "zeta --s 2 --euler-limit 1000000",
+    "verify --profile full --seed 26",
+)
+
+# sieve writes SIEVE_CHUNK = 65536 points at a time: exactly one chunk, and one chunk and a point
+_CHUNKS = tuple(
+    f"sieve --b 1,2 --case signed --box {box} --format {fmt}" for box in ("256,256", "65537,1") for fmt in _FORMATS
+)
+
+# built from COMMANDS and the handlers' docstrings
+_HELP = ("--help", *(f"{command} --help" for command in ("check", "count", "density", "sieve", "verify", "zeta")))
+
 
 def commands() -> list[list[str]]:
-    lines = _USAGE_ERRORS + _GCD_ONE + _REFUSALS + _OUTPUTS + _PARSER
-    return _workload_commands() + [line.split() for line in lines]
+    lines = _USAGE_ERRORS + _GCD_ONE + _REFUSALS + _OUTPUTS + _PARSER + _CHECK + _MORE_OUTPUTS + _CHUNKS + _HELP
+    # dict.fromkeys drops a line that an earlier tuple already holds
+    return _workload_commands() + [line.split() for line in dict.fromkeys(lines)]
 
 
 def run(argv: list[str]) -> dict:

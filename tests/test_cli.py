@@ -26,13 +26,6 @@ from bvis.visibility import constrained_exponents, is_visible_int, is_visible_ra
 from bvis.zeta import inv_zeta
 
 
-def test_version(runner):
-    # read from bvis.__version__, so it works from a source tree too
-    result = runner.invoke(main, ["--version"])
-    assert result.exit_code == 0, result.output
-    assert "0.1.0" in result.output
-
-
 @pytest.mark.parametrize("command", [None, *bvis.cli.COMMANDS])
 def test_help_lists_every_option(runner, command):
     result = runner.invoke(main, [command, "--help"] if command else ["--help"])
@@ -81,120 +74,6 @@ def test_parse_b_spec_rejections():
 # ---------------------------------------------------------------- check
 
 
-def test_check_invisible_json(runner):
-    result = runner.invoke(
-        main, ["check", "--b", "2,4,3,7", "--point", "4,16,40,128", "--format", "json"]
-    )
-    assert result.exit_code == 0
-    assert json.loads(result.stdout) == {
-        "b": ["2", "4", "3", "7"],
-        "case": "int",
-        "point": [4, 16, 40, 128],
-        "visible": False,
-        "witness_prime": 2,
-        "image": [1, 1, 5, 1],
-    }
-
-
-def test_check_plain(runner):
-    visible = runner.invoke(main, ["check", "--b", "2,4,3,7", "--point", "1,1,5,1"])
-    assert visible.exit_code == 0
-    assert visible.stdout == "visible\n"
-
-    invisible = runner.invoke(main, ["check", "--b", "2,4,3,7", "--point", "4,16,40,128"])
-    assert invisible.exit_code == 0
-    assert invisible.stdout == "invisible: witness prime 2, image 1,1,5,1\n"
-
-
-def test_check_expanded_point(runner):
-    # b=(2/3,1/2): expanded (16,8) = (4**2, 2**3) sits over the base (4,2),
-    # which 2 witnesses (2**2 | 4 and 2**1 | 2)
-    result = runner.invoke(
-        main,
-        ["check", "--b", "2/3,1/2", "--point", "16,8", "--expanded", "--format", "json"],
-    )
-    assert result.exit_code == 0
-    payload = json.loads(result.stdout)
-    assert payload["point"] == [4, 2]
-    assert payload["visible"] is False
-    assert payload["witness_prime"] == 2
-
-    off_lattice = runner.invoke(
-        main, ["check", "--b", "2/3,1/2", "--point", "16,7", "--expanded"]
-    )
-    assert off_lattice.exit_code == 2
-
-    not_fractional = runner.invoke(
-        main, ["check", "--b", "1,2", "--point", "4,8", "--expanded"]
-    )
-    assert not_fractional.exit_code == 2
-
-
-# (args, stdout in plain, json and csv)
-_CHECK_CASES = {
-    "int-invisible": (
-        "--b 2,4,3,7 --point 4,16,40,128",
-        "invisible: witness prime 2, image 1,1,5,1\n",
-        '{"b": ["2", "4", "3", "7"], "case": "int", "point": [4, 16, 40, 128], '
-        '"visible": false, "witness_prime": 2, "image": [1, 1, 5, 1]}\n',
-        'b,case,point,visible,witness_prime,image\r\n"2,4,3,7",int,"4,16,40,128",False,2,"1,1,5,1"\r\n',
-    ),
-    "int-visible": (
-        "--b 2,4,3,7 --point 1,1,5,1",
-        "visible\n",
-        '{"b": ["2", "4", "3", "7"], "case": "int", "point": [1, 1, 5, 1], '
-        '"visible": true, "witness_prime": null, "image": null}\n',
-        'b,case,point,visible,witness_prime,image\r\n"2,4,3,7",int,"1,1,5,1",True,,\r\n',
-    ),
-    "rat-expanded-invisible": (
-        "--b 2/3,1/2 --point 16,8 --expanded",
-        "invisible: witness prime 2\n",
-        '{"b": ["2/3", "1/2"], "case": "rat", "point": [4, 2], '
-        '"visible": false, "witness_prime": 2, "image": null}\n',
-        'b,case,point,visible,witness_prime,image\r\n"2/3,1/2",rat,"4,2",False,2,\r\n',
-    ),
-    "rat-expanded-visible": (
-        "--b 2/3,1/2 --point 9,8 --expanded",
-        "visible\n",
-        '{"b": ["2/3", "1/2"], "case": "rat", "point": [3, 2], '
-        '"visible": true, "witness_prime": null, "image": null}\n',
-        'b,case,point,visible,witness_prime,image\r\n"2/3,1/2",rat,"3,2",True,,\r\n',
-    ),
-    # t = 2 maps (5, 4) to (10, 1)
-    "signed-invisible": (
-        "--b 1,-2 --point 5,4",
-        "invisible: witness prime 2\n",
-        '{"b": ["1", "-2"], "case": "signed", "point": [5, 4], '
-        '"visible": false, "witness_prime": 2, "image": null}\n',
-        'b,case,point,visible,witness_prime,image\r\n"1,-2",signed,"5,4",False,2,\r\n',
-    ),
-    "signed-visible": (
-        "--b 1,-2 --point 5,6",
-        "visible\n",
-        '{"b": ["1", "-2"], "case": "signed", "point": [5, 6], '
-        '"visible": true, "witness_prime": null, "image": null}\n',
-        'b,case,point,visible,witness_prime,image\r\n"1,-2",signed,"5,6",True,,\r\n',
-    ),
-    "signed-no-negative-entry": (
-        "--b 1,2 --case signed --point 4,8",
-        "visible\n",
-        '{"b": ["1", "2"], "case": "signed", "point": [4, 8], '
-        '"visible": true, "witness_prime": null, "image": null}\n',
-        'b,case,point,visible,witness_prime,image\r\n"1,2",signed,"4,8",True,,\r\n',
-    ),
-}
-
-
-@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
-@pytest.mark.parametrize("name", list(_CHECK_CASES))
-def test_check_frozen_output(runner, name, fmt):
-    args, plain, as_json, as_csv = _CHECK_CASES[name]
-    result = runner.invoke(main, ["check", *args.split(), "--format", fmt])
-    assert result.exit_code == 0
-    assert result.stdout == {"plain": plain, "json": as_json, "csv": as_csv}[fmt]
-    assert result.stderr == ""
-
-
 def test_check_factors_a_61_bit_gcd(runner):
     p = 2**61 - 1
     result = runner.invoke(main, ["check", "--b", "1,1", "--point", f"{p},{2 * p}"])
@@ -219,81 +98,6 @@ def test_check_refuses_an_unfactorable_gcd_quickly(runner, gcd, reason):
     assert result.exit_code == 4
     assert result.stdout == ""
     assert result.stderr.startswith(reason)
-
-
-# ---------------------------------------------------------------- count
-
-
-def test_count_explicit_box(runner):
-    result = runner.invoke(
-        main,
-        ["count", "--b", "2/3,1/2", "--case", "rat", "--box", "8,4", "--format", "json"],
-    )
-    assert result.exit_code == 0
-    payload = json.loads(result.stdout)
-    assert payload == {
-        "b": ["2/3", "1/2"],
-        "case": "rat",
-        "box": [8, 4],
-        "visible": "28",
-        "total": "32",
-    }
-
-
-def test_count_requires_box_or_n(runner):
-    result = runner.invoke(main, ["count", "--b", "1,1"])
-    assert result.exit_code == 2
-    assert "error" in result.stderr
-
-    both = runner.invoke(main, ["count", "--b", "1,1", "--N", "5", "--box", "5,5"])
-    assert both.exit_code == 2
-
-
-@pytest.mark.parametrize(
-    "args,stdout,stderr",
-    [
-        (
-            "count --b 1,1 --box 0,5",
-            "b: 1,1\ncase: int\nbox: 0,5\nvisible: 0\ntotal: 0\n",
-            "",
-        ),
-        (
-            "count --b 1,-2 --box 8,4 --format json",
-            '{"b": ["1", "-2"], "case": "signed", "box": [8, 4], "visible": "24", "total": "32"}\n',
-            "",
-        ),
-        (  # a signed vector with no negative entry: every point is visible
-            "count --b 1,1 --N 10 --case signed",
-            "b: 1,1\ncase: signed\nbox: 10,10\nvisible: 100\ntotal: 100\n",
-            "",
-        ),
-        (
-            "density --b 1/2,2/3 --N 50",
-            "b: 1/2,2/3\ncase: rat\nbox: 3,7\nvisible: 20\ntotal: 21\n"
-            "empirical: 0.9523809523809523\nexponent_sum: 3\n"
-            "theoretical: 0.8319073725807075\nabs_error: 0.12047357980024487\n",
-            "",
-        ),
-        (
-            "density --b 1 --N 10",
-            "b: 1\ncase: int\nbox: 10\nvisible: 1\ntotal: 10\nempirical: 0.1\n"
-            "exponent_sum: 1\ntheoretical: -\nabs_error: -\n",
-            "",
-        ),
-        (
-            "density --b 2,4 --N 50 --format csv",
-            "b,case,box,visible,total,empirical,exponent_sum,theoretical,abs_error\r\n"
-            '"2,4",int,"50,50",2101,2500,0.8404,3,0.8319073725807075,0.008492627419292575\r\n',
-            "note: exponents share gcd 2; visibility is equivalent to the reduced "
-            "vector (1,2), which sets the density\n",
-        ),
-    ],
-)
-def test_count_and_density_frozen_output(runner, args, stdout, stderr):
-    result = runner.invoke(main, args.split())
-    assert result.exit_code == 0
-    assert result.stdout == stdout
-    assert result.stderr == stderr
 
 
 # ---------------------------------------------------------------- density
@@ -346,34 +150,6 @@ def test_density_csv_matches_json(runner):
 # ---------------------------------------------------------------- sieve
 
 
-def test_sieve_frozen_output(runner):
-    plain = runner.invoke(main, ["sieve", "--N", "3", "--b", "1,1"])
-    assert plain.exit_code == 0
-    assert plain.stdout.splitlines() == [
-        "1,1",
-        "1,2",
-        "1,3",
-        "2,1",
-        "2,3",
-        "3,1",
-        "3,2",
-    ]
-
-    as_json = json.loads(
-        runner.invoke(main, ["sieve", "--N", "3", "--b", "1,1", "--format", "json"]).stdout
-    )
-    assert as_json["count"] == 7
-    assert as_json["points"] == [
-        [x, y] for x in range(1, 4) for y in range(1, 4) if math.gcd(x, y) == 1
-    ]
-
-    as_csv = runner.invoke(
-        main, ["sieve", "--N", "3", "--b", "1,1", "--format", "csv"]
-    ).stdout
-    assert as_csv.splitlines()[0] == "x1,x2"
-    assert len(as_csv.splitlines()) == 8
-
-
 @pytest.mark.parametrize(
     "spec,case,edges",
     [
@@ -395,65 +171,12 @@ def test_sieve_lists_the_points_the_predicates_accept(runner, spec, case, edges)
     assert json.loads(result.stdout)["points"] == expected
 
 
-_RAT_SIEVE = "1,1\n1,2\n1,3\n1,4\n2,1\n2,2\n2,3\n2,4\n3,1\n3,2\n3,3\n3,4\n4,1\n4,3\n"
-_SIGNED_SIEVE = "1,1\n1,2\n1,3\n1,5\n2,1\n2,2\n2,3\n2,5\n3,1\n3,2\n3,3\n3,5\n"
-
-
-@pytest.mark.parametrize(
-    "args,stdout",
-    [
-        # numerators (2, 1): 2**2 | 4 and 2 | 2, 4 drop out
-        ("--b 2/3,1/2 --box 4,4", _RAT_SIEVE),
-        ("--b 2/3,1/2 --box 4,4 --format csv", "x1,x2\r\n" + _RAT_SIEVE.replace("\n", "\r\n")),
-        # only the second coordinate decides: 4 = 2**2 drops out
-        ("--b 1,-2 --box 3,5", _SIGNED_SIEVE),
-        ("--b 1,-2 --box 3,5 --format csv", "x1,x2\r\n" + _SIGNED_SIEVE.replace("\n", "\r\n")),
-    ],
-)
-def test_sieve_frozen_rational_and_signed_output(runner, args, stdout):
-    result = runner.invoke(main, ["sieve", *args.split()])
-    assert result.exit_code == 0
-    assert result.stdout == stdout
-    assert result.stderr == ""
-
-
-def test_sieve_resource_limits(runner):
-    over_default = runner.invoke(main, ["sieve", "--N", "4000", "--b", "1,1"])
-    assert over_default.exit_code == 4
-    assert "error" in over_default.stderr
-
-    narrowed = runner.invoke(main, ["sieve", "--N", "30", "--b", "1,1", "--limit", "100"])
-    assert narrowed.exit_code == 4
-
-    raised = runner.invoke(
-        main,
-        ["sieve", "--N", "30", "--b", "1,1", "--limit", "1000", "--format", "json"],
-    )
-    assert raised.exit_code == 0
-    assert json.loads(raised.stdout)["count"] == 555
-
-
 def test_sieve_reads_no_ceiling_from_the_environment(runner, monkeypatch):
     # --limit is the only way to move the ceiling
     monkeypatch.setenv("BVIS_BRUTE_LIMIT", "100")
     result = runner.invoke(main, ["sieve", "--N", "30", "--b", "1,1"])
     assert result.exit_code == 0
     assert len(result.stdout.splitlines()) == 555
-
-
-@pytest.mark.parametrize(
-    "fmt,stdout",
-    [
-        ("plain", ""),
-        ("csv", "x1,x2\r\n"),
-        ("json", '{"b": ["1", "1"], "case": "int", "box": [5, 0], "count": 0, "points": []}\n'),
-    ],
-)
-def test_sieve_of_an_empty_box(runner, fmt, stdout):
-    result = runner.invoke(main, ["sieve", "--b", "1,1", "--box", "5,0", "--format", fmt])
-    assert result.exit_code == 0
-    assert result.stdout == stdout
-    assert result.stderr == ""
 
 
 _SIEVE_VECTORS = (
@@ -508,20 +231,6 @@ def test_sieve_writes_the_same_payload_in_any_chunk_size(runner, monkeypatch, fm
         assert result.stdout == whole, size
 
 
-@pytest.mark.parametrize(
-    "args,stderr",
-    [
-        ("--limit 0", "error: --limit must be an integer >= 1, got 0\n"),
-        ("--limit -1", "error: --limit must be an integer >= 1, got -1\n"),
-    ],
-)
-def test_sieve_rejects_a_bad_limit(runner, args, stderr):
-    result = runner.invoke(main, ["sieve", "--b", "1,1", "--N", "3", *args.split()])
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    assert result.stderr == stderr
-
-
 # ---------------------------------------------------------------- zeta
 
 
@@ -535,32 +244,6 @@ def test_zeta_command(runner):
 
     bad = runner.invoke(main, ["zeta", "--s", "1"])
     assert bad.exit_code == 2
-
-
-def test_zeta_refuses_an_infinite_tolerance(runner):
-    # the tail bound would be inf, which json.dumps writes as Infinity
-    result = runner.invoke(main, ["zeta", "--s", "2", "--tol", "inf", "--format", "json"])
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    assert result.stderr == "error: tolerance must be finite, got inf\n"
-
-
-@pytest.mark.parametrize(
-    "s, product", [(3, 1.2020569031595065), (4, 1.0823232337111537), (5, 1.0369277551433724)]
-)
-def test_zeta_euler_product_frozen_json(runner, s, product):
-    args = ["zeta", "--s", str(s), "--euler-limit", "10000000", "--format", "json"]
-    result = runner.invoke(main, args)
-    assert result.exit_code == 0, result.output
-    payload = json.loads(result.stdout)
-    assert payload["euler_product"].hex() == product.hex()
-    assert payload["euler_prime_limit"] == 10_000_000
-
-
-def test_zeta_euler_product_frozen_plain(runner):
-    result = runner.invoke(main, ["zeta", "--s", "2", "--euler-limit", "1000000"])
-    assert result.exit_code == 0, result.output
-    assert result.stdout.splitlines()[1] == "euler product (p <= 1000000): 1.6449339553616829"
 
 
 # ---------------------------------------------------------------- numpy on demand
@@ -706,6 +389,7 @@ def _cap_address_space():
         (["-c", _ROOTS_OF_HUGE_POWERS], "ok"),
         (["-c", _ORACLE_REFUSES_HUGE_POWERS], "ok"),
     ],
+    ids=["density-box-edges", "check-witness", "iroot-floor-root", "oracle-tables"],
 )
 def test_huge_exponents_build_no_huge_powers(args, line):
     # in a child capped at 1 GiB of address space, so that a huge power
@@ -747,68 +431,6 @@ def test_benchmark_tracer_sees_the_grid_marker(tmp_path):
 
 
 # ---------------------------------------------------------------- exit codes
-
-
-def test_usage_errors_exit_2(runner):
-    mismatched = runner.invoke(main, ["check", "--b", "1,2", "--point", "1,2,3"])
-    assert mismatched.exit_code == 2
-    assert "error" in mismatched.stderr
-
-    bad_spec = runner.invoke(main, ["check", "--b", "1,x", "--point", "1,2"])
-    assert bad_spec.exit_code == 2
-
-
-@pytest.mark.parametrize(
-    "args,stderr",
-    [
-        # the choice of --N or --box is checked before the exponent spec
-        ("count --b 1,x", "error: need exactly one of --N or --box\n"),
-        ("sieve --b 1,x", "error: need exactly one of --N or --box\n"),
-        ("count --b 1,x --box 3", "error: bad exponent entry 'x'; expected [-]digits[/digits]\n"),
-        ("count --b 1,1 --box 3", "error: --box has 1 edges, exponent vector has 2\n"),
-        ("count --b 1,1 --box 3,x", "error: --box must be comma-separated integers, got '3,x'\n"),
-        ("count --b 1,1 --N 0", "error: --N must be >= 1, got 0\n"),
-        ("density --b 1,1 --N 0", "error: --N must be >= 1, got 0\n"),
-        ("density --b 1,x --N 0", "error: bad exponent entry 'x'; expected [-]digits[/digits]\n"),
-        # a bad N is reported before the gcd-one condition (exit 3)
-        ("density --b 2/3,2/3 --N 0", "error: --N must be >= 1, got 0\n"),
-        ("check --b 1,2 --point 1,2,3", "error: point has 3 coordinates, exponent vector has 2\n"),
-        ("density --b 0,1/2 --N 10", "error: rational exponents must be nonzero\n"),
-        (
-            "check --b 1/2,1 --case int --point 4,6",
-            "error: integer case needs positive integer exponents; use --case rat or signed\n",
-        ),
-        (
-            "check --b 1,-2 --case rat --point 4,6",
-            "error: rational case needs positive exponents; use --case signed\n",
-        ),
-    ],
-)
-def test_usage_error_precedence(runner, args, stderr):
-    result = runner.invoke(main, args.split())
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    assert result.stderr == stderr
-
-
-def test_precondition_errors_exit_3(runner):
-    result = runner.invoke(main, ["check", "--b", "2/3,2/3", "--point", "2,3"])
-    assert result.exit_code == 3
-    assert "gcd-one condition" in result.stderr
-
-
-def test_count_and_density_share_the_gcd_one_error(runner):
-    message = (
-        "error: exponent vector (2/3, -2/3) violates the gcd-one condition: "
-        "no integer combination of the entries equals 1\n"
-    )
-    for args in (
-        ["count", "--b", "2/3,-2/3", "--box", "8,4"],
-        ["density", "--b", "2/3,-2/3", "--N", "100"],
-    ):
-        result = runner.invoke(main, args)
-        assert result.exit_code == 3
-        assert result.stderr == message
 
 
 def test_density_past_the_mertens_budget_exits_4(runner):
@@ -872,76 +494,23 @@ def test_verify_reports_failures(runner, monkeypatch):
     assert "FAIL" in result.stdout
 
 
-_VERIFY_QUICK = """\
-worked-example                       PASS  witness p=2, image (1, 1, 5, 1)
-oracle-equivalence                   PASS  800 points, 0 disagreements
-gcd-reduction                        PASS  800 points, 0 disagreements; (2,4) invisible for b=(2,4): True
-mobius-vs-bruteforce                 PASS  N <= 30, 3 vectors, 0 mismatches
-grid-marking-vs-mobius               PASS  edges (500, 500), exps (1,1) and (1,2), grid == mobius
-density-int-(1,1)-N1000              PASS  abs_error 0.000456 vs tol 0.002
-density-int-(2,3)-N500               PASS  abs_error 0.000397 vs tol 0.005
-density-rat-(1/2,1/2)-N1000000       PASS  abs_error 0.000000 vs tol 0.002
-density-rat-(2/3,3/2)-N1000000       PASS  abs_error 0.002283 vs tol 0.005
-density-signed-(1,-2)-N4000          PASS  abs_error 0.000323 vs tol 0.005
-zeta-certification                   PASS  |value - pi^2/6| = 0.00e+00, tail 1.00e-08
-euler-product                        PASS  worst gap 1.32e-06 vs 1e-4
-12/12 checks passed (quick profile)
-"""
-
-_VERIFY_FULL = """\
-worked-example                       PASS  witness p=2, image (1, 1, 5, 1)
-oracle-equivalence                   PASS  9500 points, 0 disagreements
-gcd-reduction                        PASS  4800 points, 0 disagreements; (2,4) invisible for b=(2,4): True
-mobius-vs-bruteforce                 PASS  N <= 60, 5 vectors, 0 mismatches
-grid-marking-vs-mobius               PASS  edges (2000, 2000), exps (1,1) and (1,2), grid == mobius
-density-int-(1,1)-N1000              PASS  abs_error 0.000456 vs tol 0.002
-density-int-(2,3)-N500               PASS  abs_error 0.000397 vs tol 0.005
-density-rat-(1/2,1/2)-N1000000       PASS  abs_error 0.000000 vs tol 0.002
-density-rat-(2/3,3/2)-N1000000       PASS  abs_error 0.002283 vs tol 0.005
-density-signed-(1,-2)-N4000          PASS  abs_error 0.000323 vs tol 0.005
-density-int-(1,2)-N1000              PASS  abs_error 0.000093 vs tol 0.005
-density-int-(1,1,1)-N200             PASS  abs_error 0.001217 vs tol 0.01
-density-rat-(2/3,3/2)-N8000000       PASS  abs_error 0.000277 vs tol 0.01
-density-rat-(2/3,1/2)-N8000000       PASS  abs_error 0.000451 vs tol 0.01
-density-signed-(1,-2)-N10000         PASS  abs_error 0.000373 vs tol 0.005
-density-signed-(3,-2,-3)-N300        PASS  abs_error 0.000568 vs tol 0.01
-zeta-certification                   PASS  |value - pi^2/6| = 0.00e+00, tail 1.00e-11
-euler-product                        PASS  worst gap 1.32e-06 vs 1e-4
-18/18 checks passed (full profile)
-"""
-
-
-@pytest.mark.parametrize(
-    "args, expected",
-    [
-        (["--profile", "quick"], _VERIFY_QUICK),
-        (["--profile", "full", "--seed", "26"], _VERIFY_FULL),
-    ],
-    ids=["quick", "full"],
-)
-def test_verify_frozen_output(runner, args, expected):
-    result = runner.invoke(main, ["verify", *args])
-    assert result.exit_code == 0
-    # the timing column is the only part that varies from run to run
-    header, *lines = make_cli_corpus.masked(["verify"], result.stdout).splitlines(keepends=True)
-    assert header == "check                                status      time  detail\n"
-    assert "".join(lines) == expected
-
-
 # ---------------------------------------------------------------- output corpus
 
 
-def test_cli_corpus_replays_byte_for_byte(runner):
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param(entry, id=" ".join(entry["argv"]) or "<no args>")
+        for entry in json.loads(make_cli_corpus.CORPUS.read_text())
+    ],
+)
+def test_cli_corpus_replays_byte_for_byte(runner, entry):
     # tests/make_cli_corpus.py recorded each entry from a `python -m bvis.cli` process
-    mismatches = []
-    for entry in json.loads(make_cli_corpus.CORPUS.read_text()):
-        argv = entry["argv"]
-        result = runner.invoke(main, argv)
-        got = {"argv": argv, "exit": result.exit_code, "stderr": result.stderr}
-        got.update(make_cli_corpus.stdout_fields(make_cli_corpus.masked(argv, result.stdout)))
-        if got != entry:
-            mismatches.append((entry, got))
-    assert not mismatches
+    argv = entry["argv"]
+    result = runner.invoke(main, argv)
+    got = {"argv": argv, "exit": result.exit_code, "stderr": result.stderr}
+    got.update(make_cli_corpus.stdout_fields(make_cli_corpus.masked(argv, result.stdout)))
+    assert got == entry
 
 
 # ---------------------------------------------------------------- README
