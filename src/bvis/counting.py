@@ -39,7 +39,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import Mertens, floor_root, iroot, sieve_primes
+from .arith import Mertens, _iter_primes, floor_root, iroot
 from .errors import UsageError
 from .visibility import (
     Constraint,
@@ -215,7 +215,7 @@ def mark_box(edges: Sequence[int], constraint: Constraint) -> bytearray:
         powers[j] = e
     *outer, last = edges
     strides = [math.prod(edges[i + 1 :]) for i in range(len(outer))]
-    for p in sieve_primes(min(iroot(edges[j], e) for j, e in zip(positions, exps))):
+    for p in _iter_primes(min(iroot(edges[j], e) for j, e in zip(positions, exps))):
         *heads, q = (p**e for e in powers)
         zeros = bytes(last // q)
         if not zeros:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -31,17 +32,37 @@ def test_sieve_trivial_limits():
 
 
 def test_sieve_prime_counting():
-    # pi(1000) = 168, a classical table value
+    # pi(1000) = 168 and pi(10**6) = 78498, classical table values
     assert len(sieve_primes(1000)) == 168
+    assert len(sieve_primes(10**6)) == 78498
 
 
-def test_sieve_matches_trial_division():
-    # every limit up to 1000, so each parity of limit and each prime square
-    # is an endpoint once; pi(10**6) = 78498
+@pytest.mark.parametrize("segment", [1, 2, 7, 64, arith.PRIME_SEGMENT])
+def test_sieve_matches_trial_division(monkeypatch, segment):
+    # Every limit up to 1000, so each parity of limit and each prime square
+    # is an endpoint once.  A window holds 2 * segment numbers: for the
+    # small segments the limits end on and next to many window edges, and
+    # base primes' squares fall inside later windows, past which each
+    # window finds a prime's first multiple from its residue.
+    monkeypatch.setattr(arith, "PRIME_SEGMENT", segment)
     primes = [n for n in range(2, 1001) if all(n % q for q in range(2, math.isqrt(n) + 1))]
     for limit in range(1, 1001):
-        assert list(sieve_primes(limit)) == [p for p in primes if p <= limit], limit
-    assert len(sieve_primes(10**6)) == 78498
+        assert list(sieve_primes(limit)) == [p for p in primes if p <= limit], (segment, limit)
+
+
+def test_prime_walk_to_1e7_stays_under_a_mebibyte():
+    # pi(10**7) = 664579; its 5 * 10**6 odd candidates span 20 windows, and
+    # the whole-range sieve held a 5 MB bytearray and a 5 MB zero buffer
+    # (11.7 MB peak); a window is 256 KB
+    assert -(-(10**7 // 2) // arith.PRIME_SEGMENT) == 20
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in arith._iter_primes(10**7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 664579
+    assert peak < 1 << 20
 
 
 def test_sieve_budget():
