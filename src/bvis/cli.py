@@ -40,8 +40,11 @@ from .zeta import zeta as zeta_eval
 from .zeta import zeta_euler_product
 
 _B_ENTRY = re.compile(r"-?\d+(?:/\d+)?$")
-# Points per piece of `bvis sieve` output.
-SIEVE_CHUNK = 1 << 16
+# Points of the box per block of `bvis sieve` output.
+SIEVE_CHUNK = 1 << 12
+# How `bvis sieve` writes a point in each format: the text that opens it, the
+# one between its coordinates, the one that closes it, and the one between points.
+_POINT_TEXT = {"json": ("[", ", ", "]", ", "), "csv": ("", ",", "\r\n", ""), "plain": ("", ",", "\n", "")}
 # Most points a `bvis sieve` box may hold unless --limit sets another ceiling.
 DEFAULT_BRUTE_LIMIT = 10_000_000
 
@@ -221,24 +224,76 @@ def sieve(b_spec, n, box_spec, limit, case, fmt):
     if volume > cap:
         raise ResourceLimitError(f"sieve box of {volume} points exceeds limit {cap}")
     marks = counting.mark_box(edges, constrained_exponents(kind, vector))
-    points = itertools.compress(itertools.product(*(range(1, e + 1) for e in edges)), marks)
-    # every format writes SIEVE_CHUNK points at a time; no payload is held whole
-    chunks = iter(lambda: list(itertools.islice(points, SIEVE_CHUNK)), [])
     write = sys.stdout.write
     if fmt == "json":
         head = {**_family(kind, vector), "box": list(edges), "count": marks.count(1), "points": []}
         write(json.dumps(head)[:-2])  # up to the points' opening bracket
-        for i, chunk in enumerate(chunks):
-            write((", " if i else "") + json.dumps(chunk)[1:-1])
-        write("]}\n")
     elif fmt == "csv":
         write(_csv_text([[f"x{i + 1}" for i in range(len(edges))]]))
-        for chunk in chunks:
-            write(_csv_text(chunk))
-    else:
-        line = ",".join(["%d"] * len(edges))
-        for chunk in chunks:
-            print("\n".join(line % pt for pt in chunk))
+    opening, sep, closing, between = _POINT_TEXT[fmt]
+    # every point's text starts with the separator between points, cut from the first one
+    for i, block in enumerate(_sieve_blocks(edges, marks, between + opening, sep, closing)):
+        write(block if i else block[len(between) :])
+    if fmt == "json":
+        write("]}\n")
+
+
+def _sieve_blocks(edges, marks: bytearray, head: str, sep: str, closing: str):
+    """The text of the points that ``marks`` keeps, at most SIEVE_CHUNK points of the box per block.
+
+    A point's text is ``head``, its coordinates joined by ``sep``, then
+    ``closing``; empty blocks are skipped.  The split axis is the first one
+    whose later axes hold at most a block.  A table, built once, lists the
+    text of those later coordinates behind the last decimal digits of the
+    split coordinate, as many digits as keep the table within a block.  The
+    box is walked in groups, one per outer point and leading digits of the
+    split coordinate: a group's text is its head, formatted once, joined
+    around ``compress(table, marks[lo:hi])``.  No tuple is made per point
+    and no axis is held whole, so neither time nor memory depends on the
+    box's shape.
+    """
+    if not marks:
+        return
+    block = SIEVE_CHUNK
+    split = 0
+    while math.prod(edges[split + 1 :]) > block:
+        split += 1
+    n, width = edges[split], math.prod(edges[split + 1 :])
+    scale = 10 ** (len(str(block // width)) - 1)  # values of the split coordinate per group
+    later = itertools.product(*(range(1, m + 1) for m in edges[split + 1 :]))
+    tails = ["".join(sep + str(x) for x in pt) + closing for pt in later]
+    padded = [str(scale + r)[1:] + tail for r in range(scale) for tail in tails]  # behind leading digits
+    short = [str(r) + tail for r in range(1, scale) for tail in tails]  # split values below scale
+    parts, filled = [], 0
+    for base, outer in zip(range(0, len(marks), n * width), _row_heads(head, edges[:split], sep)):
+        for q in range(n // scale + 1):  # the split values q * scale + r that are in [1, n]
+            lo = base + max(q * scale - 1, 0) * width
+            hi = base + min(q * scale + scale - 1, n) * width
+            if filled + hi - lo > block:
+                if parts:
+                    yield "".join(parts)
+                parts, filled = [], 0
+            filled += hi - lo
+            group = f"{outer}{q}" if q else outer
+            kept = group.join(itertools.compress(padded if q else short, marks[lo:hi]))
+            if kept:
+                parts.append(group + kept)
+    if parts:
+        yield "".join(parts)
+
+
+def _row_heads(head: str, edges, sep: str):
+    """``head`` then a point's coordinates, each followed by ``sep``, for every point of ``edges`` in order.
+
+    Lazy: no axis is held whole, and an empty ``edges`` gives ``head`` once.
+    """
+    if not edges:
+        yield head
+        return
+    *outer, last = edges
+    for outer_head in _row_heads(head, outer, sep):
+        for c in range(1, last + 1):
+            yield f"{outer_head}{c}{sep}"
 
 
 def zeta_cmd(s, tol, euler_limit, fmt):

@@ -198,9 +198,13 @@ def mark_box(edges: Sequence[int], constraint: Constraint) -> bytearray:
 
     A point n gets 0 when some prime p up to the depth min_j iroot(M_j, e_j)
     has p**e_j | n[j] at every constrained position j, else 1.  For each
-    prime the multiples along the first k-1 axes are walked, and each line
-    they reach along the last axis is cleared by one strided slice
-    assignment.  No Moebius inversion is involved.
+    prime the marker clears along the axis with the most multiples of its
+    modulus p**e_j (1 on a free axis), the last such axis on a tie, whose
+    stride is the smallest.  It walks the multiples along the other axes,
+    and each line they reach is cleared by one strided slice assignment, so
+    a long axis never sets the number of slices.  A box with only one edge
+    above 1 is a single line: one slice per prime.  No Moebius inversion is
+    involved.
     """
     edges = tuple(int(m) for m in edges)
     k, positions, exps = constraint
@@ -213,19 +217,27 @@ def mark_box(edges: Sequence[int], constraint: Constraint) -> bytearray:
     powers = [0] * k
     for j, e in zip(positions, exps):
         powers[j] = e
-    *outer, last = edges
-    strides = [math.prod(edges[i + 1 :]) for i in range(len(outer))]
-    for p in _iter_primes(min(iroot(edges[j], e) for j, e in zip(positions, exps))):
-        *heads, q = (p**e for e in powers)
-        zeros = bytes(last // q)
-        if not zeros:
-            continue
-        lines = itertools.product(
-            *(range((h - 1) * s, m * s, h * s) for h, m, s in zip(heads, outer, strides))
-        )
-        for offsets in lines:
-            base = sum(offsets)
-            grid[base + q - 1 : base + last : q] = zeros
+    strides = [math.prod(edges[i + 1 :]) for i in range(k)]
+    # an axis of edge 1 holds one coordinate at offset 0, so no walk needs it
+    axes = [(m, e, t) for m, e, t in zip(edges, powers, strides) if m > 1]
+    primes = _iter_primes(min(iroot(edges[j], e) for j, e in zip(positions, exps)))
+    if len(axes) == 1:  # the box is one line: one slice per prime
+        for p in primes:
+            q = p ** axes[0][1]
+            grid[q - 1 :: q] = bytes(len(grid) // q)
+        return grid
+    # the edge, exponent and stride of every axis but one, for each choice of the one
+    others = [axes[:j] + axes[j + 1 :] for j in range(len(axes))]
+    for p in primes:
+        multiples = [m // p**e for m, e, _ in axes]
+        most = max(multiples)
+        axis = len(axes) - 1 - multiples[::-1].index(most)
+        m, e, t = axes[axis]
+        step = p**e * t
+        zeros = bytes(most)
+        lines = [range((p**f - 1) * u, n * u, p**f * u) for n, f, u in others[axis]]
+        for base in map(sum, itertools.product(*lines)):
+            grid[base + step - t : base + m * t : step] = zeros
     return grid
 
 

@@ -176,9 +176,22 @@ _MORE_OUTPUTS = (
     "verify --profile full --seed 26",
 )
 
-# sieve writes SIEVE_CHUNK = 65536 points at a time: exactly one chunk, and one chunk and a point
+# sieve writes SIEVE_CHUNK = 4096 points at a time: exactly one block, and one block and a point;
+# 256,256 and 65537,1 are the same bounds for the 65536-point chunks of older writers
 _CHUNKS = tuple(
-    f"sieve --b 1,2 --case signed --box {box} --format {fmt}" for box in ("256,256", "65537,1") for fmt in _FORMATS
+    f"sieve --b 1,2 --case signed --box {box} --format {fmt}"
+    for box in ("256,256", "65537,1", "64,64", "4097,1")
+    for fmt in _FORMATS
+)
+
+# boxes whose shape the sieve's blocks must not feel: a last axis shorter than a
+# block, a free first axis, a 1-D box, rows longer than a block, and 10**6 points
+_SHAPES = (
+    "sieve --b 1,2 --box 100000,3 --format csv",
+    "sieve --b 1,-2 --box 50000,4 --format json",
+    "sieve --b 2 --box 70000",  # reduced to b = (1): only the point 1
+    "sieve --b 1,1 --box 3,10000 --format csv",  # rows longer than a block
+    "sieve --b 1,1 --box 1000,1000 --format json",
 )
 
 # built from COMMANDS and the handlers' docstrings
@@ -186,7 +199,7 @@ _HELP = ("--help", *(f"{command} --help" for command in ("check", "count", "dens
 
 
 def commands() -> list[list[str]]:
-    lines = _USAGE_ERRORS + _GCD_ONE + _REFUSALS + _OUTPUTS + _PARSER + _CHECK + _MORE_OUTPUTS + _CHUNKS + _HELP
+    lines = _USAGE_ERRORS + _GCD_ONE + _REFUSALS + _OUTPUTS + _PARSER + _CHECK + _MORE_OUTPUTS + _CHUNKS + _SHAPES + _HELP
     # dict.fromkeys drops a line that an earlier tuple already holds
     return _workload_commands() + [line.split() for line in dict.fromkeys(lines)]
 

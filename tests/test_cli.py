@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import itertools
@@ -213,22 +214,62 @@ def test_sieve_lists_what_the_witness_loop_accepts(runner, spec_edges):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
-def test_sieve_writes_the_same_payload_in_any_chunk_size(runner, monkeypatch, fmt):
-    points = [pt for pt in itertools.product(range(1, 8), range(1, 10)) if is_visible_signed(pt, (1, -2))]
+@pytest.mark.parametrize(
+    "b, case, box, visible",
+    [
+        ("1,-2", "signed", (7, 9), lambda pt: is_visible_signed(pt, (1, -2))),
+        ("1", "int", (30,), lambda pt: is_visible_int(pt, (1,))),
+        ("1,1,1", "int", (3, 4, 5), lambda pt: is_visible_int(pt, (1, 1, 1))),
+        # the rows x = 4, 8, 9, 12, ... keep no point; x runs past 10, so the table holds x's last digit
+        ("-2,1", "signed", (30, 4), lambda pt: is_visible_signed(pt, (-2, 1))),
+    ],
+    ids=["2-D", "1-D", "3-D", "empty-rows"],
+)
+def test_sieve_writes_the_same_payload_in_any_chunk_size(runner, monkeypatch, fmt, b, case, box, visible):
+    points = [list(pt) for pt in itertools.product(*(range(1, m + 1) for m in box)) if visible(pt)]
+    lines = "".join(",".join(map(str, pt)) + "\n" for pt in points)
     whole = {
-        "json": json.dumps(
-            {"b": ["1", "-2"], "case": "signed", "box": [7, 9], "count": len(points), "points": points}
-        )
+        "json": json.dumps({"b": b.split(","), "case": case, "box": list(box), "count": len(points), "points": points})
         + "\n",
-        "csv": "x1,x2\r\n" + "".join(f"{x},{y}\r\n" for x, y in points),
-        "plain": "".join(f"{x},{y}\n" for x, y in points),
+        "csv": ",".join(f"x{i + 1}" for i in range(len(box))) + "\r\n" + lines.replace("\n", "\r\n"),
+        "plain": lines,
     }[fmt]
-    args = ["sieve", "--b", "1,-2", "--box", "7,9", "--format", fmt]
+    args = ["sieve", "--b", b, "--box", ",".join(map(str, box)), "--format", fmt]
+    # from one point per block, through a table of whole rows, to the whole box in one block
     for size in (1, 2, 5, len(points), bvis.cli.SIEVE_CHUNK):
         monkeypatch.setattr(bvis.cli, "SIEVE_CHUNK", size)
         result = runner.invoke(main, args)
         assert result.exit_code == 0
         assert result.stdout == whole, size
+
+
+class _CountingSink:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("box", ["1,1000000", "1000000,1"])
+def test_sieve_holds_the_grid_and_a_block(box):
+    # every point of either box is visible; the marker's grid is one byte per point
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            main(["sieve", "--b", "1,1", "--box", box])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.chars == sum(len(str(n)) + 3 for n in range(1, 10**6 + 1))
+    assert peak < 10**6 + (1 << 20)
 
 
 # ---------------------------------------------------------------- zeta

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from bvis.counting import (
     box_edges,
     brute_prefix_counts,
     count_box,
+    count_visible_box,
     count_visible_int,
     density_report,
     mark_box,
@@ -402,6 +404,24 @@ def test_mark_box_edge_cases():
     with pytest.raises(UsageError) as exc:
         mark_box((2, 3, 4), Constraint(2, (0, 1), (1, 1)))
     assert str(exc.value) == "box has 3 edges, exponent vector has 2"
+
+
+@pytest.mark.parametrize(
+    "edges, case, b, expected",
+    [
+        ((5_000_000, 2), "int", (1, 1), mobius_box_count((5_000_000, 2), (1, 1))),
+        # the first coordinate is free: each of its 100_000 values keeps the squarefree second ones
+        ((100_000, 100), "signed", (1, -2), 100_000 * mobius_box_count((100,), (2,))),
+    ],
+    ids=["int-5000000x2", "signed-100000x100"],
+)
+def test_mark_box_is_fast_on_a_short_last_axis(edges, case, b, expected):
+    # clearing along the last axis would take one slice per value of the long first one
+    start = time.perf_counter()
+    visible = count_visible_box(edges, constrained_exponents(case, b))
+    elapsed = time.perf_counter() - start
+    assert visible == expected
+    assert elapsed < 1.0
 
 
 # ---------------------------------------------------------------- brute force

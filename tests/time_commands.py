@@ -1,0 +1,60 @@
+"""Time `bvis` command lines: wall time and peak RSS of fresh processes.
+
+    python tests/time_commands.py [--src DIR] [--runs 3] "sieve --b 1,1 --box 1000,1000 --format json" ...
+
+Each command line runs ``--runs`` times as ``python -m bvis.cli`` with this
+interpreter, ``DIR`` (default: this tree's ``src``) first on PYTHONPATH and
+stdout sent to /dev/null.  Wall time comes from ``time.perf_counter`` around
+the child, peak RSS from ``os.wait4``.  Prints one JSON object per command
+line: the best wall time, the largest peak RSS in MB and the exit code.
+Alternate two trees' ``--src`` to compare them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def measure(src: str, argv: list[str]) -> tuple[float, float, int]:
+    """Wall seconds, peak RSS in MB and exit code of one run."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    child = subprocess.Popen([sys.executable, "-m", "bvis.cli", *argv], stdout=subprocess.DEVNULL, env=env)
+    _, status, usage = os.wait4(child.pid, 0)
+    wall = time.perf_counter() - start
+    child.returncode = os.waitstatus_to_exitcode(status)  # already reaped; keep Popen from waiting again
+    return wall, usage.ru_maxrss / 1024, child.returncode
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(SRC))
+    parser.add_argument("--runs", type=int, default=3)
+    parser.add_argument("commands", nargs="+")
+    args = parser.parse_args()
+    for line in args.commands:
+        runs = [measure(args.src, line.split()) for _ in range(args.runs)]
+        print(
+            json.dumps(
+                {
+                    "command": line,
+                    "wall_s": round(min(r[0] for r in runs), 3),
+                    "peak_rss_mb": round(max(r[1] for r in runs), 1),
+                    "exit": runs[-1][2],
+                }
+            ),
+            flush=True,
+        )
+
+
+if __name__ == "__main__":
+    main()
