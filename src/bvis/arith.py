@@ -14,12 +14,16 @@ ResourceLimitError.
 
 ``sieve_primes`` and ``_iter_primes`` are pure Python: an odd-only
 bytearray sieve walked one fixed-size window at a time, so a prime walk
-holds about 0.5 MB at any limit.  The Euler product, the numpy Moebius
-sieve and the grid marker walk ``_iter_primes`` and never hold the primes
-as a tuple of ints.  The Moebius sieve and the Mertens table use bytes
-operations and Python ints below PURE_SIEVE_LIMIT table entries, and numpy
-arrays from there on; only that path imports numpy, when it runs, so the
-predicates, prime sieves and small counts never load it.
+holds about 0.5 MB at any limit.  The Euler product and the grid marker
+walk ``_iter_primes`` and never hold the primes as a tuple of ints; the
+numpy Moebius windows keep the primes up to the square root of their limit,
+which every window reads.  The Moebius sieve is one walk, ``mobius_windows``:
+below PURE_SIEVE_LIMIT entries it is one window built with bytes
+operations, and from there on numpy windows of MOBIUS_WINDOW values, each
+sieved when the caller reaches it.  ``mobius_sieve`` and so the Mertens
+table fill their arrays from that walk.  Only the numpy windows and a
+table built from them import numpy, when they run, so the predicates,
+prime sieves and small counts never load it.
 
 All functions are pure.
 """
@@ -44,10 +48,15 @@ DEFAULT_SIEVE_BUDGET = 200_000_000
 # Odd candidates per window of the prime sieve, one byte each: 256 KB.
 PRIME_SEGMENT = 1 << 18
 
-# The Moebius sieve holds an int8 mu, an int32 cofactor array and a bool
-# mask at its peak; a Mertens table replaces the cofactors by an int32
-# cumulative sum.
+# Bytes per entry that a Moebius sieve is charged against
+# DEFAULT_SIEVE_BUDGET.  A Mertens table holds an int8 mu and an int32
+# cumulative sum, 5 bytes per entry; a walk of the windows holds one window,
+# but is refused at the same limit, which bounds its time.
 SIEVE_BYTES_PER_ENTRY = 6
+
+# Values of mu per window of the numpy Moebius walk, one byte each, with an
+# int32 cofactor and a bool mask beside them: 768 KB at the peak.
+MOBIUS_WINDOW = 1 << 17
 
 # Values of M above its table that one Mertens instance may remember.
 MERTENS_MEMO_CAP = 1 << 18
@@ -296,15 +305,37 @@ def mobius(d: int) -> int:
 def mobius_sieve(limit: int) -> numpy.ndarray | memoryview:
     """Moebius values mu[0..limit] (mu[0] = 0), one signed byte each.
 
-    Below PURE_SIEVE_LIMIT they come from ``_mobius_bytes`` as a memoryview
-    of format 'b', and numpy is not imported.  From there on they are an
-    int8 numpy array, sieved by the primes p <= isqrt(limit) only: each
-    flips the sign of its multiples, zeroes the multiples of p**2 and is
-    divided out of a cofactor array; a squarefree n whose cofactor is still
-    above 1 has exactly one prime factor above isqrt(limit), which flips
-    its sign once more.  Raises ResourceLimitError before allocating when
-    the arrays (SIEVE_BYTES_PER_ENTRY bytes per entry) would exceed
-    DEFAULT_SIEVE_BUDGET bytes.
+    The values come from ``mobius_windows``.  Below PURE_SIEVE_LIMIT its one
+    window is the result, a memoryview of format 'b', and numpy is not
+    imported; from there on the windows are copied into one int8 numpy
+    array.  Raises ResourceLimitError before allocating when the limit
+    passes DEFAULT_SIEVE_BUDGET // SIEVE_BYTES_PER_ENTRY.
+    """
+    windows = mobius_windows(limit)
+    if limit < PURE_SIEVE_LIMIT:
+        return next(windows)
+    import numpy as np
+
+    mu = np.empty(limit + 1, dtype=np.int8)
+    lo = 0
+    for window in windows:
+        mu[lo : lo + len(window)] = window
+        lo += len(window)
+    return mu
+
+
+def mobius_windows(limit: int) -> Iterator[numpy.ndarray | memoryview]:
+    """Moebius values mu[0..limit] (mu[0] = 0) in consecutive windows, lowest first.
+
+    Below PURE_SIEVE_LIMIT there is one window from ``_mobius_bytes``.  From
+    there on each window holds MOBIUS_WINDOW int8 values (the last one
+    fewer), sieved on its own when the caller reaches it, so memory stays at
+    one window and the primes up to isqrt(limit).  Each such prime flips the
+    sign of its multiples in the window, zeroes the multiples of p**2 and is
+    divided out of the window's cofactor array; a squarefree n whose
+    cofactor is still above 1 has exactly one prime factor above
+    isqrt(limit), which flips its sign once more.  The limit is checked
+    before anything is allocated, as by ``mobius_sieve``.
     """
     if limit < 0:
         raise ValueError(f"mobius sieve expects limit >= 0, got {limit}")
@@ -315,18 +346,30 @@ def mobius_sieve(limit: int) -> numpy.ndarray | memoryview:
             f"which exceeds memory budget {DEFAULT_SIEVE_BUDGET} bytes"
         )
     if limit < PURE_SIEVE_LIMIT:
-        return _mobius_bytes(limit)
+        return iter((_mobius_bytes(limit),))
+    base = sieve_primes(max(math.isqrt(limit), 1))
+    step = MOBIUS_WINDOW
+    return (_mobius_window(lo, min(lo + step, limit + 1), base) for lo in range(0, limit + 1, step))
+
+
+def _mobius_window(lo: int, hi: int, base: tuple[int, ...]) -> numpy.ndarray:
+    """mu[lo..hi-1] as int8, for hi - 1 <= limit and ``base`` the primes up to isqrt(limit)."""
     import numpy as np
 
-    mu = np.ones(limit + 1, dtype=np.int8)
+    mu = np.ones(hi - lo, dtype=np.int8)
     # Values stay <= limit, which the budget keeps below 2**31.
-    cofactor = np.arange(limit + 1, dtype=np.int32)
-    for p in _iter_primes(max(math.isqrt(limit), 1)):
-        mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
-        cofactor[p::p] //= p
+    cofactor = np.arange(lo, hi, dtype=np.int32)
+    for p in base:
+        # -lo % q is the offset of the first multiple of q at or above lo
+        start = -lo % p
+        mu[start::p] *= -1
+        cofactor[start::p] //= p
+        q = p * p
+        if q < hi:
+            mu[-lo % q :: q] = 0
     np.negative(mu, out=mu, where=cofactor > 1)
-    mu[0] = 0
+    if lo == 0:
+        mu[0] = 0
     return mu
 
 
@@ -360,8 +403,10 @@ def mobius_table(limit: int) -> list[int]:
 class Mertens:
     """The Mertens function M(x) = mu(1) + ... + mu(x) for 0 <= x <= table_limit**2.
 
-    M is tabulated by a Moebius sieve up to ``table_limit``, and ``mu``
-    keeps the sieved values for callers that also need mu(d).  Above the
+    M is tabulated by ``mobius_sieve`` up to ``table_limit``, and ``mu``
+    keeps the sieved values for callers that also need mu(d): a box sum
+    with a tail reads its head's mu there, so its table reaches at least
+    the head.  A sum without a tail builds no Mertens at all.  Above the
     table the identity sum_{d=1..x} M(x // d) = 1 is solved for M(x),
     grouping the d that share a quotient (Deleglise & Rivat, "Computing the
     summation of the Moebius function", Experimental Math. 5(4), 1996);

@@ -7,14 +7,18 @@ The workhorse is Moebius inclusion-exclusion over the invisibility events
 
 The sum truncates at the depth D = min_i iroot(Mi, ei): past that point
 some factor floor(Mi / d**ei) is zero in every term.  Up to the head
-min(D, max_i iroot(Mi, ei + 1)) the terms are added one d at a time.  Past
-the head, d runs over stretches where every floor(Mi / d**ei) is constant;
-such a run [d1, d2] adds its product times M(d2) - M(d1 - 1), a difference
-of Mertens values (Deleglise & Rivat, 1996).  arith.Mertens tabulates M up
-to about 2 * D**(2/3) and recurses above that, so a count costs about
-max(head, D**(2/3)) time instead of D; for b = (1, 1) the head is sqrt(D).
-A table past the sieve budget raises ResourceLimitError (CLI exit 4)
-before anything is allocated.
+min(D, max_i iroot(Mi, ei + 1)) every d has its own term; they are summed
+HEAD_CHUNK values of mu at a time, by C-level iterators over exact ints.
+Past the head, d runs over stretches where every floor(Mi / d**ei) is
+constant; such a run [d1, d2] adds its product times M(d2) - M(d1 - 1), a
+difference of Mertens values (Deleglise & Rivat, 1996).  arith.Mertens
+tabulates M up to about 2 * D**(2/3), and at least the head, and recurses
+above that, so a count costs about max(head, D**(2/3)) time instead of D;
+for b = (1, 1) the head is sqrt(D).  A sum whose head reaches the depth,
+as for unequal exponents, has no tail: it reads mu from
+arith.mobius_windows one window at a time and holds no table of M.  A
+head or table past the sieve budget raises ResourceLimitError (CLI exit
+4) before anything is allocated.
 
 ``count_box(edges, constraint)`` is the one path from a box to a count
 for all three families.  It takes the box edges and the ``Constraint``
@@ -36,10 +40,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import Mertens, _iter_primes, floor_root, iroot
+from .arith import Mertens, _iter_primes, floor_root, iroot, mobius_windows
 from .errors import UsageError
 from .visibility import (
     Constraint,
@@ -48,9 +53,10 @@ from .visibility import (
 )
 from .zeta import inv_zeta
 
-# The head of a Moebius sum reads mu in slices of this many values, so its
-# Python list never outgrows the sieve's own arrays.
-HEAD_CHUNK = 1 << 16
+# The head of a Moebius sum is summed this many values of mu at a time, so
+# each list a chunk builds (its squarefree d, their quotients) stays at a
+# few tens of KB of pointers.
+HEAD_CHUNK = 1 << 12
 
 
 class DensityReport:
@@ -93,14 +99,15 @@ class DensityReport:
 
 
 def _mertens_table_limit(pairs, depth: int, head: int) -> int:
-    """Sieve limit L for the Mertens values of a box sum.
+    """Sieve limit L for the Mertens values of a box sum with a tail (head < depth).
 
-    At least the head and 2 * depth**(2/3), at most the depth.  Every value
-    of M needed above L has the form iroot(m // j, e) for some edge m with
-    exponent e (run ends are, and floor division by d keeps the form), so
-    at most sum m // (L+1)**e of them get memoized; L doubles until that
-    is below L / 256, about where a memoized value costs what the sieve
-    spends on 256 table entries.
+    At least the head, whose mu the sum reads from the same sieve, and
+    2 * depth**(2/3), at most the depth.  Every value of M needed above L
+    has the form iroot(m // j, e) for some edge m with exponent e (run ends
+    are, and floor division by d keeps the form), so at most
+    sum m // (L+1)**e of them get memoized; L doubles until that is below
+    L / 256, about where a memoized value costs what the sieve spends on
+    256 table entries.
     """
     limit = min(depth, max(head, 2 * iroot(depth * depth, 3)))
     while limit < depth and 256 * sum(m // (limit + 1) ** e for m, e in pairs) > limit:
@@ -123,16 +130,10 @@ def mobius_box_count(edges: Sequence[int], exps: Sequence[int]) -> int:
     pairs = tuple(zip(edges, exps))
     depth = min(iroot(m, e) for m, e in pairs)
     head = min(depth, max(iroot(m, e + 1) for m, e in pairs))
+    if head == depth:
+        return _head_sum(pairs, mobius_windows(head))
     mertens = Mertens(_mertens_table_limit(pairs, depth, head))
-    signs = mertens.mu[: head + 1]
-    total = 0
-    for lo in range(1, head + 1, HEAD_CHUNK):
-        for d, sign in enumerate(signs[lo : lo + HEAD_CHUNK].tolist(), lo):
-            if sign:
-                term = sign
-                for m, e in pairs:
-                    term *= m // d**e
-                total += term
+    total = _head_sum(pairs, (mertens.mu[: head + 1],))
     d, before = head + 1, mertens(head)
     while d <= depth:
         quotients = [m // d**e for m, e in pairs]
@@ -141,6 +142,48 @@ def mobius_box_count(edges: Sequence[int], exps: Sequence[int]) -> int:
         if after != before:
             total += (after - before) * math.prod(quotients)
         d, before = end + 1, after
+    return total
+
+
+def _head_sum(pairs, windows) -> int:
+    """sum_d mu(d) * prod_i floor(Mi / d**ei), for (Mi, ei) in pairs, over the d that windows of mu cover.
+
+    The windows hold mu(0), mu(1), ... in order.  Each HEAD_CHUNK of them is
+    summed by C-level iterators over exact ints: ``compress`` keeps the
+    squarefree d and their signs, and ``map`` forms the quotients.
+    floor(M / d**e) is taken as e nested floor divisions by d, each by a
+    one-digit int (d <= head, which the sieve budget keeps below 2**30), and
+    the pairs of one edge share the divisions they have in common.  Only
+    values read twice, the d or a level of quotients, are kept in a list.
+    """
+    # edge -> {exponent: number of pairs}, exponents ascending
+    exps_by_edge: dict[int, dict[int, int]] = {}
+    for m, e in sorted(pairs):
+        counts = exps_by_edge.setdefault(m, {})
+        counts[e] = counts.get(e, 0) + 1
+    divisions = sum(max(counts) for counts in exps_by_edge.values())
+    total = 0
+    lo = 0
+    for window in windows:
+        signs = memoryview(window)
+        for start in range(0, len(signs), HEAD_CHUNK):
+            chunk = signs[start : start + HEAD_CHUNK]
+            ds = itertools.compress(range(lo + start, lo + start + len(chunk)), chunk)
+            if divisions > 1:
+                ds = list(ds)
+            terms = itertools.compress(chunk, chunk)
+            for m, counts in exps_by_edge.items():
+                quotients, divided, top = itertools.repeat(m), 0, max(counts)
+                for e, n in counts.items():
+                    for _ in range(divided, e):
+                        quotients = map(operator.floordiv, quotients, ds)
+                    divided = e
+                    if n + (e < top) > 1:
+                        quotients = list(quotients)
+                    for _ in range(n):
+                        terms = map(operator.mul, terms, quotients)
+            total += sum(terms)
+        lo += len(signs)
     return total
 
 
@@ -203,8 +246,9 @@ def mark_box(edges: Sequence[int], constraint: Constraint) -> bytearray:
     stride is the smallest.  It walks the multiples along the other axes,
     and each line they reach is cleared by one strided slice assignment, so
     a long axis never sets the number of slices.  A box with only one edge
-    above 1 is a single line: one slice per prime.  No Moebius inversion is
-    involved.
+    above 1 is a single line: one slice per prime, or, when the line's
+    exponent is 1 and the depth reaches its edge, one slice that clears
+    every coordinate above 1.  No Moebius inversion is involved.
     """
     edges = tuple(int(m) for m in edges)
     k, positions, exps = constraint
@@ -220,15 +264,22 @@ def mark_box(edges: Sequence[int], constraint: Constraint) -> bytearray:
     strides = [math.prod(edges[i + 1 :]) for i in range(k)]
     # an axis of edge 1 holds one coordinate at offset 0, so no walk needs it
     axes = [(m, e, t) for m, e, t in zip(edges, powers, strides) if m > 1]
-    primes = _iter_primes(min(iroot(edges[j], e) for j, e in zip(positions, exps)))
+    depth = min(iroot(edges[j], e) for j, e in zip(positions, exps))
     if len(axes) == 1:  # the box is one line: one slice per prime
-        for p in primes:
-            q = p ** axes[0][1]
-            grid[q - 1 :: q] = bytes(len(grid) // q)
+        m, e, _ = axes[0]
+        # only exponent 1 on the line, and no constrained edge of 1, puts the
+        # depth at the edge; then every coordinate above 1 has a prime factor
+        # up to the depth
+        if depth == m:
+            grid[1:] = bytes(m - 1)
+            return grid
+        for p in _iter_primes(depth):
+            q = p**e
+            grid[q - 1 :: q] = bytes(m // q)
         return grid
     # the edge, exponent and stride of every axis but one, for each choice of the one
     others = [axes[:j] + axes[j + 1 :] for j in range(len(axes))]
-    for p in primes:
+    for p in _iter_primes(depth):
         multiples = [m // p**e for m, e, _ in axes]
         most = max(multiples)
         axis = len(axes) - 1 - multiples[::-1].index(most)

@@ -194,12 +194,22 @@ _SHAPES = (
     "sieve --b 1,1 --box 1000,1000 --format json",
 )
 
+# Moebius sums whose head reaches the depth, so there is no Mertens tail:
+# a head past the sieve budget (refused), and heads of 5e5 and 6e5 values of mu
+_HEADS = (
+    "count --b 1,2 --N 10000000000000000",
+    "count --b 1,2 --N 250000000000",
+    "count --b 2,3 --N 216000000000000000",
+)
+
 # built from COMMANDS and the handlers' docstrings
 _HELP = ("--help", *(f"{command} --help" for command in ("check", "count", "density", "sieve", "verify", "zeta")))
 
 
 def commands() -> list[list[str]]:
-    lines = _USAGE_ERRORS + _GCD_ONE + _REFUSALS + _OUTPUTS + _PARSER + _CHECK + _MORE_OUTPUTS + _CHUNKS + _SHAPES + _HELP
+    lines = (
+        _USAGE_ERRORS + _GCD_ONE + _REFUSALS + _OUTPUTS + _PARSER + _CHECK + _MORE_OUTPUTS + _CHUNKS + _SHAPES + _HEADS + _HELP
+    )
     # dict.fromkeys drops a line that an earlier tuple already holds
     return _workload_commands() + [line.split() for line in dict.fromkeys(lines)]
 

@@ -17,6 +17,7 @@ from bvis.arith import (
     mobius,
     mobius_sieve,
     mobius_table,
+    mobius_windows,
     sieve_primes,
 )
 from bvis.errors import ResourceLimitError
@@ -174,6 +175,21 @@ def test_mobius_sieve_matches_pointwise(monkeypatch):
             assert len(mu) == limit + 1
             assert mu[0] == 0
             assert all(mu[d] == mobius(d) for d in range(1, limit + 1)), (pure_limit, limit)
+
+
+@pytest.mark.parametrize("window", [1, 4, 7, 9, 25, 64])
+def test_mobius_windows_match_pointwise(monkeypatch, window):
+    # numpy windows whose edges fall inside runs of multiples of 4, 9, 25 and
+    # 49, so a window finds a prime's or a square's first multiple from its
+    # residue; the windows tile mu[0..limit] and each is sieved on its own
+    monkeypatch.setattr(arith, "PURE_SIEVE_LIMIT", 0)
+    monkeypatch.setattr(arith, "MOBIUS_WINDOW", window)
+    limit = 2000
+    windows = list(mobius_windows(limit))
+    assert [len(w) for w in windows[:-1]] == [window] * (len(windows) - 1)
+    walked = list(itertools.chain.from_iterable(windows))
+    assert walked == [0] + [mobius(d) for d in range(1, limit + 1)]
+    assert list(mobius_sieve(limit)) == walked
 
 
 @given(st.integers(min_value=0, max_value=10**60), st.integers(min_value=1, max_value=10))

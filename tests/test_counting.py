@@ -1,13 +1,14 @@
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvis import arith
+from bvis import arith, counting
 from bvis.arith import Mertens, factorize, iroot, mobius, mobius_sieve, mobius_table
 from bvis.counting import (
     DensityReport,
@@ -139,6 +140,53 @@ def test_mobius_box_count_matches_naive_sum(box):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(arith, "PURE_SIEVE_LIMIT", pure_limit)
             assert mobius_box_count(edges, exps) == expected, pure_limit
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=600), st.integers(min_value=1, max_value=3)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.sampled_from((1, 7, 64)),
+    st.sampled_from((1, 7, 64)),
+)
+def test_mobius_box_count_in_small_chunks_and_windows(box, chunk, window):
+    # chunks and windows of mu that end inside the head, on both sieve paths;
+    # the box again with one edge throughout, whose exponents share quotients
+    exps = tuple(e for _, e in box)
+    for edges in (tuple(m for m, _ in box), (box[0][0],) * len(box)):
+        expected = _naive_box_count(edges, exps)
+        for pure_limit in (arith.DEFAULT_SIEVE_BUDGET, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(counting, "HEAD_CHUNK", chunk)
+                mp.setattr(arith, "MOBIUS_WINDOW", window)
+                mp.setattr(arith, "PURE_SIEVE_LIMIT", pure_limit)
+                assert mobius_box_count(edges, exps) == expected, (edges, pure_limit)
+
+
+@pytest.mark.parametrize(
+    "edge, count, budget",
+    [
+        # head = depth = 100872 values of mu, one window from the bytes path;
+        # a whole Mertens table read in 65536-value slices peaked at 2.9 MB
+        (10175172344, 86130807922539665546, 1 << 20),
+        # head = depth = 10**6, numpy windows; a whole table peaked at 6.0 MB
+        (10**12, 831907372580730277919216, 2 << 20),
+    ],
+)
+def test_a_sum_without_a_tail_holds_a_window_of_mu(edge, count, budget):
+    import numpy  # noqa: F401  (its import is not the sum's memory)
+
+    tracemalloc.start()
+    try:
+        got = mobius_box_count((edge, edge), (1, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == count
+    assert peak < budget
 
 
 def test_mobius_box_count_head_tail_splits():
@@ -404,6 +452,26 @@ def test_mark_box_edge_cases():
     with pytest.raises(UsageError) as exc:
         mark_box((2, 3, 4), Constraint(2, (0, 1), (1, 1)))
     assert str(exc.value) == "box has 3 edges, exponent vector has 2"
+
+
+@pytest.mark.parametrize(
+    "edges, positions, exps",
+    [
+        ((1000,), (0,), (1,)),  # the depth reaches the edge: everything above 1 goes at once
+        ((1, 1000), (0, 1), (1, 1)),  # a constrained edge of 1 puts the depth at 1
+        ((1000, 1), (0,), (1,)),
+        ((1000,), (0,), (2,)),
+        ((1, 1000), (1,), (3,)),
+        ((1000,), (), ()),
+        ((1,), (0,), (1,)),
+    ],
+)
+def test_mark_box_on_a_line_matches_the_generic_marking(edges, positions, exps):
+    # a free last axis of edge 2 sends the same line through the generic
+    # marker; its even entries are the line's points
+    line = mark_box(edges, Constraint(len(edges), positions, exps))
+    generic = mark_box(edges + (2,), Constraint(len(edges) + 1, positions, exps))
+    assert line == generic[::2]
 
 
 @pytest.mark.parametrize(
