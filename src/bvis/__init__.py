@@ -9,36 +9,7 @@ certified zeta evaluator — plus a brute-force oracle implementing the
 defining search, used to cross-check everything else.
 """
 
-from .arith import (
-    factorize,
-    floor_root,
-    iroot,
-    is_perfect_power,
-    mobius,
-    mobius_table,
-    sieve_primes,
-)
-from .counting import (
-    DensityReport,
-    count_visible_int,
-    density_report,
-    mobius_box_count,
-)
 from .errors import PreconditionError, ResourceLimitError, UsageError
-from .visibility import (
-    base_from_expanded,
-    find_parametric_witness,
-    gcd_is_one_rational,
-    is_visible_int,
-    is_visible_rat,
-    is_visible_signed,
-    reduce_b,
-    witness_prime_int,
-    witness_prime_rat,
-    witness_prime_signed,
-)
-# Not the function zeta: the name bvis.zeta stays the module.
-from .zeta import ZetaValue, inv_zeta, zeta_euler_product
 
 __version__ = "0.1.0"
 
@@ -46,33 +17,40 @@ __version__ = "0.1.0"
 # still records this name with its results.
 KERNEL_BACKEND = "python"
 
-__all__ = [
-    "DensityReport",
-    "KERNEL_BACKEND",
-    "PreconditionError",
-    "ResourceLimitError",
-    "UsageError",
-    "ZetaValue",
-    "base_from_expanded",
-    "count_visible_int",
-    "density_report",
-    "factorize",
-    "find_parametric_witness",
-    "floor_root",
-    "gcd_is_one_rational",
-    "inv_zeta",
-    "iroot",
-    "is_perfect_power",
-    "is_visible_int",
-    "is_visible_rat",
-    "is_visible_signed",
-    "mobius",
-    "mobius_box_count",
-    "mobius_table",
-    "reduce_b",
-    "sieve_primes",
-    "witness_prime_int",
-    "witness_prime_rat",
-    "witness_prime_signed",
-    "zeta_euler_product",
-]
+# The public names of each submodule.  A submodule loads on first access to
+# it or to one of its names (PEP 562), so `import bvis` loads only errors.
+_EXPORTS = {
+    "arith": ("factorize", "floor_root", "iroot", "is_perfect_power", "mobius", "mobius_table", "sieve_primes"),
+    "counting": ("DensityReport", "count_visible_int", "density_report", "mobius_box_count"),
+    "visibility": (
+        "base_from_expanded",
+        "find_parametric_witness",
+        "gcd_is_one_rational",
+        "is_visible_int",
+        "is_visible_rat",
+        "is_visible_signed",
+        "reduce_b",
+        "witness_prime_int",
+        "witness_prime_rat",
+        "witness_prime_signed",
+    ),
+    # Not the function zeta: bvis.zeta is the module, from __getattr__ before
+    # the first import of bvis.zeta and from that import's binding after it.
+    "zeta": ("ZetaValue", "inv_zeta", "zeta_euler_product"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(["KERNEL_BACKEND", "PreconditionError", "ResourceLimitError", "UsageError", *_HOME])
+
+
+def __getattr__(name: str):
+    """A submodule, or a public name from its submodule, loaded on first access."""
+    module = name if name in _EXPORTS else _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = import_module(f"{__name__}.{module}")
+    if name != module:
+        value = globals()[name] = getattr(value, name)
+    return value

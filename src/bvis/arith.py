@@ -14,9 +14,11 @@ ResourceLimitError.
 
 ``sieve_primes`` and ``_iter_primes`` are pure Python: an odd-only
 bytearray sieve walked one fixed-size window at a time, so a prime walk
-holds about 0.5 MB at any limit.  The Euler product and the grid marker
-walk ``_iter_primes`` and never hold the primes as a tuple of ints; the
-numpy Moebius windows keep the primes up to the square root of their limit,
+holds about 0.5 MB at any limit.  Only the primes become ints: ``compress``
+picks a prime's offset from a tuple built once per walk, and one addition
+makes the prime.  The Euler product and the grid marker walk
+``_iter_primes`` and never hold the primes as a tuple of ints; the numpy
+Moebius windows keep the primes up to the square root of their limit,
 which every window reads.  The Moebius sieve is one walk, ``mobius_windows``:
 below PURE_SIEVE_LIMIT entries it is one window built with bytes
 operations, and from there on numpy windows of MOBIUS_WINDOW values, each
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import ResourceLimitError
@@ -47,6 +50,8 @@ DEFAULT_SIEVE_BUDGET = 200_000_000
 
 # Odd candidates per window of the prime sieve, one byte each: 256 KB.
 PRIME_SEGMENT = 1 << 18
+# Odd candidates per chunk of a window that the prime walk hands out at once.
+PRIME_CHUNK = 1 << 12
 
 # Bytes per entry that a Moebius sieve is charged against
 # DEFAULT_SIEVE_BUDGET.  A Mertens table holds an int8 mu and an int32
@@ -100,8 +105,9 @@ def _iter_primes(limit: int) -> Iterator[int]:
     odd candidates, one byte each, has every such prime's multiples cleared
     with one slice assignment from a zero buffer.  A window is sieved only
     when the caller reaches it, so memory stays at a window or two and the
-    base primes whatever the limit.  The limit is checked before anything is
-    allocated.
+    base primes whatever the limit.  An int is made only for each prime,
+    not for each candidate (see ``_odd_prime_windows``).  The limit is
+    checked before anything is allocated.
     """
     _check_sieve_limit(limit)
     if limit < 2:
@@ -111,13 +117,18 @@ def _iter_primes(limit: int) -> Iterator[int]:
 
 
 def _odd_prime_windows(limit: int, base: tuple[int, ...]) -> Iterator[Iterator[int]]:
-    """The odd primes <= limit, one iterator per window of PRIME_SEGMENT odd candidates.
+    """The odd primes <= limit, one iterator per chunk of PRIME_CHUNK odd candidates.
 
-    ``base`` holds the odd primes up to isqrt(limit), ascending.
+    ``base`` holds the odd primes up to isqrt(limit), ascending.  The
+    windows of PRIME_SEGMENT odd candidates are sieved one at a time and
+    handed out in chunks: a chunk's primes are its first candidate plus the
+    even offsets that ``compress`` picks from one tuple, built once per walk,
+    so ints are made only for primes, not for every candidate.
     """
-    segment = PRIME_SEGMENT
+    segment, chunk = PRIME_SEGMENT, PRIME_CHUNK
     # odd index i stands for 2 * i + 1
     size = (limit + 1) // 2
+    offsets = tuple(range(0, 2 * min(chunk, size), 2))
     # p = 3 clears the most bytes of a window
     zeros = memoryview(bytes(min(segment, size) // 3 + 1))
     for lo in range(0, size, segment):
@@ -133,7 +144,9 @@ def _odd_prime_windows(limit: int, base: tuple[int, ...]) -> Iterator[Iterator[i
             block[start - lo :: p] = zeros[: (hi - 1 - start) // p + 1]
         if lo == 0:
             block[0] = 0
-        yield itertools.compress(range(2 * lo + 1, 2 * hi + 1, 2), block)
+        for i in range(0, hi - lo, chunk):
+            first = itertools.repeat(2 * (lo + i) + 1)
+            yield map(operator.add, itertools.compress(offsets, block[i : i + chunk]), first)
 
 
 _TRIAL_PRIMES = sieve_primes(999)

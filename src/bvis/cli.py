@@ -12,32 +12,18 @@ option keeps its last value, and a value may start with "-" (``--b -1,2``).
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
-import json
 import math
 import os
-import random
 import re
 import sys
 import time
 from fractions import Fraction
 
-from . import __version__, counting
-from .counting import brute_prefix_counts, mobius_box_count
+# Each handler imports the library modules, and each format the standard
+# modules, that it uses: a command loads only what it runs.
+from . import __version__
 from .errors import PreconditionError, ResourceLimitError, UsageError
-from .visibility import (
-    as_rational_exponent_vector,
-    base_from_expanded,
-    constrained_exponents,
-    find_parametric_witness,
-    is_visible_int,
-    reduce_b,
-    witness_prime,
-)
-from .zeta import zeta as zeta_eval
-from .zeta import zeta_euler_product
 
 _B_ENTRY = re.compile(r"-?\d+(?:/\d+)?$")
 # Points of the box per block of `bvis sieve` output.
@@ -80,6 +66,8 @@ def parse_b_spec(text: str, case: str | None = None):
             raise UsageError("integer case needs positive integer exponents; use --case rat or signed")
     elif case == "rat" and any(f < 0 for f in fracs):
         raise UsageError("rational case needs positive exponents; use --case signed")
+    from .visibility import as_rational_exponent_vector
+
     return case, as_rational_exponent_vector(fracs)
 
 
@@ -99,7 +87,9 @@ def _parse_box(b_spec: str, case: str | None, n: int | None, box_spec: str | Non
         raise UsageError("need exactly one of --N or --box")
     kind, vector = parse_b_spec(b_spec, case)
     if box_spec is None:
-        return kind, vector, counting.box_edges(_require_n(n), vector)
+        from .counting import box_edges
+
+        return kind, vector, box_edges(_require_n(n), vector)
     edges = _parse_ints(box_spec, "--box", minimum=0)
     if len(edges) != len(vector):
         raise UsageError(f"--box has {len(edges)} edges, exponent vector has {len(vector)}")
@@ -128,6 +118,8 @@ def _parse_ints(text: str, label: str, minimum: int = 1) -> tuple[int, ...]:
 
 def _emit(fmt: str, fields: dict) -> None:
     if fmt == "json":
+        import json
+
         print(json.dumps(fields))
     elif fmt == "csv":
         rows = [fields.keys(), [_cell(v, none="") for v in fields.values()]]
@@ -139,6 +131,9 @@ def _emit(fmt: str, fields: dict) -> None:
 
 def _csv_text(rows) -> str:
     """Rows as CSV text, each ending in csv's own line terminator."""
+    import csv
+    import io
+
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
     return buf.getvalue()
@@ -155,6 +150,8 @@ def _cell(value, none: str) -> str:
 
 def check(b_spec, point_spec, expanded, case, fmt):
     """Visibility verdict for one point, with a witness when invisible."""
+    from .visibility import base_from_expanded, witness_prime
+
     kind, vector = parse_b_spec(b_spec, case)
     point = _parse_ints(point_spec, "--point")
     if expanded:
@@ -182,17 +179,25 @@ def check(b_spec, point_spec, expanded, case, fmt):
 
 
 def _witness_image(point, b, prime):
+    from .visibility import reduce_b
+
     return tuple(c // prime**e for c, e in zip(point, reduce_b(b)))
 
 
 def count(b_spec, n, box_spec, case, fmt):
     """Exact number of visible points in a box (Moebius inclusion-exclusion)."""
+    from .counting import count_box
+    from .visibility import constrained_exponents
+
     kind, vector, edges = _parse_box(b_spec, case, n, box_spec)
-    _emit(fmt, _box_fields(kind, vector, edges, counting.count_box(edges, constrained_exponents(kind, vector))))
+    _emit(fmt, _box_fields(kind, vector, edges, count_box(edges, constrained_exponents(kind, vector))))
 
 
 def density(b_spec, n, case, fmt):
     """Density report: exact count vs the theoretical 1/zeta density."""
+    from .counting import density_report
+    from .visibility import reduce_b
+
     kind, vector = parse_b_spec(b_spec, case)
     _require_n(n)
     if kind == "int" and (g := math.gcd(*(f.numerator for f in vector))) > 1:
@@ -201,7 +206,7 @@ def density(b_spec, n, case, fmt):
             f"the reduced vector ({','.join(map(str, reduce_b(vector)))}), which sets the density",
             file=sys.stderr,
         )
-    report = counting.density_report(n, vector, kind)
+    report = density_report(n, vector, kind)
     _emit(
         fmt,
         {
@@ -216,6 +221,9 @@ def density(b_spec, n, case, fmt):
 
 def sieve(b_spec, n, box_spec, limit, case, fmt):
     """List every visible point of the box in lexicographic order."""
+    from .counting import mark_box
+    from .visibility import constrained_exponents
+
     kind, vector, edges = _parse_box(b_spec, case, n, box_spec)
     cap = DEFAULT_BRUTE_LIMIT if limit is None else limit
     if cap < 1:
@@ -223,9 +231,11 @@ def sieve(b_spec, n, box_spec, limit, case, fmt):
     volume = math.prod(edges)
     if volume > cap:
         raise ResourceLimitError(f"sieve box of {volume} points exceeds limit {cap}")
-    marks = counting.mark_box(edges, constrained_exponents(kind, vector))
+    marks = mark_box(edges, constrained_exponents(kind, vector))
     write = sys.stdout.write
     if fmt == "json":
+        import json
+
         head = {**_family(kind, vector), "box": list(edges), "count": marks.count(1), "points": []}
         write(json.dumps(head)[:-2])  # up to the points' opening bracket
     elif fmt == "csv":
@@ -298,6 +308,9 @@ def _row_heads(head: str, edges, sep: str):
 
 def zeta_cmd(s, tol, euler_limit, fmt):
     """Certified zeta(s) by exact Euler-Maclaurin summation with an explicit tail bound."""
+    from .zeta import zeta as zeta_eval
+    from .zeta import zeta_euler_product
+
     value = zeta_eval(s, tol)
     fields = value._asdict()
     if euler_limit is not None:
@@ -320,6 +333,12 @@ def verify_checks(profile: str, seed: int):
     for integer b, the numerators for rational b, and |bj| over the
     negative entries for signed b.
     """
+    from . import counting
+    from .counting import brute_prefix_counts, mobius_box_count
+    from .visibility import constrained_exponents, find_parametric_witness, is_visible_int, reduce_b, witness_prime
+    from .zeta import zeta as zeta_eval
+    from .zeta import zeta_euler_product
+
     quick = profile == "quick"
     side = 20 if quick else 40
     grid = list(itertools.product(range(1, side + 1), repeat=2))
@@ -352,6 +371,8 @@ def verify_checks(profile: str, seed: int):
         tested = len(grid) * len(vectors)
         disagreements = sum(splits(b, b, grid) for b in vectors)
         if not quick:
+            import random
+
             # one seeded draw of 3-D points, shared by the three vectors
             rng = random.Random(seed)
             points = [tuple(rng.randint(1, 20) for _ in range(3)) for _ in range(500)]

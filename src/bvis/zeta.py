@@ -143,7 +143,10 @@ def zeta_euler_product(s: int, prime_limit: int) -> float:
     _check_sieve_limit(prime_limit)
     # The root is 1 from k = _EULER_EXP + 1 on; capping k keeps it cheap for huge s.
     cut = iroot(2**_EULER_EXP, min(math.floor(s), _EULER_EXP + 1))
-    out = 1.0
+    if cut < 2:
+        return 1.0  # no factor to evaluate, and -float(s) overflows past float range
+    # math.pow(p, -float(s)) is the libm pow that float(p) ** -s calls
+    out, pow_, neg = 1.0, math.pow, -float(s)
     for p in _iter_primes(min(prime_limit, cut)):
-        out /= 1.0 - float(p) ** (-s)
+        out /= 1.0 - pow_(p, neg)
     return out

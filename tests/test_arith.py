@@ -38,17 +38,31 @@ def test_sieve_prime_counting():
     assert len(sieve_primes(10**6)) == 78498
 
 
-@pytest.mark.parametrize("segment", [1, 2, 7, 64, arith.PRIME_SEGMENT])
-def test_sieve_matches_trial_division(monkeypatch, segment):
+# (PRIME_SEGMENT, PRIME_CHUNK) pairs.  A chunk no shorter than the window
+# covers it whole, as the real chunk covers every small window, so only
+# shorter chunks are added to the real one; the real one keeps its old ids.
+_SIEVE_SIZES = [
+    pytest.param(segment, chunk, id=str(segment) if chunk == arith.PRIME_CHUNK else f"{segment}-chunk{chunk}")
+    for segment in [1, 2, 7, 64, arith.PRIME_SEGMENT]
+    for chunk in [1, 7, arith.PRIME_CHUNK]
+    if chunk < segment or chunk == arith.PRIME_CHUNK
+]
+
+
+@pytest.mark.parametrize("segment, chunk", _SIEVE_SIZES)
+def test_sieve_matches_trial_division(monkeypatch, segment, chunk):
     # Every limit up to 1000, so each parity of limit and each prime square
     # is an endpoint once.  A window holds 2 * segment numbers: for the
     # small segments the limits end on and next to many window edges, and
     # base primes' squares fall inside later windows, past which each
-    # window finds a prime's first multiple from its residue.
+    # window finds a prime's first multiple from its residue.  A chunk of a
+    # window holds 2 * chunk numbers, and its last one may be cut short by
+    # the window's end or by the limit.
     monkeypatch.setattr(arith, "PRIME_SEGMENT", segment)
+    monkeypatch.setattr(arith, "PRIME_CHUNK", chunk)
     primes = [n for n in range(2, 1001) if all(n % q for q in range(2, math.isqrt(n) + 1))]
     for limit in range(1, 1001):
-        assert list(sieve_primes(limit)) == [p for p in primes if p <= limit], (segment, limit)
+        assert list(sieve_primes(limit)) == [p for p in primes if p <= limit], (segment, chunk, limit)
 
 
 def test_prime_walk_to_1e7_stays_under_a_mebibyte():

@@ -349,33 +349,92 @@ def test_check_sieve_and_zeta_never_import_numpy():
 # ---------------------------------------------------------------- start-up imports
 
 # click alone took about 28 ms of each process's start-up, and dataclasses
-# brings inspect with it
+# brings inspect with it.  The probe runs RUNS, each a command line and the
+# modules that must still be unloaded after it, in one fresh interpreter.
 _STARTUP_PROBE = """
 import sys
 from bvis.cli import main
 
 SLOW = {"click", "dataclasses", "inspect"}
-assert not SLOW & set(sys.modules), "import bvis.cli"
-for args in (
-    ["check", "--b", "2,4,3,7", "--point", "4,16,40,128"],
-    ["count", "--b", "1,1", "--N", "100", "--format", "csv"],
-    ["density", "--b", "1,-2", "--N", "1000", "--format", "json"],
-    ["sieve", "--b", "1,1", "--N", "3", "--format", "json"],
-    ["zeta", "--s", "2", "--euler-limit", "1000"],
-    ["verify", "--profile", "quick"],
-):
+# loaded only by the commands and formats that use them
+LAZY = {"bvis.arith", "bvis.counting", "bvis.visibility", "bvis.zeta", "json", "csv"}
+assert not (SLOW | LAZY) & set(sys.modules), ("import bvis.cli", sorted((SLOW | LAZY) & set(sys.modules)))
+for args, unloaded in RUNS:
     try:
         main(args, prog_name="bvis")
     except SystemExit as exc:
         assert not exc.code, (args, exc.code)
-    assert not SLOW & set(sys.modules), args[0]
+    loaded = (SLOW | set(unloaded)) & set(sys.modules)
+    assert not loaded, (args[0], sorted(loaded))
 print("ok")
 """
 
 
-def test_no_command_imports_click_dataclasses_or_inspect():
+def _run_startup_probe(runs) -> None:
     out = subprocess.run(
-        [sys.executable, "-c", _STARTUP_PROBE],
+        [sys.executable, "-c", f"RUNS = {runs!r}\n{_STARTUP_PROBE}"],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "ok"
+
+
+def test_no_command_imports_click_dataclasses_or_inspect():
+    _run_startup_probe(
+        [
+            (["check", "--b", "2,4,3,7", "--point", "4,16,40,128"], ()),
+            (["count", "--b", "1,1", "--N", "100", "--format", "csv"], ()),
+            (["density", "--b", "1,-2", "--N", "1000", "--format", "json"], ()),
+            (["sieve", "--b", "1,1", "--N", "3", "--format", "json"], ()),
+            (["zeta", "--s", "2", "--euler-limit", "1000"], ()),
+            (["verify", "--profile", "quick"], ()),
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "args, unloaded",
+    [
+        (["zeta", "--s", "2", "--euler-limit", "1000"], ("bvis.counting", "bvis.visibility", "json", "csv")),
+        (
+            ["check", "--b", "2,4,3,7", "--point", "4,16,40,128", "--format", "plain"],
+            ("bvis.counting", "bvis.zeta", "json", "csv"),
+        ),
+    ],
+    ids=["zeta", "check"],
+)
+def test_a_command_loads_only_its_own_modules(args, unloaded):
+    _run_startup_probe([(args, unloaded)])
+
+
+# In a fresh interpreter, since pytest has imported every submodule already:
+# each public name and each submodule attribute loads on first access, and
+# bvis.zeta is the module whichever is reached first.
+_PACKAGE_PROBE = """
+import sys
+import types
+import bvis
+
+assert not {"bvis.arith", "bvis.counting", "bvis.visibility", "bvis.zeta"} & set(sys.modules)
+SUBMODULES = ("arith", "counting", "visibility", "zeta")
+assert isinstance(bvis.zeta, types.ModuleType)
+assert bvis.zeta_euler_product is bvis.zeta.zeta_euler_product
+missing = [name for name in bvis.__all__ if not hasattr(bvis, name)]
+assert not missing, missing
+for name in SUBMODULES:
+    assert isinstance(getattr(bvis, name), types.ModuleType), name
+    assert getattr(bvis, name) is sys.modules["bvis." + name], name
+assert not hasattr(bvis, "count_box")
+print("ok")
+"""
+
+
+def test_bare_import_resolves_every_export_and_submodule():
+    out = subprocess.run(
+        [sys.executable, "-c", _PACKAGE_PROBE],
         capture_output=True,
         text=True,
         env=_src_env(),

@@ -116,6 +116,17 @@ def test_euler_product_is_bit_identical_across_the_cut(s):
         assert zeta_euler_product(s, limit).hex() == product.hex(), (s, limit)
 
 
+@pytest.mark.parametrize("s", [2, 3, 4, 5, 6, 2.5])
+def test_euler_product_is_bit_identical_to_the_plain_loop(s):
+    # the product divides by 1 - p**-s prime by prime, in ascending order
+    primes = sieve_primes(10**6)
+    for limit in (1, 2, 3, 1000, 99991, 10**6):
+        product = 1.0
+        for p in itertools.takewhile(lambda p: p <= limit, primes):
+            product /= 1.0 - float(p) ** (-s)
+        assert zeta_euler_product(s, limit).hex() == product.hex(), (s, limit)
+
+
 def test_euler_product_s2_cut_lies_past_the_sieve_budget():
     # s = 2's P is 2**28 + 1, so every limit next to it is refused.
     first_one = iroot(2**56, 2) + 1

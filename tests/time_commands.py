@@ -1,13 +1,15 @@
-"""Time `bvis` command lines: wall time and peak RSS of fresh processes.
+"""Time `bvis` command lines: wall time, CPU time and peak RSS of fresh processes.
 
     python tests/time_commands.py [--src DIR] [--runs 3] "sieve --b 1,1 --box 1000,1000 --format json" ...
 
 Each command line runs ``--runs`` times as ``python -m bvis.cli`` with this
 interpreter, ``DIR`` (default: this tree's ``src``) first on PYTHONPATH and
 stdout sent to /dev/null.  Wall time comes from ``time.perf_counter`` around
-the child, peak RSS from ``os.wait4``.  Prints one JSON object per command
-line: the best wall time, the largest peak RSS in MB and the exit code.
-Alternate two trees' ``--src`` to compare them.
+the child, CPU time (user plus system) and peak RSS from ``os.wait4``.
+Prints one JSON object per command line: the best wall time, the median
+CPU seconds, the largest peak RSS in MB and the exit code.  On a small
+shared VM the CPU time is the steadier of the two times.  Alternate two
+trees' ``--src`` to compare them.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -23,8 +26,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def measure(src: str, argv: list[str]) -> tuple[float, float, int]:
-    """Wall seconds, peak RSS in MB and exit code of one run."""
+def measure(src: str, argv: list[str]) -> tuple[float, float, int, float]:
+    """Wall seconds, peak RSS in MB, exit code and CPU seconds of one run."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     start = time.perf_counter()
@@ -32,7 +35,7 @@ def measure(src: str, argv: list[str]) -> tuple[float, float, int]:
     _, status, usage = os.wait4(child.pid, 0)
     wall = time.perf_counter() - start
     child.returncode = os.waitstatus_to_exitcode(status)  # already reaped; keep Popen from waiting again
-    return wall, usage.ru_maxrss / 1024, child.returncode
+    return wall, usage.ru_maxrss / 1024, child.returncode, usage.ru_utime + usage.ru_stime
 
 
 def main() -> None:
@@ -48,6 +51,7 @@ def main() -> None:
                 {
                     "command": line,
                     "wall_s": round(min(r[0] for r in runs), 3),
+                    "cpu_s": round(statistics.median(r[3] for r in runs), 3),
                     "peak_rss_mb": round(max(r[1] for r in runs), 1),
                     "exit": runs[-1][2],
                 }
