@@ -9,7 +9,7 @@ certified zeta evaluator — plus a brute-force oracle implementing the
 defining search, used to cross-check everything else.
 """
 
-from .errors import PreconditionError, ResourceLimitError, UsageError
+from .errors import ResourceLimitError, UsageError
 
 __version__ = "0.1.0"
 
@@ -25,11 +25,9 @@ _EXPORTS = {
     "visibility": (
         "base_from_expanded",
         "find_parametric_witness",
-        "gcd_is_one_rational",
         "is_visible_int",
         "is_visible_rat",
         "is_visible_signed",
-        "reduce_b",
         "witness_prime_int",
         "witness_prime_rat",
         "witness_prime_signed",
@@ -40,7 +38,7 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted(["KERNEL_BACKEND", "PreconditionError", "ResourceLimitError", "UsageError", *_HOME])
+__all__ = sorted(["KERNEL_BACKEND", "ResourceLimitError", "UsageError", *_HOME])
 
 
 def __getattr__(name: str):

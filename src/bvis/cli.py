@@ -1,9 +1,10 @@
 """Command-line front end: predicates, counts, density reports, sieves.
 
 Exit codes are stable across subcommands: 0 success, 2 usage error
-(a malformed command line, dimension mismatch), 3 precondition violation
-(gcd condition), 4 resource limit (box, prime sieve or Moebius sieve too
-large, or a gcd that cannot be factored and certified within budget).
+(a malformed command line, dimension mismatch), 4 resource limit (box,
+prime sieve or Moebius sieve too large, or a gcd that cannot be factored
+and certified within budget).  Exit 3 is reserved and unused; it once
+refused rational vectors whose numerators share a factor.
 Warnings go to stderr; JSON/CSV payloads stay machine-readable.
 
 The table COMMANDS reads ``--opt VALUE`` and ``--opt=VALUE``; a repeated
@@ -23,7 +24,7 @@ from fractions import Fraction
 # Each handler imports the library modules, and each format the standard
 # modules, that it uses: a command loads only what it runs.
 from . import __version__
-from .errors import PreconditionError, ResourceLimitError, UsageError
+from .errors import ResourceLimitError, UsageError
 
 _B_ENTRY = re.compile(r"-?\d+(?:/\d+)?$")
 # Points of the box per block of `bvis sieve` output.
@@ -179,9 +180,9 @@ def check(b_spec, point_spec, expanded, case, fmt):
 
 
 def _witness_image(point, b, prime):
-    from .visibility import reduce_b
+    from .visibility import constrained_exponents
 
-    return tuple(c // prime**e for c, e in zip(point, reduce_b(b)))
+    return tuple(c // prime**e for c, e in zip(point, constrained_exponents("int", b).exps))
 
 
 def count(b_spec, n, box_spec, case, fmt):
@@ -196,14 +197,13 @@ def count(b_spec, n, box_spec, case, fmt):
 def density(b_spec, n, case, fmt):
     """Density report: exact count vs the theoretical 1/zeta density."""
     from .counting import density_report
-    from .visibility import reduce_b
 
     kind, vector = parse_b_spec(b_spec, case)
     _require_n(n)
-    if kind == "int" and (g := math.gcd(*(f.numerator for f in vector))) > 1:
+    if (g := math.gcd(*(f.numerator for f in vector))) > 1:
         print(
             f"note: exponents share gcd {g}; visibility is equivalent to "
-            f"the reduced vector ({','.join(map(str, reduce_b(vector)))}), which sets the density",
+            f"the reduced vector ({','.join(str(f / g) for f in vector)}), which sets the density",
             file=sys.stderr,
         )
     report = density_report(n, vector, kind)
@@ -335,13 +335,15 @@ def verify_checks(profile: str, seed: int):
     """
     from . import counting
     from .counting import brute_prefix_counts, mobius_box_count
-    from .visibility import constrained_exponents, find_parametric_witness, is_visible_int, reduce_b, witness_prime
+    from .visibility import constrained_exponents, find_parametric_witness, witness_prime
     from .zeta import zeta as zeta_eval
     from .zeta import zeta_euler_product
 
     quick = profile == "quick"
     side = 20 if quick else 40
     grid = list(itertools.product(range(1, side + 1), repeat=2))
+    # base tuples for the rational and signed sweeps, by dimension
+    bases = {2: list(itertools.product(range(1, 9), repeat=2)), 3: list(itertools.product(range(1, 6), repeat=3))}
     zeta_tol = 1e-6 if quick else 1e-9
     checks = []
 
@@ -350,10 +352,18 @@ def verify_checks(profile: str, seed: int):
         checks.append((fn.__name__.replace("_", "-"), fn))
         return fn
 
-    def splits(b, characterized, points):
-        """How many points the oracle for b and the characterization disagree on."""
+    def splits(spec, points):
+        """How many base tuples the oracle and the characterization disagree on.
+
+        ``spec`` is a --b value, read as `bvis` reads it.  The oracle searches the
+        expanded point (li**(alpha/ai)) under alpha * b, alpha the lcm of the denominators.
+        """
+        kind, b = parse_b_spec(spec)
+        alpha = math.lcm(*(f.denominator for f in b))
+        scaled, powers = [int(f * alpha) for f in b], [alpha // f.denominator for f in b]
+        witness = constrained_exponents(kind, b).witness
         return sum(
-            (find_parametric_witness(pt, b) is None) != is_visible_int(pt, characterized)
+            (find_parametric_witness([c**e for c, e in zip(pt, powers)], scaled) is None) != (witness(pt) is None)
             for pt in points
         )
 
@@ -362,36 +372,44 @@ def verify_checks(profile: str, seed: int):
         point, b = (4, 16, 40, 128), (2, 4, 3, 7)
         prime = witness_prime(point, "int", b)
         image = _witness_image(point, b, prime) if prime is not None else None
-        ok = prime == 2 and image == (1, 1, 5, 1) and is_visible_int(image, b)
+        ok = prime == 2 and image == (1, 1, 5, 1) and witness_prime(image, "int", b) is None
         return ok, f"witness p={prime}, image {image}"
 
     @row
     def oracle_equivalence():
-        vectors = [(1, 2), (2, 3)] if quick else [(1, 1), (1, 2), (2, 3), (2, 4), (3, 7)]
-        tested = len(grid) * len(vectors)
-        disagreements = sum(splits(b, b, grid) for b in vectors)
+        vectors = ["1,2", "2,3"] if quick else ["1,1", "1,2", "2,3", "2,4", "3,7"]
+        sweeps = [(b, grid) for b in vectors]
         if not quick:
             import random
 
             # one seeded draw of 3-D points, shared by the three vectors
             rng = random.Random(seed)
             points = [tuple(rng.randint(1, 20) for _ in range(3)) for _ in range(500)]
-            for b in [(1, 1, 1), (1, 2, 3), (2, 4, 6)]:
-                tested += len(points)
-                disagreements += splits(b, b, points)
-        return disagreements == 0, f"{tested} points, {disagreements} disagreements"
+            sweeps += [(b, points) for b in ["1,1,1", "1,2,3", "2,4,6"]]
+            # rational vectors, and signed ones with negative entries
+            families = ("1/2,1/2", "2/3,1/2", "2/3,3/2", "1/2,1,3/2")
+            families += ("1,-2", "-1,-1", "-1/2,3", "2/3,-1/2", "3,-2,-3", "1/2,-1,2")
+            sweeps += [(b, bases[b.count(",") + 1]) for b in families]
+        disagreements = sum(splits(b, pts) for b, pts in sweeps)
+        return disagreements == 0, f"{sum(len(pts) for _, pts in sweeps)} points, {disagreements} disagreements"
 
     @row
     def gcd_reduction():
-        vectors = [(2, 4), (2, 2)] if quick else [(2, 4), (3, 6), (2, 2)]
-        disagreements = sum(splits(b, reduce_b(b), grid) for b in vectors)
+        vectors = ["2,4", "2,2"] if quick else ["2,4", "3,6", "2,2"]
+        sweeps = [(b, grid) for b in vectors]
+        if not quick:
+            # numerators with gcd G > 1 in the rational and signed families
+            shared = ("2/3,2/3", "2,2/3", "4/3,2/5", "6,4,2/3", "3/2,9/4")
+            shared += ("2,-4", "2,-2", "-2,-4", "6,-4,-2", "2/3,-2/3")
+            sweeps += [(b, bases[b.count(",") + 1]) for b in shared]
+        disagreements = sum(splits(b, pts) for b, pts in sweeps)
         # the witness case: t = 1/sqrt(2) maps (2,4) to (1,1) under b=(2,4)
         witness_case = (
             witness_prime((2, 4), "int", (2, 4)) == 2 and find_parametric_witness((2, 4), (2, 4)) is not None
         )
         return (
             disagreements == 0 and witness_case,
-            f"{len(grid) * len(vectors)} points, {disagreements} disagreements; "
+            f"{sum(len(pts) for _, pts in sweeps)} points, {disagreements} disagreements; "
             f"(2,4) invisible for b=(2,4): {witness_case}",
         )
 
@@ -577,9 +595,9 @@ def main(args=None, prog_name=None) -> None:
     try:
         COMMANDS[command][0](**kwargs)
         sys.stdout.flush()
-    except (ValueError, ResourceLimitError) as exc:  # UsageError and PreconditionError are ValueErrors
+    except (ValueError, ResourceLimitError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(3 if isinstance(exc, PreconditionError) else 4 if isinstance(exc, ResourceLimitError) else 2)
+        raise SystemExit(4 if isinstance(exc, ResourceLimitError) else 2)
     except BrokenPipeError:  # the reader left early, as `bvis sieve ... | head` does
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # no flush into the closed pipe at exit
         raise SystemExit(1)

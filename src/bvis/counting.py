@@ -213,10 +213,10 @@ def count_box(edges: Sequence[int], constraint: Constraint) -> int:
     """Visible points in the box [1,M1]x...x[1,Mk] for a validated vector.
 
     Every family reduces to one Moebius count over the positions of its
-    ``Constraint``: all of them with the gcd-reduced entries for "int" and
-    the numerators for "rat", the negative positions J with |bj| for
-    "signed".  The other edges only multiply the count, and a signed
-    vector with J empty has every point visible.
+    ``Constraint``, with the numerators divided by their gcd: all of them
+    for "int" and "rat", the negative positions J for "signed".  The other
+    edges only multiply the count, and a signed vector with J empty has
+    every point visible.
     """
     k, positions, exps = constraint
     if len(edges) != k:

@@ -5,18 +5,21 @@ vector b = (b1,...,bk) when no scaling factor 0 < t < 1 maps
 (n1*t**b1, ..., nk*t**bk) onto another positive integer lattice point.
 Three families of exponent vectors are supported:
 
-* positive integers — visible iff no prime p has p**bi | ni for all i,
-  after dividing b through by its gcd (the verdict is invariant under
-  that reduction, while the prime characterization requires gcd(b) = 1);
+* positive integers — visible iff no prime p has p**ei | ni for all i;
 * positive rationals bi/ai — points live on the restricted lattice of
   perfect-power coordinates and are represented by their base tuple;
   visibility reduces to the integer predicate on the numerators;
 * signed rationals — the scaling runs the other way, over t > 1, which
   shrinks exactly the coordinates with negative exponents; so only those
-  decide: invisible iff some prime p has p**|bj| dividing the base
+  decide: invisible iff some prime p has p**ej dividing the base
   coordinate of every negative-exponent position j.  For b = (1, -2),
   (5, 4) is invisible, since t = 2 maps it to (10, 1), while (5, 6) is
   visible, although t = 1/5 maps it to the lattice point (1, 150).
+
+One gcd rule serves all three families: ei = |numerator of bi| // G, with
+G the gcd of the numerators.  Visibility is unchanged when b becomes b / G,
+since t -> t**G maps (0, 1) and (1, oo) onto themselves.  For rational b
+this goes past the paper's gcd-one condition; ``bvis verify`` checks it.
 
 ``constrained_exponents`` turns a vector of any family into one
 ``Constraint`` (which positions constrain, with which exponents), and
@@ -24,33 +27,33 @@ Three families of exponent vectors are supported:
 
 ``find_parametric_witness`` is the oracle: an independent brute-force
 implementation of the defining search over scaled image points, used to
-cross-check the divisibility characterizations.  It never reasons about
-primes; a point is visible iff it finds no witness.
+cross-check the divisibility characterizations of every family, on the
+expanded point under the integer vector alpha * b.  It never reasons
+about primes; a point is visible iff it finds no witness.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .arith import factorize, is_perfect_power
-from .errors import PreconditionError, ResourceLimitError, UsageError
+from .arith import factorize, iroot, is_perfect_power
+from .errors import ResourceLimitError, UsageError
 
 # Ceiling on the conceptual witness-search box of the parametric oracle.
 DEFAULT_ORACLE_BOX_LIMIT = 100_000_000
-# Ceiling on the bits of the power tables the oracle builds (8 MiB); a huge
-# exponent would otherwise make it build a huge power.
+# Ceiling on a bound for the bits of the powers the oracle builds (8 MiB); a
+# huge exponent would otherwise make it build a huge power.
 ORACLE_BIT_BUDGET = 1 << 26
 
 LatticePoint = tuple[int, ...]
 RationalPoint = tuple[int, ...]
 
 
-def as_exponent_vector(b) -> tuple[int, ...]:
-    """b as positive integer exponents (b1,...,bk), k >= 1, or a UsageError."""
+def as_exponent_vector(b, signed: bool = False) -> tuple[int, ...]:
+    """b as positive (nonzero if ``signed``) integer exponents (b1,...,bk), k >= 1, or a UsageError."""
     items = tuple(b)
     try:
         entries = tuple(int(x) for x in items)
@@ -61,8 +64,8 @@ def as_exponent_vector(b) -> tuple[int, ...]:
         raise UsageError(f"integer exponents must be whole numbers, got {items}")
     if not entries:
         raise UsageError("exponent vector must have at least one entry")
-    if any(e < 1 for e in entries):
-        raise UsageError(f"integer exponents must be >= 1, got {entries}")
+    if not all(entries) if signed else any(e < 1 for e in entries):
+        raise UsageError(f"integer exponents must be {'nonzero' if signed else '>= 1'}, got {entries}")
     return entries
 
 
@@ -91,31 +94,6 @@ def _as_point(point: Sequence[int], k: int) -> tuple[int, ...]:
     if len(coords) != k:
         raise UsageError(f"point has {len(coords)} coordinates, exponent vector has {k}")
     return coords
-
-
-def reduce_b(b) -> tuple[int, ...]:
-    """Divide the exponent vector through by its gcd.
-
-    Visibility verdicts are identical for b and b/gcd(b), so predicates
-    reduce internally; this is the canonical form with gcd 1.
-    """
-    entries = as_exponent_vector(b)
-    g = math.gcd(*entries)
-    if g == 1:
-        return entries
-    return tuple(e // g for e in entries)
-
-
-def gcd_is_one_rational(b) -> bool:
-    """Does some integer combination of the rational exponents equal 1?
-
-    With alpha = lcm(ai), the integer span of {bi/ai} is (g/alpha)*Z for
-    g = gcd(bi*alpha/ai); it contains 1 exactly when g divides alpha.
-    """
-    fracs = as_rational_exponent_vector(b)
-    alpha = math.lcm(*(f.denominator for f in fracs))
-    g = math.gcd(*(f.numerator * (alpha // f.denominator) for f in fracs))
-    return alpha % g == 0
 
 
 @lru_cache(maxsize=4096)
@@ -166,30 +144,22 @@ class Constraint(NamedTuple):
 def constrained_exponents(kind: str, b) -> Constraint:
     """Validate b once for a family and return its ``Constraint``.
 
-    This is the library's one family dispatch.  For "int" every position
-    constrains, with the gcd-reduced entries; for "rat" every position,
-    with the numerators; for "signed" the negative positions, with
-    |numerator|.  The rational families require the gcd-one condition.
-    Any other ``kind`` is a UsageError.
+    This is the library's one family dispatch and its one gcd rule: the
+    exponents are |numerator| // G, with G the gcd of all the numerators.
+    "int" and "rat" constrain every position, "signed" its negative
+    positions.  Any other ``kind`` is a UsageError.
     """
     if kind == "int":
-        exps = reduce_b(b)
-        return Constraint(len(exps), range(len(exps)), exps)
-    if kind not in ("rat", "signed"):
+        nums = as_exponent_vector(b)
+    elif kind in ("rat", "signed"):
+        nums = tuple(f.numerator for f in as_rational_exponent_vector(b))
+        if kind == "rat" and any(n < 0 for n in nums):
+            raise UsageError("positive-rational predicate got negative exponents; use the signed predicate")
+    else:
         raise UsageError(f"unknown case {kind!r}; expected int, rat, or signed")
-    fracs = as_rational_exponent_vector(b)
-    nums = tuple(f.numerator for f in fracs)
-    if kind == "rat" and any(n < 0 for n in nums):
-        raise UsageError("positive-rational predicate got negative exponents; use the signed predicate")
-    if not gcd_is_one_rational(fracs):
-        raise PreconditionError(
-            f"exponent vector ({', '.join(map(str, fracs))}) violates "
-            "the gcd-one condition: no integer combination of the entries equals 1"
-        )
-    if kind == "rat":
-        return Constraint(len(nums), range(len(nums)), nums)
-    neg = tuple(j for j, n in enumerate(nums) if n < 0)
-    return Constraint(len(nums), neg, tuple(-nums[j] for j in neg))
+    g = math.gcd(*nums)
+    positions = tuple(j for j, n in enumerate(nums) if n < 0) if kind == "signed" else range(len(nums))
+    return Constraint(len(nums), positions, tuple(abs(nums[j]) // g for j in positions))
 
 
 def witness_prime(point: Sequence[int], kind: str, b) -> int | None:
@@ -220,9 +190,8 @@ def is_visible_rat(point: Sequence[int], b) -> bool:
 
     The point argument is the base tuple (l1,...,lk) standing for the
     lattice point (l1**(alpha/a1), ..., lk**(alpha/ak)); visibility equals
-    integer visibility of the base tuple under the numerator vector.
-    Requires the gcd-one condition, without which the reduction to the
-    integer case does not hold.
+    integer visibility of the base tuple under the numerators divided by
+    their gcd.
     """
     return witness_prime(point, "rat", b) is None
 
@@ -235,7 +204,8 @@ def is_visible_signed(point: Sequence[int], b) -> bool:
     """Signed-rational visibility of a base tuple.
 
     Only the negative-exponent coordinates matter: invisible iff some prime
-    p has p**|bj| dividing the base coordinate at every negative position.
+    p has p**(|bj's numerator| // G) dividing the base coordinate at every
+    negative position, with G the gcd of all the numerators.
     With no negative entries the condition is vacuous and every point is
     visible (the positive-rational predicate is the meaningful one there).
     """
@@ -267,55 +237,61 @@ def base_from_expanded(coords: Sequence[int], b) -> RationalPoint:
 def find_parametric_witness(point: Sequence[int], b) -> LatticePoint | None:
     """Brute-force search for a smaller integer image of the point.
 
-    Enumerates candidate image points w with 1 <= wi < ni and checks that
-    all coordinates share one scaling factor t in (0,1), i.e. that
-    (wi/ni)**(1/bi) agree for all i.  Equality is tested exactly through
-    cross powers with L = lcm(b): wi**(L/bi) * nj**(L/bj) must equal
-    wj**(L/bj) * ni**(L/bi).  Because each wj**(L/bj) is strictly
-    increasing in wj, at most one wj can match a given w1, found by
-    bisection over precomputed power tables.
+    b holds nonzero integer exponents.  An image is the integer point
+    (ni * t**bi) for one t != 1: t < 1 when every bi > 0, so that every
+    coordinate shrinks, else t > 1, which shrinks the negative positions.
+    The pivot p is the smallest shrinking coordinate.  Each pivot image
+    w < n_p fixes t, and coordinate i's image is then ni * (w/n_p)**(u/v),
+    u/v = bi/b_p in lowest terms: an integer iff ni**v * w**u / n_p**u is
+    an integer v-th power (for u < 0, w and n_p trade places), which
+    ``iroot`` decides exactly.  Ascending w meets the values of t in one
+    order for every choice of pivot, so the first witness found does not
+    depend on it.
 
     This search is deliberately independent of the prime characterization
     and covers irrational t, since it enumerates image points rather than
     scaling factors.  Returns the first witness found, or None.  A search
-    box past DEFAULT_ORACLE_BOX_LIMIT points or power tables past
-    ORACLE_BIT_BUDGET bits raise ResourceLimitError before anything is built.
+    box past DEFAULT_ORACLE_BOX_LIMIT points, or powers whose bound
+    sum c * (L/|bi|) * bits(c) over the coordinates (L = lcm(b)) passes
+    ORACLE_BIT_BUDGET, raise ResourceLimitError before anything is built.
     """
-    entries = as_exponent_vector(b)
+    entries = as_exponent_vector(b, signed=True)
     coords = _as_point(point, len(entries))
     box = math.prod(coords)
     if box > DEFAULT_ORACLE_BOX_LIMIT:
         raise ResourceLimitError(
             f"witness search box of {box} points exceeds limit {DEFAULT_ORACLE_BOX_LIMIT}"
         )
-    if any(c == 1 for c in coords):
-        # t < 1 shrinks every coordinate strictly, so no image point exists.
+    negative = any(e < 0 for e in entries)
+    pivot = min((i for i, e in enumerate(entries) if (e < 0) == negative), key=coords.__getitem__)
+    n_p, b_p = coords[pivot], entries[pivot]
+    if n_p == 1:
+        # the scaling shrinks this coordinate strictly, so no image point exists
         return None
-    k = len(coords)
     lcm_b = math.lcm(*entries)
-    exps = [lcm_b // e for e in entries]
-    # a table and its c**e hold c powers of at most e * bits(c) bits each
-    bits = sum(c * e * c.bit_length() for c, e in zip(coords, exps))
+    # no power below has more than (L/|bi|) * bits(ci) + (L/|b_p|) * bits(n_p) bits
+    bits = sum(c * (lcm_b // abs(e)) * c.bit_length() for c, e in zip(coords, entries))
     if bits > ORACLE_BIT_BUDGET:
         raise ResourceLimitError(
             f"witness search powers of up to {bits} bits exceed budget {ORACLE_BIT_BUDGET}"
         )
-    coord_pows = [c**e for c, e in zip(coords, exps)]
-    # tables[j][w-1] = w**exps[j] for w in 1..coords[j]-1, strictly increasing
-    tables = [[w ** exps[j] for w in range(1, coords[j])] for j in range(k)]
-    for w0 in range(1, coords[0]):
-        head = tables[0][w0 - 1]
-        image = [w0]
-        for j in range(1, k):
-            num = head * coord_pows[j]
-            if num % coord_pows[0]:
+    # (u, v, top, bottom) per other coordinate, in order: its image is the
+    # v-th root of top * w**u / bottom for u > 0, of top / w**-u for u < 0
+    terms = []
+    for i, (c, e) in enumerate(zip(coords, entries)):
+        if i != pivot:
+            g = math.gcd(e, b_p) * (1 if b_p > 0 else -1)  # with b_p's sign, so v > 0
+            u, v = e // g, b_p // g
+            terms.append((u, v, c**v * n_p ** max(-u, 0), n_p ** max(u, 0)))
+    for w in range(1, n_p):
+        image = []
+        for u, v, top, bottom in terms:
+            q, r = divmod(top * w**u, bottom) if u > 0 else divmod(top, w**-u)
+            root = 0 if r else iroot(q, v)
+            if not root or root**v != q:
                 break
-            target = num // coord_pows[0]
-            idx = bisect_left(tables[j], target)
-            if idx < len(tables[j]) and tables[j][idx] == target:
-                image.append(idx + 1)
-            else:
-                break
+            image.append(root)
         else:
+            image.insert(pivot, w)
             return tuple(image)
     return None

@@ -63,7 +63,7 @@ _USAGE_ERRORS = (
     "count --b 1,1 --N 0",
     "density --b 1,1 --N 0",
     "density --b 1,x --N 0",
-    "density --b 2/3,2/3 --N 0",  # a bad N is reported before the gcd-one condition
+    "density --b 2/3,2/3 --N 0",  # a bad N is reported before the shared-gcd note
     "check --b 1,2 --point 1,2,3",
     "density --b 0,1/2 --N 10",
     "check --b 1/2,1 --case int --point 4,6",
@@ -78,10 +78,14 @@ _USAGE_ERRORS = (
     "zeta --s 2 --tol inf --format json",  # the tail bound would be inf, which json.dumps writes as Infinity
 )
 
-_GCD_ONE = (
+# numerators with a common factor G: every family divides them by G
+_SHARED_GCD = (
     "count --b 2/3,-2/3 --box 8,4",
     "density --b 2/3,-2/3 --N 100",
     "check --b 2/3,2/3 --point 2,3",
+    "check --b 2,-2 --point 1,2",  # t = sqrt(2) maps (1, 2) to (2, 1): a witness for p = 2
+    "density --b 2/3,2/3 --N 1000",  # the stderr note for a rational vector
+    "count --b 6,-4,-2 --box 30,30,30",
 )
 
 _REFUSALS = (
@@ -208,7 +212,7 @@ _HELP = ("--help", *(f"{command} --help" for command in ("check", "count", "dens
 
 def commands() -> list[list[str]]:
     lines = (
-        _USAGE_ERRORS + _GCD_ONE + _REFUSALS + _OUTPUTS + _PARSER + _CHECK + _MORE_OUTPUTS + _CHUNKS + _SHAPES + _HEADS + _HELP
+        _USAGE_ERRORS + _SHARED_GCD + _REFUSALS + _OUTPUTS + _PARSER + _CHECK + _MORE_OUTPUTS + _CHUNKS + _SHAPES + _HEADS + _HELP
     )
     # dict.fromkeys drops a line that an earlier tuple already holds
     return _workload_commands() + [line.split() for line in dict.fromkeys(lines)]

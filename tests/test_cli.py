@@ -613,6 +613,12 @@ def test_cli_corpus_replays_byte_for_byte(runner, entry):
     assert got == entry
 
 
+def test_cli_corpus_records_every_generated_command():
+    # a command added to the generator but never recorded would go unreplayed
+    recorded = [entry["argv"] for entry in json.loads(make_cli_corpus.CORPUS.read_text())]
+    assert recorded == make_cli_corpus.commands()
+
+
 # ---------------------------------------------------------------- README
 
 

@@ -21,7 +21,7 @@ from bvis.counting import (
     mark_box,
     mobius_box_count,
 )
-from bvis.errors import PreconditionError, ResourceLimitError, UsageError
+from bvis.errors import ResourceLimitError, UsageError
 from bvis.visibility import (
     Constraint,
     as_exponent_vector,
@@ -357,8 +357,10 @@ def test_count_visible_rat_no_density_below_two():
 
 
 def test_count_visible_rat_errors():
-    with pytest.raises(PreconditionError):
-        density_report(100, ["2/3", "2/3"], "rat")
+    # numerators with gcd 2 are no error: (2/3, 2/3) reduces to (1/3, 1/3)
+    fields = ("box", "visible_count", "exponent_sum", "theoretical")
+    shared, reduced = density_report(100, ["2/3", "2/3"], "rat"), density_report(100, ["1/3", "1/3"], "rat")
+    assert [getattr(shared, f) for f in fields] == [getattr(reduced, f) for f in fields]
     with pytest.raises(UsageError):
         density_report(100, ["1/2", "-1/2"], "rat")
 

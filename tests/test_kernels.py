@@ -32,7 +32,11 @@ def test_package_exports():
     assert not hasattr(bvis.counting, "_count_constrained")
     assert not hasattr(bvis.counting, "DENSITY_ZETA_TOL")
     assert not hasattr(bvis.ResourceLimitError("x"), "limit")
-    assert len(bvis.__all__) == 28
+    assert len(bvis.__all__) == 25
+    # one gcd rule for every family: no precondition, no separate reduction
+    for name in ("PreconditionError", "gcd_is_one_rational", "reduce_b"):
+        assert name not in bvis.__all__
+        assert not hasattr(bvis.visibility, name) and not hasattr(bvis.errors, name)
     for name in ("count_visible_bruteforce", "oracle_visible_parametric", "brute_force_limit"):
         for module in (bvis, bvis.counting, bvis.visibility):
             assert not hasattr(module, name), (module.__name__, name)

@@ -8,18 +8,17 @@ from hypothesis import strategies as st
 
 from bvis.arith import factorize
 from bvis import visibility
-from bvis.errors import PreconditionError, ResourceLimitError, UsageError
+from bvis.errors import ResourceLimitError, UsageError
 from bvis.visibility import (
     as_exponent_vector,
     as_rational_exponent_vector,
     base_from_expanded,
     constrained_exponents,
     find_parametric_witness,
-    gcd_is_one_rational,
     is_visible_int,
     is_visible_rat,
     is_visible_signed,
-    reduce_b,
+    witness_prime,
     witness_prime_int,
     witness_prime_signed,
 )
@@ -29,14 +28,14 @@ from bvis.visibility import (
 
 
 def test_reduce_b_examples():
-    assert reduce_b((2, 4)) == (1, 2)
-    assert reduce_b((1, 1, 1)) == (1, 1, 1)
-    assert reduce_b((6, 9, 15)) == (2, 3, 5)
+    assert constrained_exponents("int", (2, 4)).exps == (1, 2)
+    assert constrained_exponents("int", (1, 1, 1)).exps == (1, 1, 1)
+    assert constrained_exponents("int", (6, 9, 15)).exps == (2, 3, 5)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=5))
 def test_reduce_b_has_gcd_one(entries):
-    assert math.gcd(*reduce_b(entries)) == 1
+    assert math.gcd(*constrained_exponents("int", entries).exps) == 1
 
 
 def test_exponent_vector_validation():
@@ -53,6 +52,10 @@ def test_exponent_vector_validation():
     with pytest.raises(UsageError, match="whole numbers"):
         as_exponent_vector([Fraction(3, 2), 1])
     assert as_exponent_vector([2.0, "3", Fraction(4)]) == (2, 3, 4)
+    # the oracle's vectors need only be nonzero
+    assert as_exponent_vector((1, -2), signed=True) == (1, -2)
+    with pytest.raises(UsageError, match="nonzero"):
+        as_exponent_vector((0, 1), signed=True)
 
 
 @pytest.mark.parametrize("entry", [math.inf, math.nan])
@@ -79,39 +82,6 @@ def test_rational_vector_validation():
 
 def test_negative_indices():
     assert constrained_exponents("signed", [3, -2, -3]).positions == (1, 2)
-
-
-def test_gcd_is_one_rational():
-    assert gcd_is_one_rational(["1/2", "1/2"])
-    assert not gcd_is_one_rational([2, 4])
-    assert gcd_is_one_rational(["2/3", "1/2"])
-    assert not gcd_is_one_rational(["2/3", "2/3"])
-    assert gcd_is_one_rational([1, -2])
-    assert not gcd_is_one_rational([-2, -4])
-
-
-def test_gcd_is_one_matches_coefficient_search():
-    # 1 is an integer combination of the entries iff the divisibility
-    # criterion holds; brute-force the coefficients as an oracle
-    candidates = [
-        ["1/2", "1/2"],
-        ["2/3", "1/2"],
-        ["2/3", "2/3"],
-        ["3/4", "1/2"],
-        ["2/1", "4/1"],
-        ["2/1", "3/1"],
-        ["5/6", "1/4"],
-        ["-2/3", "1/2"],
-        ["-2/3", "-2/3"],
-    ]
-    for spec in candidates:
-        fracs = [Fraction(x) for x in spec]
-        found = any(
-            m1 * fracs[0] + m2 * fracs[1] == 1
-            for m1 in range(-12, 13)
-            for m2 in range(-12, 13)
-        )
-        assert gcd_is_one_rational(spec) == found
 
 
 # ---------------------------------------------------------------- integer case
@@ -290,6 +260,18 @@ def test_function_independence_under_scaling():
             assert (scaled_witness is None) == (find_parametric_witness(point, b) is None)
 
 
+def test_oracle_signed_examples():
+    # t > 1 shrinks the negative positions: t = 2 maps (5, 4) to (10, 1) under (1, -2)
+    assert find_parametric_witness((5, 4), (1, -2)) == (10, 1)
+    assert find_parametric_witness((5, 6), (1, -2)) is None
+    # an irrational t = sqrt(2) maps (1, 2) to (2, 1) under (2, -2)
+    assert find_parametric_witness((1, 2), (2, -2)) == (2, 1)
+    # a negative coordinate 1 cannot shrink
+    assert find_parametric_witness((4, 1), (1, -2)) is None
+    # every entry negative: every coordinate shrinks
+    assert find_parametric_witness((4, 6), (-1, -1)) == (2, 3)
+
+
 # ---------------------------------------------------------------- rational case
 
 
@@ -305,8 +287,8 @@ def test_rat_reduction_consistency():
 
 
 def test_rat_gcd_precondition():
-    with pytest.raises(PreconditionError):
-        is_visible_rat((2, 3), ["2/3", "2/3"])
+    # numerators with gcd 2 reduce to (1/3, 1/3), as integer vectors do
+    assert is_visible_rat((2, 3), ["2/3", "2/3"])
 
 
 def test_rat_rejects_negative_exponents():
@@ -366,8 +348,8 @@ def test_signed_matches_squarefree():
 
 
 def test_signed_gcd_precondition():
-    with pytest.raises(PreconditionError):
-        is_visible_signed((2, 3), [-2, -4])
+    # (-2, -4) reduces to (-1, -2)
+    assert is_visible_signed((2, 3), [-2, -4])
 
 
 # ---------------------------------------------------------------- family dispatch
@@ -398,3 +380,44 @@ def test_constraint_per_family(kind, b, positions, exps):
         )
         assert visibility.witness_prime(point, kind, b) == expected, point
         assert constraint.witness(point) == expected, point
+
+
+def _expanded(base, b):
+    """The lattice point over a base tuple of b, and the integer vector alpha * b."""
+    alpha = math.lcm(*(f.denominator for f in b))
+    return [c ** (alpha // f.denominator) for c, f in zip(base, b)], [int(f * alpha) for f in b]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 3)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.data(),
+)
+def test_one_gcd_rule_is_scale_invariant(b, m, d, data):
+    # lam = m/d, with the primes of alpha taken out of m and d cut to a divisor
+    # of the numerators' gcd, keeps every denominator and so the restricted
+    # lattice: the base tuples of b and lam*b name the same points.  (Another
+    # lam names other points: (1/2, 1/3) and 6 * (1/2, 1/3) = (3, 2) do not
+    # share their base tuples.)
+    alpha = math.lcm(*(f.denominator for f in b))
+    while (g := math.gcd(m, alpha)) > 1:
+        m //= g
+    scaled = [Fraction(m, math.gcd(d, *(f.numerator for f in b))) * f for f in b]
+    assert [f.denominator for f in scaled] == [f.denominator for f in b]
+    kinds = ["signed"] if any(f < 0 for f in b) else ["rat", "signed"]
+    if all(f > 0 and f.denominator == 1 for f in b):
+        kinds.append("int")
+    base = tuple(data.draw(st.lists(st.integers(1, 3), min_size=len(b), max_size=len(b))))
+    for kind in kinds:
+        assert constrained_exponents(kind, scaled) == constrained_exponents(kind, b)
+        if kind == "signed" and all(f > 0 for f in b):
+            continue  # no negative position: the oracle's t < 1 is not the signed family's t > 1
+        for vector in (b, scaled):
+            point, integers = _expanded(base, vector)
+            assert (find_parametric_witness(point, integers) is None) == (witness_prime(base, kind, b) is None)
