@@ -17,15 +17,14 @@ bytearray sieve walked one fixed-size window at a time, so a prime walk
 holds about 0.5 MB at any limit.  Only the primes become ints: ``compress``
 picks a prime's offset from a tuple built once per walk, and one addition
 makes the prime.  The Euler product and the grid marker walk
-``_iter_primes`` and never hold the primes as a tuple of ints; the numpy
-Moebius windows keep the primes up to the square root of their limit,
-which every window reads.  The Moebius sieve is one walk, ``mobius_windows``:
-below PURE_SIEVE_LIMIT entries it is one window built with bytes
-operations, and from there on numpy windows of MOBIUS_WINDOW values, each
-sieved when the caller reaches it.  ``mobius_sieve`` and so the Mertens
-table fill their arrays from that walk.  Only the numpy windows and a
-table built from them import numpy, when they run, so the predicates,
-prime sieves and small counts never load it.
+``_iter_primes`` and never hold the primes as a tuple of ints; the Moebius
+sieve keeps the primes up to the square root of its limit, which every
+window reads.  There is one Moebius sieve, ``mobius_windows``: windows of
+MOBIUS_WINDOW signed bytes, each sieved with bytes operations when the
+caller reaches it.  ``mobius_sieve`` and so the Mertens table fill one
+bytearray from that walk.  numpy is imported only to view a sieve of
+PURE_SIEVE_LIMIT entries or more and to sum the Mertens table built on
+it, so the predicates, prime sieves and sums without a tail never load it.
 
 All functions are pure.
 """
@@ -54,27 +53,26 @@ PRIME_SEGMENT = 1 << 18
 PRIME_CHUNK = 1 << 12
 
 # Bytes per entry that a Moebius sieve is charged against
-# DEFAULT_SIEVE_BUDGET.  A Mertens table holds an int8 mu and an int32
-# cumulative sum, 5 bytes per entry; a walk of the windows holds one window,
-# but is refused at the same limit, which bounds its time.
+# DEFAULT_SIEVE_BUDGET.  A Mertens table holds a byte of mu and an int32 of M
+# per entry, 5 bytes; a walk of the windows holds one window, but is refused
+# at the same limit, which bounds its time and keeps every log sum of the
+# window sieve below its marker byte (see ``mobius_windows``).
 SIEVE_BYTES_PER_ENTRY = 6
 
-# Values of mu per window of the numpy Moebius walk, one byte each, with an
-# int32 cofactor and a bool mask beside them: 768 KB at the peak.
+# Values of mu per window of the Moebius walk, one byte each: 128 KB, and
+# 64 KB in each slice that p = 2 copies.
 MOBIUS_WINDOW = 1 << 17
 
 # Values of M above its table that one Mertens instance may remember.
 MERTENS_MEMO_CAP = 1 << 18
 
-# Moebius sieves and Mertens tables below this limit are built with bytes
-# operations and Python ints, without importing numpy (about 0.1 s of
-# start-up).  Measured end to end on `bvis density`, the bytes path wins
-# at every table size for b = (1, 2), whose tables carry no recursion, and
-# for b = (1, 1) up to a tie near 4.3e5 entries, past which numpy's
-# vectorized recursion sums win.
+# Mertens tables below this limit are lists of Python ints summed in plain
+# Python, and ``mobius_sieve`` returns its bytes as a memoryview, without
+# importing numpy (about 0.1 s of start-up).  From here on the table is an
+# int32 numpy array and the sieve an int8 view of the same bytes.  Measured
+# end to end on `bvis density --b 1,1`, the lists win up to a tie near 4.3e5
+# entries, past which numpy's vectorized recursion sums win.
 PURE_SIEVE_LIMIT = 400_000
-# Byte b to (-b) mod 256: negates a signed byte, keeping 0 at 0.
-_NEGATE_BYTE = bytes(-b & 0xFF for b in range(256))
 
 
 def sieve_primes(limit: int) -> tuple[int, ...]:
@@ -318,37 +316,47 @@ def mobius(d: int) -> int:
 def mobius_sieve(limit: int) -> numpy.ndarray | memoryview:
     """Moebius values mu[0..limit] (mu[0] = 0), one signed byte each.
 
-    The values come from ``mobius_windows``.  Below PURE_SIEVE_LIMIT its one
-    window is the result, a memoryview of format 'b', and numpy is not
-    imported; from there on the windows are copied into one int8 numpy
-    array.  Raises ResourceLimitError before allocating when the limit
-    passes DEFAULT_SIEVE_BUDGET // SIEVE_BYTES_PER_ENTRY.
+    The windows of ``mobius_windows`` are copied into one bytearray.  Below
+    PURE_SIEVE_LIMIT it is returned as a memoryview of format 'b', and numpy
+    is not imported; from there on as an int8 numpy view of the same bytes.
+    Raises ResourceLimitError before allocating when the limit passes
+    DEFAULT_SIEVE_BUDGET // SIEVE_BYTES_PER_ENTRY.
     """
     windows = mobius_windows(limit)
-    if limit < PURE_SIEVE_LIMIT:
-        return next(windows)
-    import numpy as np
-
-    mu = np.empty(limit + 1, dtype=np.int8)
+    mu = bytearray(limit + 1)
     lo = 0
     for window in windows:
         mu[lo : lo + len(window)] = window
         lo += len(window)
-    return mu
+    if limit < PURE_SIEVE_LIMIT:
+        return memoryview(mu).cast("b")
+    import numpy as np
+
+    return np.frombuffer(mu, dtype=np.int8)
 
 
-def mobius_windows(limit: int) -> Iterator[numpy.ndarray | memoryview]:
+def mobius_windows(limit: int) -> Iterator[memoryview]:
     """Moebius values mu[0..limit] (mu[0] = 0) in consecutive windows, lowest first.
 
-    Below PURE_SIEVE_LIMIT there is one window from ``_mobius_bytes``.  From
-    there on each window holds MOBIUS_WINDOW int8 values (the last one
-    fewer), sieved on its own when the caller reaches it, so memory stays at
-    one window and the primes up to isqrt(limit).  Each such prime flips the
-    sign of its multiples in the window, zeroes the multiples of p**2 and is
-    divided out of the window's cofactor array; a squarefree n whose
-    cofactor is still above 1 has exactly one prime factor above
-    isqrt(limit), which flips its sign once more.  The limit is checked
-    before anything is allocated, as by ``mobius_sieve``.
+    Each window holds MOBIUS_WINDOW signed bytes (format 'b', the last one
+    fewer), sieved on its own with bytes operations when the caller reaches
+    it, so memory stays at one window and the primes up to r = isqrt(limit).
+    While it is sieved, bit 7 of n's byte holds a sign and bits 0-6 the log
+    sum of n, the weights c_p = round(4 * log2(p)) of its primes p <= r:
+    each such p adds 0x80 + c_p to its multiples with one ``translate``, and
+    writes the marker 0xFF, which every table keeps, on the multiples of
+    p**2.  The weights of w distinct primes sum to within w / 2 of 4 * log2
+    of their product, which is at least 2**w.  A squarefree n <= limit <
+    (r + 1)**2 has at most one prime factor q above r.  Without one, its log
+    sum is at least 4 * log2(n) - w / 2 >= 4 * log2(n) - 2 * log2(r + 1);
+    with one, n / q < r + 1 and the log sum is at most 4 * log2(n / q) +
+    w / 2 < 4 * log2(n) - 2 * log2(r + 1).  So the least t >= 0 with
+    n**4 <= 2**t * (r + 1)**2 splits the two cases in exact integers, and
+    over each run of n that shares t one ``translate`` maps the bytes to mu.
+    The marker is never a sum: below the budget's limit of about 3.3e7, n
+    has w <= 8 primes and a log sum of at most 4 * log2(n) + w / 2 < 104.
+    The limit is checked before anything is allocated, as by
+    ``mobius_sieve``.
     """
     if limit < 0:
         raise ValueError(f"mobius sieve expects limit >= 0, got {limit}")
@@ -358,52 +366,45 @@ def mobius_windows(limit: int) -> Iterator[numpy.ndarray | memoryview]:
             f"Moebius sieve limit {limit} needs {need} bytes ({SIEVE_BYTES_PER_ENTRY} per entry), "
             f"which exceeds memory budget {DEFAULT_SIEVE_BUDGET} bytes"
         )
-    if limit < PURE_SIEVE_LIMIT:
-        return iter((_mobius_bytes(limit),))
-    base = sieve_primes(max(math.isqrt(limit), 1))
+    r = math.isqrt(limit)
+    weights = [(p, _log_weight(p)) for p in sieve_primes(max(r, 1))]
+    ident = bytes(range(256))
+    # byte b to b + 0x80 + c mod 256, but the marker 0xFF to itself
+    adds = {c: ident[0x80 + c :] + ident[: 0x7F + c] + b"\xff" for _, c in weights}
     step = MOBIUS_WINDOW
-    return (_mobius_window(lo, min(lo + step, limit + 1), base) for lo in range(0, limit + 1, step))
+    windows = range(0, limit + 1, step)
+    return (_mobius_window(lo, min(lo + step, limit + 1), r, weights, adds) for lo in windows)
 
 
-def _mobius_window(lo: int, hi: int, base: tuple[int, ...]) -> numpy.ndarray:
-    """mu[lo..hi-1] as int8, for hi - 1 <= limit and ``base`` the primes up to isqrt(limit)."""
-    import numpy as np
+def _log_weight(p: int) -> int:
+    """round(4 * log2(p)), exactly: p**8 has floor(8 * log2(p)) + 1 bits."""
+    return (p**8).bit_length() // 2
 
-    mu = np.ones(hi - lo, dtype=np.int8)
-    # Values stay <= limit, which the budget keeps below 2**31.
-    cofactor = np.arange(lo, hi, dtype=np.int32)
-    for p in base:
+
+def _mobius_window(lo: int, hi: int, r: int, weights, adds) -> memoryview:
+    """mu[lo..hi-1] as signed bytes, for hi - 1 <= limit and r = isqrt(limit) (see ``mobius_windows``)."""
+    sums = bytearray(hi - lo)
+    marks = memoryview(b"\xff" * ((hi - lo) // 4 + 1))
+    for p, c in weights:
         # -lo % q is the offset of the first multiple of q at or above lo
         start = -lo % p
-        mu[start::p] *= -1
-        cofactor[start::p] //= p
+        sums[start::p] = sums[start::p].translate(adds[c])
         q = p * p
-        if q < hi:
-            mu[-lo % q :: q] = 0
-    np.negative(mu, out=mu, where=cofactor > 1)
+        start = -lo % q
+        sums[start::q] = marks[: (hi - lo - 1 - start) // q + 1]
+    square = (r + 1) ** 2
+    n = max(lo, 1)
+    while n < hi:
+        # t for n, then the first n past the run that shares it
+        t = (-(-(n**4) // square) - 1).bit_length()
+        end = min(hi, math.isqrt(math.isqrt(square << t)) + 1)
+        # a log sum below t has a prime factor above r; the marker is 0
+        table = b"\xff" * t + b"\1" * (0x80 - t) + b"\1" * t + b"\xff" * (0x7F - t) + b"\0"
+        sums[n - lo : end - lo] = sums[n - lo : end - lo].translate(table)
+        n = end
     if lo == 0:
-        mu[0] = 0
-    return mu
-
-
-def _mobius_bytes(limit: int) -> memoryview:
-    """mu[0..limit] as signed bytes, sieved with bytes slice operations.
-
-    Every prime p <= limit negates its multiples with one ``translate``,
-    and every p <= isqrt(limit) zeroes the multiples of p**2 from a zero
-    buffer; a negated zero stays zero, so the order does not matter.
-    """
-    mu = bytearray(b"\1") * (limit + 1)
-    mu[0] = 0
-    zeros = memoryview(bytes(limit // 4 + 1))
-    # A tuple, not the lazy walk: with the walk's window alive between these
-    # slices, `bvis count --b 1,1 --N 8e7` (a 3.7e5-entry table) peaked
-    # about 0.1 MB higher in RSS than with the tuple built first.
-    for p in sieve_primes(max(limit, 1)):
-        mu[p::p] = mu[p::p].translate(_NEGATE_BYTE)
-        if p * p <= limit:
-            mu[p * p :: p * p] = zeros[: limit // (p * p)]
-    return memoryview(mu).cast("b")
+        sums[0] = 0
+    return memoryview(sums).cast("b")
 
 
 def mobius_table(limit: int) -> list[int]:

@@ -16,9 +16,9 @@ tabulates M up to about 2 * D**(2/3), and at least the head, and recurses
 above that, so a count costs about max(head, D**(2/3)) time instead of D;
 for b = (1, 1) the head is sqrt(D).  A sum whose head reaches the depth,
 as for unequal exponents, has no tail: it reads mu from
-arith.mobius_windows one window at a time and holds no table of M.  A
-head or table past the sieve budget raises ResourceLimitError (CLI exit
-4) before anything is allocated.
+arith.mobius_windows one bytes window at a time, holds no table of M and
+never imports numpy.  A head or table past the sieve budget raises
+ResourceLimitError (CLI exit 4) before anything is allocated.
 
 ``count_box(edges, constraint)`` is the one path from a box to a count
 for all three families.  It takes the box edges and the ``Constraint``
@@ -246,9 +246,8 @@ def mark_box(edges: Sequence[int], constraint: Constraint) -> bytearray:
     stride is the smallest.  It walks the multiples along the other axes,
     and each line they reach is cleared by one strided slice assignment, so
     a long axis never sets the number of slices.  A box with only one edge
-    above 1 is a single line: one slice per prime, or, when the line's
-    exponent is 1 and the depth reaches its edge, one slice that clears
-    every coordinate above 1.  No Moebius inversion is involved.
+    above 1 is a single line, and when its depth reaches its edge one slice
+    clears every coordinate above 1.  No Moebius inversion is involved.
     """
     edges = tuple(int(m) for m in edges)
     k, positions, exps = constraint
@@ -265,17 +264,11 @@ def mark_box(edges: Sequence[int], constraint: Constraint) -> bytearray:
     # an axis of edge 1 holds one coordinate at offset 0, so no walk needs it
     axes = [(m, e, t) for m, e, t in zip(edges, powers, strides) if m > 1]
     depth = min(iroot(edges[j], e) for j, e in zip(positions, exps))
-    if len(axes) == 1:  # the box is one line: one slice per prime
-        m, e, _ = axes[0]
-        # only exponent 1 on the line, and no constrained edge of 1, puts the
-        # depth at the edge; then every coordinate above 1 has a prime factor
-        # up to the depth
-        if depth == m:
-            grid[1:] = bytes(m - 1)
-            return grid
-        for p in _iter_primes(depth):
-            q = p**e
-            grid[q - 1 :: q] = bytes(m // q)
+    # a line whose depth reaches its edge (only exponent 1 on it, and no
+    # constrained edge of 1): every coordinate above 1 has a prime factor up
+    # to the depth
+    if len(axes) == 1 and depth == axes[0][0]:
+        grid[1:] = bytes(len(grid) - 1)
         return grid
     # the edge, exponent and stride of every axis but one, for each choice of the one
     others = [axes[:j] + axes[j + 1 :] for j in range(len(axes))]

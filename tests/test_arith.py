@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import tracemalloc
 
@@ -179,24 +180,46 @@ def test_mobius_table_matches_pointwise():
 
 
 def test_mobius_sieve_matches_pointwise(monkeypatch):
-    # limits on both sides of prime squares, so the last sieved prime and the
-    # single large cofactor both matter; each limit on both sieve paths
-    for pure_limit in (arith.DEFAULT_SIEVE_BUDGET, 0):
-        monkeypatch.setattr(arith, "PURE_SIEVE_LIMIT", pure_limit)
-        for limit in (0, 1, 2, 3, 48, 49, 50, 20_000):
-            mu = mobius_sieve(limit)
-            assert getattr(mu, "dtype", None) == "int8" or mu.format == "b"
-            assert len(mu) == limit + 1
-            assert mu[0] == 0
-            assert all(mu[d] == mobius(d) for d in range(1, limit + 1)), (pure_limit, limit)
+    # every limit up to 2000, so every prime square and every run of the
+    # threshold that finds a prime factor above isqrt(limit) is passed
+    expected = [0] + [mobius(d) for d in range(1, 2001)]
+    for limit in range(2001):
+        mu = mobius_sieve(limit)
+        assert mu.format == "b"
+        assert mu.tolist() == expected[: limit + 1], limit
+    # the numpy view past PURE_SIEVE_LIMIT holds the same bytes
+    monkeypatch.setattr(arith, "PURE_SIEVE_LIMIT", 0)
+    for limit in (0, 1, 49, 2000):
+        mu = mobius_sieve(limit)
+        assert mu.dtype == "int8"
+        assert mu.tolist() == expected[: limit + 1], limit
+
+
+def test_mobius_sieve_to_1e7_frozen():
+    raw = bytes(memoryview(mobius_sieve(10**7)))
+    assert raw.count(1) - raw.count(0xFF) == 1037  # OEIS A084237: M(10**7)
+    assert len(raw) - raw.count(0) == 6_079_291  # OEIS A071172: squarefree n <= 10**7
+
+
+def test_mobius_log_sums_stay_below_the_marker():
+    # A window byte keeps a sign in bit 7 and the weights of n's primes up to
+    # isqrt(limit) in bits 0-6, and 0xFF marks a square divisor: no sum of
+    # weights may reach 0x7F at the largest limit the budget allows.  Each
+    # weight is within 1/2 of 4 * log2(p), so the weights of n's w distinct
+    # primes sum to at most 4 * log2(n) + w / 2.
+    limit = arith.DEFAULT_SIEVE_BUDGET // arith.SIEVE_BYTES_PER_ENTRY
+    for p in sieve_primes(math.isqrt(limit)):
+        assert abs(arith._log_weight(p) - 4 * math.log2(p)) <= 0.5, p
+    primorials = itertools.accumulate(sieve_primes(100), operator.mul)
+    most_primes = sum(1 for product in primorials if product <= limit)
+    assert 4 * math.log2(limit) + most_primes / 2 < 0x7F
 
 
 @pytest.mark.parametrize("window", [1, 4, 7, 9, 25, 64])
 def test_mobius_windows_match_pointwise(monkeypatch, window):
-    # numpy windows whose edges fall inside runs of multiples of 4, 9, 25 and
-    # 49, so a window finds a prime's or a square's first multiple from its
+    # windows whose edges fall inside runs of multiples of 4, 9, 25 and 49,
+    # so a window finds a prime's or a square's first multiple from its
     # residue; the windows tile mu[0..limit] and each is sieved on its own
-    monkeypatch.setattr(arith, "PURE_SIEVE_LIMIT", 0)
     monkeypatch.setattr(arith, "MOBIUS_WINDOW", window)
     limit = 2000
     windows = list(mobius_windows(limit))

@@ -313,9 +313,12 @@ run("density", "--b", "1,1", "--N", "1000000", "--format", "json")
 assert "numpy" not in sys.modules, "density"
 run("count", "--b", "1,1", "--N", "100", "--format", "json")
 assert "numpy" not in sys.modules, "count"
-# b = (1, 2) sums over every d up to the depth, so this table is the crossover's size
+# b = (1, 2) has no tail: it reads its PURE_SIEVE_LIMIT values of mu in bytes windows
 run("count", "--b", "1,2", "--N", str(arith.PURE_SIEVE_LIMIT**2), "--format", "csv")
-assert "numpy" in sys.modules, "count past the crossover"
+assert "numpy" not in sys.modules, "count without a tail"
+# b = (1, 1) tabulates M up to 430,886, past the crossover
+run("count", "--b", "1,1", "--N", "100000000", "--format", "csv")
+assert "numpy" in sys.modules, "count with a table past the crossover"
 """
 
 
@@ -339,11 +342,12 @@ def test_check_sieve_and_zeta_never_import_numpy():
     assert lines[0] == "invisible: witness prime 2, image 1,1,5,1"
     assert lines[1:5] == ["x1,x2", "1,1", "1,2", "1,3"]  # 9 points, none with 4 | x2
     assert lines[24] == "12/12 checks passed (quick profile)"  # verify, 14 lines from 11 on
-    zeta = json.loads(lines[-5])
+    zeta = json.loads(lines[-7])
     assert zeta["value"] == pytest.approx(math.pi**2 / 6, abs=1e-9)
     assert 0 < zeta["value"] - zeta["euler_product"] < 1e-5
-    assert json.loads(lines[-4])["visible"] == "607927104783"  # OEIS A018805(10**6)
-    assert json.loads(lines[-3])["visible"] == "6087"  # OEIS A018805(100)
+    assert json.loads(lines[-6])["visible"] == "607927104783"  # OEIS A018805(10**6)
+    assert json.loads(lines[-5])["visible"] == "6087"  # OEIS A018805(100)
+    assert lines[-1].endswith(",6079271032731815,10000000000000000")  # OEIS A018805(10**8)
 
 
 # ---------------------------------------------------------------- start-up imports

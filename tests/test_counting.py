@@ -135,7 +135,7 @@ def test_mobius_box_count_matches_naive_sum(box):
     edges = tuple(m for m, _ in box)
     exps = tuple(e for _, e in box)
     expected = _naive_box_count(edges, exps)
-    # the bytes-sieve path, then the numpy one
+    # Mertens tables as lists, then as numpy arrays
     for pure_limit in (arith.DEFAULT_SIEVE_BUDGET, 0):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(arith, "PURE_SIEVE_LIMIT", pure_limit)
@@ -153,8 +153,9 @@ def test_mobius_box_count_matches_naive_sum(box):
     st.sampled_from((1, 7, 64)),
 )
 def test_mobius_box_count_in_small_chunks_and_windows(box, chunk, window):
-    # chunks and windows of mu that end inside the head, on both sieve paths;
-    # the box again with one edge throughout, whose exponents share quotients
+    # chunks and windows of mu that end inside the head, with both kinds of
+    # Mertens table; the box again with one edge throughout, whose exponents
+    # share quotients
     exps = tuple(e for _, e in box)
     for edges in (tuple(m for m, _ in box), (box[0][0],) * len(box)):
         expected = _naive_box_count(edges, exps)
@@ -169,16 +170,14 @@ def test_mobius_box_count_in_small_chunks_and_windows(box, chunk, window):
 @pytest.mark.parametrize(
     "edge, count, budget",
     [
-        # head = depth = 100872 values of mu, one window from the bytes path;
-        # a whole Mertens table read in 65536-value slices peaked at 2.9 MB
+        # head = depth = 100872 values of mu, one window; a whole Mertens
+        # table read in 65536-value slices peaked at 2.9 MB
         (10175172344, 86130807922539665546, 1 << 20),
-        # head = depth = 10**6, numpy windows; a whole table peaked at 6.0 MB
+        # head = depth = 10**6, eight windows; a whole table peaked at 6.0 MB
         (10**12, 831907372580730277919216, 2 << 20),
     ],
 )
 def test_a_sum_without_a_tail_holds_a_window_of_mu(edge, count, budget):
-    import numpy  # noqa: F401  (its import is not the sum's memory)
-
     tracemalloc.start()
     try:
         got = mobius_box_count((edge, edge), (1, 2))
@@ -226,7 +225,7 @@ def test_mertens_matches_oeis():
 
 def test_mertens_recursion_matches_running_sum(monkeypatch):
     # a 100-entry table with recursion up to 100**2, against pointwise mu,
-    # on the bytes-sieve path and then the numpy one
+    # as a list and then as a numpy array
     running = list(itertools.accumulate(mobius(x) if x else 0 for x in range(10_001)))
     for pure_limit in (arith.DEFAULT_SIEVE_BUDGET, 0):
         monkeypatch.setattr(arith, "PURE_SIEVE_LIMIT", pure_limit)
