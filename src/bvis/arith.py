@@ -19,12 +19,13 @@ picks a prime's offset from a tuple built once per walk, and one addition
 makes the prime.  The Euler product and the grid marker walk
 ``_iter_primes`` and never hold the primes as a tuple of ints; the Moebius
 sieve keeps the primes up to the square root of its limit, which every
-window reads.  There is one Moebius sieve, ``mobius_windows``: windows of
-MOBIUS_WINDOW signed bytes, each sieved with bytes operations when the
-caller reaches it.  ``mobius_sieve`` and so the Mertens table fill one
-bytearray from that walk.  numpy is imported only to view a sieve of
-PURE_SIEVE_LIMIT entries or more and to sum the Mertens table built on
-it, so the predicates, prime sieves and sums without a tail never load it.
+window reads.  Sieved mu has one form, the windows of
+``mobius_windows``: MOBIUS_WINDOW signed bytes each, sieved with bytes
+operations when the caller reaches it.  ``mobius_table`` joins them into
+a list, and ``Mertens`` sums them window by window into its table of M,
+so no full-length buffer of mu is ever held.  numpy is imported only for
+a Mertens table of PURE_SIEVE_LIMIT entries or more, so the predicates,
+prime sieves and sums without a tail never load it.
 
 All functions are pure.
 """
@@ -34,12 +35,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from .errors import ResourceLimitError
-
-if TYPE_CHECKING:
-    import numpy
 
 # A prime walk past this limit is refused; its memory stays at a window or
 # two, so the limit bounds its time (about 5 s at the limit on a 2-vCPU
@@ -53,10 +51,11 @@ PRIME_SEGMENT = 1 << 18
 PRIME_CHUNK = 1 << 12
 
 # Bytes per entry that a Moebius sieve is charged against
-# DEFAULT_SIEVE_BUDGET.  A Mertens table holds a byte of mu and an int32 of M
-# per entry, 5 bytes; a walk of the windows holds one window, but is refused
-# at the same limit, which bounds its time and keeps every log sum of the
-# window sieve below its marker byte (see ``mobius_windows``).
+# DEFAULT_SIEVE_BUDGET.  A Mertens table holds an int32 of M per entry and a
+# walk of the windows holds one window, but the charge stays 6, and with it
+# the limits that the refusal messages quote: it bounds a walk's time and
+# keeps every log sum of the window sieve below its marker byte (see
+# ``mobius_windows``).
 SIEVE_BYTES_PER_ENTRY = 6
 
 # Values of mu per window of the Moebius walk, one byte each: 128 KB, and
@@ -67,11 +66,10 @@ MOBIUS_WINDOW = 1 << 17
 MERTENS_MEMO_CAP = 1 << 18
 
 # Mertens tables below this limit are lists of Python ints summed in plain
-# Python, and ``mobius_sieve`` returns its bytes as a memoryview, without
-# importing numpy (about 0.1 s of start-up).  From here on the table is an
-# int32 numpy array and the sieve an int8 view of the same bytes.  Measured
-# end to end on `bvis density --b 1,1`, the lists win up to a tie near 4.3e5
-# entries, past which numpy's vectorized recursion sums win.
+# Python, without importing numpy (about 0.1 s of start-up).  From here on
+# the table is an int32 numpy array.  Measured end to end on `bvis density
+# --b 1,1`, the lists win up to a tie near 4.3e5 entries, past which numpy's
+# vectorized recursion sums win.
 PURE_SIEVE_LIMIT = 400_000
 
 
@@ -313,28 +311,6 @@ def mobius(d: int) -> int:
     return -1 if len(factors) % 2 else 1
 
 
-def mobius_sieve(limit: int) -> numpy.ndarray | memoryview:
-    """Moebius values mu[0..limit] (mu[0] = 0), one signed byte each.
-
-    The windows of ``mobius_windows`` are copied into one bytearray.  Below
-    PURE_SIEVE_LIMIT it is returned as a memoryview of format 'b', and numpy
-    is not imported; from there on as an int8 numpy view of the same bytes.
-    Raises ResourceLimitError before allocating when the limit passes
-    DEFAULT_SIEVE_BUDGET // SIEVE_BYTES_PER_ENTRY.
-    """
-    windows = mobius_windows(limit)
-    mu = bytearray(limit + 1)
-    lo = 0
-    for window in windows:
-        mu[lo : lo + len(window)] = window
-        lo += len(window)
-    if limit < PURE_SIEVE_LIMIT:
-        return memoryview(mu).cast("b")
-    import numpy as np
-
-    return np.frombuffer(mu, dtype=np.int8)
-
-
 def mobius_windows(limit: int) -> Iterator[memoryview]:
     """Moebius values mu[0..limit] (mu[0] = 0) in consecutive windows, lowest first.
 
@@ -355,8 +331,7 @@ def mobius_windows(limit: int) -> Iterator[memoryview]:
     over each run of n that shares t one ``translate`` maps the bytes to mu.
     The marker is never a sum: below the budget's limit of about 3.3e7, n
     has w <= 8 primes and a log sum of at most 4 * log2(n) + w / 2 < 104.
-    The limit is checked before anything is allocated, as by
-    ``mobius_sieve``.
+    The limit is checked when this is called, before anything is allocated.
     """
     if limit < 0:
         raise ValueError(f"mobius sieve expects limit >= 0, got {limit}")
@@ -409,40 +384,42 @@ def _mobius_window(lo: int, hi: int, r: int, weights, adds) -> memoryview:
 
 def mobius_table(limit: int) -> list[int]:
     """Sieved Moebius values mu[0..limit] (mu[0] unused, set to 0)."""
-    if limit < 0:
-        raise ValueError(f"mobius_table expects limit >= 0, got {limit}")
-    return mobius_sieve(limit).tolist()
+    return list(itertools.chain.from_iterable(mobius_windows(limit)))
 
 
 class Mertens:
     """The Mertens function M(x) = mu(1) + ... + mu(x) for 0 <= x <= table_limit**2.
 
-    M is tabulated by ``mobius_sieve`` up to ``table_limit``, and ``mu``
-    keeps the sieved values for callers that also need mu(d): a box sum
-    with a tail reads its head's mu there, so its table reaches at least
-    the head.  A sum without a tail builds no Mertens at all.  Above the
-    table the identity sum_{d=1..x} M(x // d) = 1 is solved for M(x),
-    grouping the d that share a quotient (Deleglise & Rivat, "Computing the
-    summation of the Moebius function", Experimental Math. 5(4), 1996);
-    the results are memoized.  Below PURE_SIEVE_LIMIT the table is a list
-    of Python ints and its sums are plain Python; from there on it is a
-    numpy array.  Raises ResourceLimitError before allocating when the
-    table would exceed the sieve budget, and when the memo would pass
-    MERTENS_MEMO_CAP entries.
+    M is tabulated up to ``table_limit`` by summing the windows of
+    ``mobius_windows`` one at a time; mu itself is not kept.  A sum without
+    a tail builds no Mertens at all.  Above the table the identity
+    sum_{d=1..x} M(x // d) = 1 is solved for M(x), grouping the d that
+    share a quotient (Deleglise & Rivat, "Computing the summation of the
+    Moebius function", Experimental Math. 5(4), 1996); the results are
+    memoized.  Below PURE_SIEVE_LIMIT the table is a list of Python ints
+    and its sums are plain Python; from there on it is an int32 numpy
+    array, 4 bytes per entry, filled in place window by window.  Raises
+    ResourceLimitError before allocating when the table would exceed the
+    sieve budget, and when the memo would pass MERTENS_MEMO_CAP entries.
     """
 
     def __init__(self, table_limit: int):
         self.table_limit = table_limit
-        self.mu = mobius_sieve(table_limit)
-        if isinstance(self.mu, memoryview):
-            self.table = list(itertools.accumulate(self.mu))
+        windows = mobius_windows(table_limit)
+        if table_limit < PURE_SIEVE_LIMIT:
+            self.table = list(itertools.accumulate(itertools.chain.from_iterable(windows)))
         else:
             import numpy as np
 
-            # |M(x)| <= x <= table_limit, so int32 is exact; summing in
-            # place keeps the peak at the sieve's own.
-            self.table = self.mu.astype(np.int32)
-            np.cumsum(self.table, out=self.table)
+            # |M(x)| <= x <= table_limit, so int32 is exact
+            self.table = np.empty(table_limit + 1, dtype=np.int32)
+            lo = carry = 0
+            for window in windows:
+                part = self.table[lo : lo + len(window)]
+                np.cumsum(np.frombuffer(window, dtype=np.int8), dtype=np.int32, out=part)
+                part += carry
+                carry = int(part[-1])
+                lo += len(window)
         self._memo: dict[int, int] = {}
 
     def __call__(self, x: int) -> int:

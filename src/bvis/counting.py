@@ -14,11 +14,12 @@ constant; such a run [d1, d2] adds its product times M(d2) - M(d1 - 1), a
 difference of Mertens values (Deleglise & Rivat, 1996).  arith.Mertens
 tabulates M up to about 2 * D**(2/3), and at least the head, and recurses
 above that, so a count costs about max(head, D**(2/3)) time instead of D;
-for b = (1, 1) the head is sqrt(D).  A sum whose head reaches the depth,
-as for unequal exponents, has no tail: it reads mu from
-arith.mobius_windows one bytes window at a time, holds no table of M and
-never imports numpy.  A head or table past the sieve budget raises
-ResourceLimitError (CLI exit 4) before anything is allocated.
+for b = (1, 1) the head is sqrt(D).  Every head reads mu from
+arith.mobius_windows one bytes window at a time.  A sum whose head
+reaches the depth, as for unequal exponents, has no tail: it holds no
+table of M and never imports numpy.  A head or table past the sieve
+budget raises ResourceLimitError (CLI exit 4) before anything is
+allocated; a sum with a tail builds its table before it sums the head.
 
 ``count_box(edges, constraint)`` is the one path from a box to a count
 for all three families.  It takes the box edges and the ``Constraint``
@@ -101,13 +102,14 @@ class DensityReport:
 def _mertens_table_limit(pairs, depth: int, head: int) -> int:
     """Sieve limit L for the Mertens values of a box sum with a tail (head < depth).
 
-    At least the head, whose mu the sum reads from the same sieve, and
-    2 * depth**(2/3), at most the depth.  Every value of M needed above L
-    has the form iroot(m // j, e) for some edge m with exponent e (run ends
-    are, and floor division by d keeps the form), so at most
-    sum m // (L+1)**e of them get memoized; L doubles until that is below
-    L / 256, about where a memoized value costs what the sieve spends on
-    256 table entries.
+    At least the head, so that M(head), where the tail starts, and the
+    short runs just past it are read from the table, and 2 * depth**(2/3),
+    at most the depth.  The head reads its mu from windows of its own.
+    Every value of M needed above L has the form iroot(m // j, e) for some
+    edge m with exponent e (run ends are, and floor division by d keeps the
+    form), so at most sum m // (L+1)**e of them get memoized; L doubles
+    until that is below L / 256, about where a memoized value costs what
+    the sieve spends on 256 table entries.
     """
     limit = min(depth, max(head, 2 * iroot(depth * depth, 3)))
     while limit < depth and 256 * sum(m // (limit + 1) ** e for m, e in pairs) > limit:
@@ -130,10 +132,12 @@ def mobius_box_count(edges: Sequence[int], exps: Sequence[int]) -> int:
     pairs = tuple(zip(edges, exps))
     depth = min(iroot(m, e) for m, e in pairs)
     head = min(depth, max(iroot(m, e + 1) for m, e in pairs))
+    if head < depth:
+        # before the head, so that a table past the budget is refused first
+        mertens = Mertens(_mertens_table_limit(pairs, depth, head))
+    total = _head_sum(pairs, mobius_windows(head))
     if head == depth:
-        return _head_sum(pairs, mobius_windows(head))
-    mertens = Mertens(_mertens_table_limit(pairs, depth, head))
-    total = _head_sum(pairs, (mertens.mu[: head + 1],))
+        return total
     d, before = head + 1, mertens(head)
     while d <= depth:
         quotients = [m // d**e for m, e in pairs]

@@ -16,7 +16,6 @@ from bvis.arith import (
     iroot,
     is_perfect_power,
     mobius,
-    mobius_sieve,
     mobius_table,
     mobius_windows,
     sieve_primes,
@@ -179,26 +178,31 @@ def test_mobius_table_matches_pointwise():
         assert table[d] == mobius(d)
 
 
-def test_mobius_sieve_matches_pointwise(monkeypatch):
+def test_mobius_windows_at_every_limit_match_pointwise():
     # every limit up to 2000, so every prime square and every run of the
     # threshold that finds a prime factor above isqrt(limit) is passed
     expected = [0] + [mobius(d) for d in range(1, 2001)]
     for limit in range(2001):
-        mu = mobius_sieve(limit)
-        assert mu.format == "b"
-        assert mu.tolist() == expected[: limit + 1], limit
-    # the numpy view past PURE_SIEVE_LIMIT holds the same bytes
-    monkeypatch.setattr(arith, "PURE_SIEVE_LIMIT", 0)
-    for limit in (0, 1, 49, 2000):
-        mu = mobius_sieve(limit)
-        assert mu.dtype == "int8"
-        assert mu.tolist() == expected[: limit + 1], limit
+        windows = list(mobius_windows(limit))
+        assert all(window.format == "b" for window in windows)
+        assert list(itertools.chain.from_iterable(windows)) == expected[: limit + 1], limit
+        assert mobius_table(limit) == expected[: limit + 1], limit
 
 
-def test_mobius_sieve_to_1e7_frozen():
-    raw = bytes(memoryview(mobius_sieve(10**7)))
-    assert raw.count(1) - raw.count(0xFF) == 1037  # OEIS A084237: M(10**7)
-    assert len(raw) - raw.count(0) == 6_079_291  # OEIS A071172: squarefree n <= 10**7
+def test_mobius_windows_to_1e7_frozen():
+    mertens = squarefree = 0
+    for window in mobius_windows(10**7):
+        raw = window.tobytes()
+        mertens += raw.count(1) - raw.count(0xFF)
+        squarefree += len(raw) - raw.count(0)
+    assert mertens == 1037  # OEIS A084237: M(10**7)
+    assert squarefree == 6_079_291  # OEIS A071172: squarefree n <= 10**7
+
+
+def test_negative_mobius_limits_are_refused():
+    for sieve in (mobius_windows, mobius_table):
+        with pytest.raises(ValueError):
+            sieve(-1)
 
 
 def test_mobius_log_sums_stay_below_the_marker():
@@ -226,7 +230,7 @@ def test_mobius_windows_match_pointwise(monkeypatch, window):
     assert [len(w) for w in windows[:-1]] == [window] * (len(windows) - 1)
     walked = list(itertools.chain.from_iterable(windows))
     assert walked == [0] + [mobius(d) for d in range(1, limit + 1)]
-    assert list(mobius_sieve(limit)) == walked
+    assert mobius_table(limit) == walked
 
 
 @given(st.integers(min_value=0, max_value=10**60), st.integers(min_value=1, max_value=10))

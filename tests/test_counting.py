@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvis import arith, counting
-from bvis.arith import Mertens, factorize, iroot, mobius, mobius_sieve, mobius_table
+from bvis.arith import Mertens, factorize, iroot, mobius, mobius_table, mobius_windows
 from bvis.counting import (
     DensityReport,
     box_edges,
@@ -240,7 +240,7 @@ def test_mertens_tables_on_both_sides_of_the_crossover():
     # OEIS A084237: M(10^7) = 1037, M(10^8) = 1928, both above the table
     limit = arith.PURE_SIEVE_LIMIT
     below, above = Mertens(limit - 1), Mertens(limit)
-    assert below.mu.format == "b" and above.mu.dtype == "int8"
+    assert isinstance(below.table, list) and above.table.dtype == "int32"
     assert below.table == above.table[:limit].tolist()
     for mertens in (below, above):
         assert [mertens(10**7), mertens(10**8)] == [1037, 1928]
@@ -251,10 +251,39 @@ def test_mertens_budgets(monkeypatch):
         Mertens(10**9)  # 6e9 bytes of sieve
     over = arith.DEFAULT_SIEVE_BUDGET // arith.SIEVE_BYTES_PER_ENTRY + 1
     with pytest.raises(ResourceLimitError):
-        mobius_sieve(over)
+        mobius_windows(over)
     monkeypatch.setattr(arith, "MERTENS_MEMO_CAP", 3)
     with pytest.raises(ResourceLimitError):
         Mertens(100)(10_000)
+
+
+def test_a_mertens_table_holds_four_bytes_per_entry():
+    # an int32 of M per entry, summed window by window: no buffer of mu as
+    # long as the table is ever held.  The peak adds what sieving a window
+    # takes, its slices and their translations, about 5.3 windows.
+    import numpy as np  # before tracing starts, so that its import is not counted
+    limit, window = 4_000_000, arith.MOBIUS_WINDOW
+    tracemalloc.start()
+    try:
+        mertens = Mertens(limit)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mertens.table.dtype == np.int32
+    assert held <= 4 * limit + window
+    assert peak <= 4 * limit + 8 * window
+    below = Mertens(arith.PURE_SIEVE_LIMIT - 1).table
+    assert mertens.table[: len(below)].tolist() == below
+
+
+def test_a_table_past_the_budget_is_refused_before_the_head(monkeypatch):
+    # b = (1, 1) at N = 1e11: a head of 316227 and a table of 43088692 entries
+    def head_sum(pairs, windows):
+        raise AssertionError("the head was summed before the table was refused")
+
+    monkeypatch.setattr(counting, "_head_sum", head_sum)
+    with pytest.raises(ResourceLimitError, match="limit 43088692 "):
+        mobius_box_count((10**11, 10**11), (1, 1))
 
 
 def test_count_visible_int_frozen():

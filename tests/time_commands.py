@@ -4,12 +4,16 @@
 
 Each command line runs ``--runs`` times as ``python -m bvis.cli`` with this
 interpreter, ``DIR`` (default: this tree's ``src``) first on PYTHONPATH and
-stdout sent to /dev/null.  Wall time comes from ``time.perf_counter`` around
-the child, CPU time (user plus system) and peak RSS from ``os.wait4``.
-Prints one JSON object per command line: the best wall time, the median
-CPU seconds, the largest peak RSS in MB and the exit code.  On a small
-shared VM the CPU time is the steadier of the two times.  Alternate two
-trees' ``--src`` to compare them.
+stdout sent to /dev/null.  ``DIR`` is byte-compiled first with ``python -m
+compileall -q``: a tree without ``__pycache__``, run with
+PYTHONDONTWRITEBYTECODE=1, compiles every module it imports in every run,
+which adds 20-40 ms and a peak RSS that moves with the length of the module
+source.  Wall time comes from ``time.perf_counter`` around the child, CPU
+time (user plus system) and peak RSS from ``os.wait4``.  Prints one JSON
+object per command line: the best wall time, the median CPU seconds, the
+largest peak RSS in MB and the exit code.  On a small shared VM the CPU
+time is the steadier of the two times.  Alternate two trees' ``--src`` to
+compare them.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ def main() -> None:
     parser.add_argument("--runs", type=int, default=3)
     parser.add_argument("commands", nargs="+")
     args = parser.parse_args()
+    subprocess.run([sys.executable, "-m", "compileall", "-q", args.src], check=True)
     for line in args.commands:
         runs = [measure(args.src, line.split()) for _ in range(args.runs)]
         print(
