@@ -151,7 +151,7 @@ def _cell(value, none: str) -> str:
 
 def check(b_spec, point_spec, expanded, case, fmt):
     """Visibility verdict for one point, with a witness when invisible."""
-    from .visibility import base_from_expanded, witness_prime
+    from .visibility import _witness_image, base_from_expanded, witness_prime
 
     kind, vector = parse_b_spec(b_spec, case)
     point = _parse_ints(point_spec, "--point")
@@ -177,12 +177,6 @@ def check(b_spec, point_spec, expanded, case, fmt):
             print(f"invisible: witness prime {witness}")
     else:
         _emit(fmt, fields)
-
-
-def _witness_image(point, b, prime):
-    from .visibility import constrained_exponents
-
-    return tuple(c // prime**e for c, e in zip(point, constrained_exponents("int", b).exps))
 
 
 def count(b_spec, n, box_spec, case, fmt):
@@ -324,175 +318,10 @@ def zeta_cmd(s, tol, euler_limit, fmt):
         _emit(fmt, fields)
 
 
-def verify_checks(profile: str, seed: int):
-    """The named theorem checks behind `bvis verify`, per profile.
-
-    This is the one table of theorem checks: tests/test_acceptance.py runs
-    the full profile's rows as the release gate.  Each density row states
-    the exponent sum s that the paper assigns to its vector: the entries
-    for integer b, the numerators for rational b, and |bj| over the
-    negative entries for signed b.
-    """
-    from . import counting
-    from .counting import brute_prefix_counts, mobius_box_count
-    from .visibility import constrained_exponents, find_parametric_witness, witness_prime
-    from .zeta import zeta as zeta_eval
-    from .zeta import zeta_euler_product
-
-    quick = profile == "quick"
-    side = 20 if quick else 40
-    grid = list(itertools.product(range(1, side + 1), repeat=2))
-    # base tuples for the rational and signed sweeps, by dimension
-    bases = {2: list(itertools.product(range(1, 9), repeat=2)), 3: list(itertools.product(range(1, 6), repeat=3))}
-    zeta_tol = 1e-6 if quick else 1e-9
-    checks = []
-
-    def row(fn):
-        """Enter ``fn`` in the table under its name, with dashes."""
-        checks.append((fn.__name__.replace("_", "-"), fn))
-        return fn
-
-    def splits(spec, points):
-        """How many base tuples the oracle and the characterization disagree on.
-
-        ``spec`` is a --b value, read as `bvis` reads it.  The oracle searches the
-        expanded point (li**(alpha/ai)) under alpha * b, alpha the lcm of the denominators.
-        """
-        kind, b = parse_b_spec(spec)
-        alpha = math.lcm(*(f.denominator for f in b))
-        scaled, powers = [int(f * alpha) for f in b], [alpha // f.denominator for f in b]
-        witness = constrained_exponents(kind, b).witness
-        return sum(
-            (find_parametric_witness([c**e for c, e in zip(pt, powers)], scaled) is None) != (witness(pt) is None)
-            for pt in points
-        )
-
-    @row
-    def worked_example():
-        point, b = (4, 16, 40, 128), (2, 4, 3, 7)
-        prime = witness_prime(point, "int", b)
-        image = _witness_image(point, b, prime) if prime is not None else None
-        ok = prime == 2 and image == (1, 1, 5, 1) and witness_prime(image, "int", b) is None
-        return ok, f"witness p={prime}, image {image}"
-
-    @row
-    def oracle_equivalence():
-        vectors = ["1,2", "2,3"] if quick else ["1,1", "1,2", "2,3", "2,4", "3,7"]
-        sweeps = [(b, grid) for b in vectors]
-        if not quick:
-            import random
-
-            # one seeded draw of 3-D points, shared by the three vectors
-            rng = random.Random(seed)
-            points = [tuple(rng.randint(1, 20) for _ in range(3)) for _ in range(500)]
-            sweeps += [(b, points) for b in ["1,1,1", "1,2,3", "2,4,6"]]
-            # rational vectors, and signed ones with negative entries
-            families = ("1/2,1/2", "2/3,1/2", "2/3,3/2", "1/2,1,3/2")
-            families += ("1,-2", "-1,-1", "-1/2,3", "2/3,-1/2", "3,-2,-3", "1/2,-1,2")
-            sweeps += [(b, bases[b.count(",") + 1]) for b in families]
-        disagreements = sum(splits(b, pts) for b, pts in sweeps)
-        return disagreements == 0, f"{sum(len(pts) for _, pts in sweeps)} points, {disagreements} disagreements"
-
-    @row
-    def gcd_reduction():
-        vectors = ["2,4", "2,2"] if quick else ["2,4", "3,6", "2,2"]
-        sweeps = [(b, grid) for b in vectors]
-        if not quick:
-            # numerators with gcd G > 1 in the rational and signed families
-            shared = ("2/3,2/3", "2,2/3", "4/3,2/5", "6,4,2/3", "3/2,9/4")
-            shared += ("2,-4", "2,-2", "-2,-4", "6,-4,-2", "2/3,-2/3")
-            sweeps += [(b, bases[b.count(",") + 1]) for b in shared]
-        disagreements = sum(splits(b, pts) for b, pts in sweeps)
-        # the witness case: t = 1/sqrt(2) maps (2,4) to (1,1) under b=(2,4)
-        witness_case = (
-            witness_prime((2, 4), "int", (2, 4)) == 2 and find_parametric_witness((2, 4), (2, 4)) is not None
-        )
-        return (
-            disagreements == 0 and witness_case,
-            f"{sum(len(pts) for _, pts in sweeps)} points, {disagreements} disagreements; "
-            f"(2,4) invisible for b=(2,4): {witness_case}",
-        )
-
-    @row
-    def mobius_vs_bruteforce():
-        n_max = 30 if quick else 60
-        vectors = [(1, 1), (1, 2), (1, 1, 1)] if quick else [(1, 1), (1, 2), (2, 3), (1, 1, 1), (1, 2, 3)]
-        mismatches = 0
-        for b in vectors:
-            brute = brute_prefix_counts(n_max, b)
-            for n in range(1, n_max + 1):
-                if counting.count_visible_int(n, b) != brute[n]:
-                    mismatches += 1
-        return mismatches == 0, f"N <= {n_max}, {len(vectors)} vectors, {mismatches} mismatches"
-
-    @row
-    def grid_marking_vs_mobius():
-        # the marker strikes the invisible points out of the grid; no
-        # Moebius inversion involved, so agreement checks the closed form
-        # at a scale point-by-point enumeration cannot reach
-        edges = (500, 500) if quick else (2000, 2000)
-        for exps in [(1, 1), (1, 2)]:
-            marked = counting.count_visible_box(edges, constrained_exponents("int", exps))
-            closed = mobius_box_count(edges, exps)
-            if marked != closed:
-                return False, f"edges {edges}, exps {exps}: {marked} != {closed}"
-        return True, f"edges {edges}, exps (1,1) and (1,2), grid == mobius"
-
-    # (family, N, b, exponent sum s of the limit 1/zeta(s), tolerance[, least box edge])
-    density_rows = [
-        ("int", 1000, (1, 1), 2, 0.002),
-        ("int", 500, (2, 3), 5, 0.005),
-        ("rat", 10**6, ("1/2", "1/2"), 2, 0.002),
-        ("rat", 10**6, ("2/3", "3/2"), 5, 0.005),
-        ("signed", 4000, (1, -2), 2, 0.005),
-    ]
-    if not quick:
-        density_rows += [
-            ("int", 1000, (1, 2), 3, 0.005),
-            ("int", 200, (1, 1, 1), 3, 0.01),
-            ("rat", 8_000_000, ("2/3", "3/2"), 5, 0.01),
-            # numerators sum to 3, denominators to 5: on a box this large
-            # the density lands near 1/zeta(3) ~ 0.832, far from 1/zeta(5) ~ 0.964
-            ("rat", 8_000_000, ("2/3", "1/2"), 3, 0.01, 200),
-            ("signed", 10**4, (1, -2), 2, 0.005),
-            ("signed", 300, (3, -2, -3), 5, 0.01),
-        ]
-
-    def density_check(case, n, b, s, tol, min_edge=1):
-        def run():
-            report = counting.density_report(n, b, case)
-            if report.exponent_sum != s:
-                return False, f"exponent sum {report.exponent_sum}, expected {s}"
-            if min(report.box) < min_edge:
-                return False, f"box {report.box} has an edge below {min_edge}"
-            return report.abs_error <= tol, f"abs_error {report.abs_error:.6f} vs tol {tol}"
-
-        return run
-
-    for spec in density_rows:
-        case_name, n_val, b_val = spec[:3]
-        name = f"density-{case_name}-({','.join(map(str, b_val))})-N{n_val}"
-        checks.append((name, density_check(*spec)))
-
-    @row
-    def zeta_certification():
-        zv = zeta_eval(2, zeta_tol)
-        enclosed = abs(zv.value - math.pi**2 / 6) <= zv.tail_bound <= zeta_tol
-        return enclosed, f"|value - pi^2/6| = {abs(zv.value - math.pi**2 / 6):.2e}, tail {zv.tail_bound:.2e}"
-
-    @row
-    def euler_product():
-        worst = 0.0
-        for s in [2] if quick else [2, 3, 5]:
-            gap = abs(zeta_euler_product(s, 10**5) - zeta_eval(s, zeta_tol).value)
-            worst = max(worst, gap)
-        return worst <= 1e-4, f"worst gap {worst:.2e} vs 1e-4"
-
-    return checks
-
-
 def verify(profile, seed):
     """Run the built-in theorem checks; nonzero exit if any fail."""
+    from .theorems import verify_checks
+
     checks = verify_checks(profile, seed)
     failures = 0
     print(f"{'check':<36} {'status':<7} {'time':>8}  detail")

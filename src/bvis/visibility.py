@@ -171,6 +171,11 @@ def witness_prime(point: Sequence[int], kind: str, b) -> int | None:
     return constraint.witness(_as_point(point, constraint.k))
 
 
+def _witness_image(point: Sequence[int], b, prime: int) -> tuple[int, ...]:
+    """The point with the powers of its witness ``prime`` divided out, for integer b."""
+    return tuple(c // prime**e for c, e in zip(point, constrained_exponents("int", b).exps))
+
+
 def witness_prime_int(point: Sequence[int], b) -> int | None:
     """Smallest prime certifying invisibility of the point, or None."""
     return witness_prime(point, "int", b)

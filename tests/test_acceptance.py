@@ -1,12 +1,14 @@
 """End-to-end acceptance checks: the release gate.
 
 The gate is the full profile of ``bvis verify``: every row of
-``verify_checks("full", SEED)`` runs here exactly once, within its time
-budget where it has one.  Each release criterion keeps its test, which
-runs the rows that state it; rows that no criterion names run as
-``test_full_profile_row``.  Only the CLI round trip of the worked example,
-the timing of a fresh zeta evaluation and the budgets live here alone, so
-``bvis verify --profile full`` is the same gate without time budgets.
+``bvis.theorems.verify_checks("full", SEED)``, the one table of theorem
+checks, runs here exactly once, within its time budget where it has one.
+Each release criterion keeps its test, which runs the rows that state it;
+rows that no criterion names run as ``test_full_profile_row``.  Only the
+CLI round trip of the worked example, the timing of a fresh zeta
+evaluation and the budgets live here alone, so ``bvis verify --profile
+full`` is the same gate without time budgets.  The table's rows are data
+in ``bvis.theorems``, and only ``bvis verify`` loads that module.
 Run with ``pytest -v tests/test_acceptance.py`` for one line per criterion.
 
 For a rational vector b = (b1/a1, ..., bn/an) the paper gives the density
@@ -22,7 +24,8 @@ import time
 
 import pytest
 
-from bvis.cli import main, verify_checks
+from bvis.cli import main
+from bvis.theorems import verify_checks
 from bvis.zeta import zeta
 
 # Criterion 5's random 3-D points are drawn from this seed.
@@ -122,3 +125,9 @@ def test_criterion_9_zeta_certification():
 def test_full_profile_row(name):
     run_rows({name: None})
 
+
+def test_row_names_are_unique_and_quick_rows_are_full_rows():
+    # CHECKS is a dict: a repeated name would drop a row from the gate
+    quick, full = ([name for name, _check in verify_checks(p, SEED)] for p in ("quick", "full"))
+    assert len(set(quick)) == len(quick) and len(set(full)) == len(full)
+    assert set(quick) <= set(full)

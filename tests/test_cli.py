@@ -361,7 +361,7 @@ from bvis.cli import main
 
 SLOW = {"click", "dataclasses", "inspect"}
 # loaded only by the commands and formats that use them
-LAZY = {"bvis.arith", "bvis.counting", "bvis.visibility", "bvis.zeta", "json", "csv"}
+LAZY = {"bvis.arith", "bvis.counting", "bvis.theorems", "bvis.visibility", "bvis.zeta", "json", "csv"}
 assert not (SLOW | LAZY) & set(sys.modules), ("import bvis.cli", sorted((SLOW | LAZY) & set(sys.modules)))
 for args, unloaded in RUNS:
     try:
@@ -402,16 +402,45 @@ def test_no_command_imports_click_dataclasses_or_inspect():
 @pytest.mark.parametrize(
     "args, unloaded",
     [
-        (["zeta", "--s", "2", "--euler-limit", "1000"], ("bvis.counting", "bvis.visibility", "json", "csv")),
+        (
+            ["zeta", "--s", "2", "--euler-limit", "1000"],
+            ("bvis.counting", "bvis.theorems", "bvis.visibility", "json", "csv"),
+        ),
         (
             ["check", "--b", "2,4,3,7", "--point", "4,16,40,128", "--format", "plain"],
-            ("bvis.counting", "bvis.zeta", "json", "csv"),
+            ("bvis.counting", "bvis.theorems", "bvis.zeta", "json", "csv"),
         ),
+        (["count", "--b", "1,1", "--N", "100", "--format", "csv"], ("bvis.theorems", "json")),
+        (["density", "--b", "1,-2", "--N", "1000", "--format", "json"], ("bvis.theorems", "csv")),
+        (["sieve", "--b", "1,1", "--N", "3", "--format", "plain"], ("bvis.theorems", "json", "csv")),
     ],
-    ids=["zeta", "check"],
+    ids=["zeta", "check", "count", "density", "sieve"],
 )
 def test_a_command_loads_only_its_own_modules(args, unloaded):
     _run_startup_probe([(args, unloaded)])
+
+
+# `python -m bvis.cli` runs cli.py as __main__; a module that imported
+# bvis.cli from there would compile and run cli.py a second time.
+_RUN_AS_MAIN = """
+import runpy
+import sys
+
+sys.argv = ["bvis", "verify", "--profile", "quick"]
+try:
+    runpy.run_module("bvis.cli", run_name="__main__")
+finally:
+    print("bvis.cli" in sys.modules)
+"""
+
+
+def test_verify_as_main_loads_the_cli_once():
+    out = subprocess.run(
+        [sys.executable, "-c", _RUN_AS_MAIN], capture_output=True, text=True, env=_src_env(), timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[-2:] == ["12/12 checks passed (quick profile)", "False"]
 
 
 # In a fresh interpreter, since pytest has imported every submodule already:
@@ -590,9 +619,10 @@ def test_verify_quick_passes(runner):
     assert body.count("PASS") == len(lines) - 2
 
 
-def test_verify_reports_failures(runner, monkeypatch):
-    # sabotage one counting route; verify must notice and exit nonzero
-    monkeypatch.setattr(bvis.counting, "count_visible_int", lambda N, b: 0)
+@pytest.mark.parametrize("route", ["count_visible_int", "count_visible_box", "mobius_box_count"])
+def test_verify_reports_failures(runner, monkeypatch, route):
+    # sabotage one counting route on its module; verify must notice and exit nonzero
+    monkeypatch.setattr(bvis.counting, route, lambda *args: 0)
     result = runner.invoke(main, ["verify", "--profile", "quick"])
     assert result.exit_code == 1
     assert "FAIL" in result.stdout
