@@ -36,14 +36,8 @@ _POINT_TEXT = {"json": ("[", ", ", "]", ", "), "csv": ("", ",", "\r\n", ""), "pl
 DEFAULT_BRUTE_LIMIT = 10_000_000
 
 
-def parse_b_spec(text: str, case: str | None = None):
-    """Parse a comma-separated exponent spec into (case, tuple of Fractions).
-
-    Entries are `[-]digits[/digits]`.  All-integer, all-positive specs
-    select the integer case; any fraction selects the rational case and
-    any negative entry the signed case.  An explicit case overrides the
-    inference (e.g. --case rat with an integer spec).
-    """
+def parse_b_spec(text: str):
+    """Parse a comma-separated exponent spec of `[-]digits[/digits]` entries into a tuple of Fractions."""
     parts = [part.strip() for part in text.split(",")]
     if not parts or any(not part for part in parts):
         raise UsageError(f"empty exponent entry in {text!r}")
@@ -55,21 +49,9 @@ def parse_b_spec(text: str, case: str | None = None):
             fracs.append(Fraction(part))
         except ZeroDivisionError:
             raise UsageError(f"zero denominator in exponent entry {part!r}")
-    if case is None:
-        if any(f < 0 for f in fracs):
-            case = "signed"
-        elif all(f.denominator == 1 for f in fracs):
-            case = "int"
-        else:
-            case = "rat"
-    if case == "int":
-        if any(f.denominator != 1 or f < 1 for f in fracs):
-            raise UsageError("integer case needs positive integer exponents; use --case rat or signed")
-    elif case == "rat" and any(f < 0 for f in fracs):
-        raise UsageError("rational case needs positive exponents; use --case signed")
     from .visibility import as_rational_exponent_vector
 
-    return case, as_rational_exponent_vector(fracs)
+    return as_rational_exponent_vector(fracs)
 
 
 def _require_n(n: int) -> int:
@@ -78,33 +60,35 @@ def _require_n(n: int) -> int:
     return n
 
 
-def _parse_box(b_spec: str, case: str | None, n: int | None, box_spec: str | None):
-    """(kind, vector, box edges) from --b/--case and exactly one of --N or --box.
+def _parse_box(b_spec: str, n: int | None, box_spec: str | None):
+    """(vector, box edges) from --b and exactly one of --N or --box.
 
     Errors come in a fixed order: the choice of --N or --box, the exponent
     spec, then the box.
     """
     if (n is None) == (box_spec is None):
         raise UsageError("need exactly one of --N or --box")
-    kind, vector = parse_b_spec(b_spec, case)
+    vector = parse_b_spec(b_spec)
     if box_spec is None:
         from .counting import box_edges
 
-        return kind, vector, box_edges(_require_n(n), vector)
+        return vector, box_edges(_require_n(n), vector)
     edges = _parse_ints(box_spec, "--box", minimum=0)
     if len(edges) != len(vector):
         raise UsageError(f"--box has {len(edges)} edges, exponent vector has {len(vector)}")
-    return kind, vector, edges
+    return vector, edges
 
 
-def _family(kind: str, vector) -> dict:
-    """The "b" and "case" fields that open every payload."""
-    return {"b": [str(e) for e in vector], "case": kind}
+def _family(vector) -> dict:
+    """The "b" and "case" fields that open every payload; "case" is the vector's label."""
+    from .visibility import family
+
+    return {"b": [str(e) for e in vector], "case": family(vector)}
 
 
-def _box_fields(kind: str, vector, edges, visible: int) -> dict:
+def _box_fields(vector, edges, visible: int) -> dict:
     """The payload fields of an exact count over a box."""
-    return {**_family(kind, vector), "box": list(edges), "visible": str(visible), "total": str(math.prod(edges))}
+    return {**_family(vector), "box": list(edges), "visible": str(visible), "total": str(math.prod(edges))}
 
 
 def _parse_ints(text: str, label: str, minimum: int = 1) -> tuple[int, ...]:
@@ -149,20 +133,21 @@ def _cell(value, none: str) -> str:
     return str(value)
 
 
-def check(b_spec, point_spec, expanded, case, fmt):
+def check(b_spec, point_spec, expanded, fmt):
     """Visibility verdict for one point, with a witness when invisible."""
-    from .visibility import _witness_image, base_from_expanded, witness_prime
+    from .visibility import _witness_image, base_from_expanded, family, witness_prime
 
-    kind, vector = parse_b_spec(b_spec, case)
+    vector = parse_b_spec(b_spec)
+    whole = family(vector) == "int"  # no restricted lattice, and a witness has an image
     point = _parse_ints(point_spec, "--point")
     if expanded:
-        if kind == "int":
+        if whole:
             raise UsageError("--expanded only applies to fractional exponents")
         point = base_from_expanded(point, vector)
-    witness = witness_prime(point, kind, vector)
-    image = _witness_image(point, vector, witness) if kind == "int" and witness is not None else None
+    witness = witness_prime(point, vector)
+    image = _witness_image(point, vector, witness) if whole and witness is not None else None
     fields = {
-        **_family(kind, vector),
+        **_family(vector),
         "point": list(point),
         "visible": witness is None,
         "witness_prime": witness,
@@ -179,20 +164,20 @@ def check(b_spec, point_spec, expanded, case, fmt):
         _emit(fmt, fields)
 
 
-def count(b_spec, n, box_spec, case, fmt):
+def count(b_spec, n, box_spec, fmt):
     """Exact number of visible points in a box (Moebius inclusion-exclusion)."""
     from .counting import count_box
     from .visibility import constrained_exponents
 
-    kind, vector, edges = _parse_box(b_spec, case, n, box_spec)
-    _emit(fmt, _box_fields(kind, vector, edges, count_box(edges, constrained_exponents(kind, vector))))
+    vector, edges = _parse_box(b_spec, n, box_spec)
+    _emit(fmt, _box_fields(vector, edges, count_box(edges, constrained_exponents(vector))))
 
 
-def density(b_spec, n, case, fmt):
+def density(b_spec, n, fmt):
     """Density report: exact count vs the theoretical 1/zeta density."""
     from .counting import density_report
 
-    kind, vector = parse_b_spec(b_spec, case)
+    vector = parse_b_spec(b_spec)
     _require_n(n)
     if (g := math.gcd(*(f.numerator for f in vector))) > 1:
         print(
@@ -200,11 +185,11 @@ def density(b_spec, n, case, fmt):
             f"the reduced vector ({','.join(str(f / g) for f in vector)}), which sets the density",
             file=sys.stderr,
         )
-    report = density_report(n, vector, kind)
+    report = density_report(n, vector)
     _emit(
         fmt,
         {
-            **_box_fields(kind, vector, report.box, report.visible_count),
+            **_box_fields(vector, report.box, report.visible_count),
             "empirical": report.empirical,
             "exponent_sum": report.exponent_sum,
             "theoretical": report.theoretical,
@@ -213,24 +198,24 @@ def density(b_spec, n, case, fmt):
     )
 
 
-def sieve(b_spec, n, box_spec, limit, case, fmt):
+def sieve(b_spec, n, box_spec, limit, fmt):
     """List every visible point of the box in lexicographic order."""
     from .counting import mark_box
     from .visibility import constrained_exponents
 
-    kind, vector, edges = _parse_box(b_spec, case, n, box_spec)
+    vector, edges = _parse_box(b_spec, n, box_spec)
     cap = DEFAULT_BRUTE_LIMIT if limit is None else limit
     if cap < 1:
         raise UsageError(f"--limit must be an integer >= 1, got {cap}")
     volume = math.prod(edges)
     if volume > cap:
         raise ResourceLimitError(f"sieve box of {volume} points exceeds limit {cap}")
-    marks = mark_box(edges, constrained_exponents(kind, vector))
+    marks = mark_box(edges, constrained_exponents(vector))
     write = sys.stdout.write
     if fmt == "json":
         import json
 
-        head = {**_family(kind, vector), "box": list(edges), "count": marks.count(1), "points": []}
+        head = {**_family(vector), "box": list(edges), "count": marks.count(1), "points": []}
         write(json.dumps(head)[:-2])  # up to the points' opening bracket
     elif fmt == "csv":
         write(_csv_text([[f"x{i + 1}" for i in range(len(edges))]]))
@@ -338,16 +323,15 @@ def verify(profile, seed):
 
 _B = ("--b", "b_spec", str, None, True)
 _N, _BOX = ("--N", "n", int, None, False), ("--box", "box_spec", str, None, False)
-_CASE = ("--case", "case", ("int", "rat", "signed"), None, False)
 _FORMAT = ("--format", "fmt", ("json", "csv", "plain"), "plain", False)
 # subcommand: (handler, options), an option being (flag, dest, convert, default, required);
 # convert is str, int, float, a tuple of the values allowed, or None for a flag (no value, sets True).
 COMMANDS = {
     "check": (check, (_B, ("--point", "point_spec", str, None, True),
-                      ("--expanded", "expanded", None, False, False), _CASE, _FORMAT)),
-    "count": (count, (_B, _N, _BOX, _CASE, _FORMAT)),
-    "density": (density, (_B, ("--N", "n", int, None, True), _CASE, _FORMAT)),
-    "sieve": (sieve, (_B, _N, _BOX, ("--limit", "limit", int, None, False), _CASE, _FORMAT)),
+                      ("--expanded", "expanded", None, False, False), _FORMAT)),
+    "count": (count, (_B, _N, _BOX, _FORMAT)),
+    "density": (density, (_B, ("--N", "n", int, None, True), _FORMAT)),
+    "sieve": (sieve, (_B, _N, _BOX, ("--limit", "limit", int, None, False), _FORMAT)),
     "verify": (verify, (("--profile", "profile", ("quick", "full"), "quick", False),
                         ("--seed", "seed", int, 0, False))),
     "zeta": (zeta_cmd, (("--s", "s", int, None, True), ("--tol", "tol", float, 1e-9, False),

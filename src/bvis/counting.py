@@ -22,12 +22,11 @@ budget raises ResourceLimitError (CLI exit 4) before anything is
 allocated; a sum with a tail builds its table before it sums the head.
 
 ``count_box(edges, constraint)`` is the one path from a box to a count
-for all three families.  It takes the box edges and the ``Constraint``
-that ``visibility.constrained_exponents`` builds for a vector, and
+for every vector.  It takes the box edges and the ``Constraint`` that
+``visibility.constrained_exponents`` builds for a vector, and
 ``density_report``, ``count_visible_int`` and ``bvis count`` all call it.
-This module reads no family name: ``constrained_exponents`` checks it and
-decides which coordinates constrain, and ``box_edges`` is one formula for
-every family.
+``constrained_exponents`` decides which coordinates constrain, and
+``box_edges`` is one formula for every vector.
 
 Counts are exact big integers; only the empirical proportion inside a
 DensityReport touches floating point.  Two routes that use no Moebius
@@ -47,12 +46,7 @@ from typing import Sequence
 
 from .arith import Mertens, _iter_primes, floor_root, iroot, mobius_windows
 from .errors import UsageError
-from .visibility import (
-    Constraint,
-    as_rational_exponent_vector,
-    constrained_exponents,
-)
-from .zeta import inv_zeta
+from .visibility import Constraint, as_exponent_vector, as_rational_exponent_vector, constrained_exponents
 
 # The head of a Moebius sum is summed this many values of mu at a time, so
 # each list a chunk builds (its squarefree d, their quotients) stays at a
@@ -64,10 +58,9 @@ class DensityReport:
     """Exact count over a box next to the limiting density 1/zeta(s).
 
     ``theoretical`` is None when no finite density applies (exponent sum
-    below 2, or a signed vector with no negative entries).  ``empirical``
-    and ``abs_error`` are the only floating-point quantities; abs_error is
-    defined on the already-rounded floats so that consumers can reproduce
-    it exactly from a serialized report.
+    below 2).  ``empirical`` and ``abs_error`` are the only floating-point
+    quantities; abs_error is defined on the already-rounded floats so that
+    consumers can reproduce it exactly from a serialized report.
     """
 
     __slots__ = ("box", "visible_count", "exponent_sum", "theoretical")
@@ -192,7 +185,7 @@ def _head_sum(pairs, windows) -> int:
 
 
 def box_edges(N: int, b) -> tuple[int, ...]:
-    """The box a density is measured on, for exponents bi/ai of any family.
+    """The box a density is measured on, for nonzero rational exponents bi/ai.
 
     Edge i is Mi = floor(N**(ai/alpha)) with alpha = lcm(ai): the base
     tuples whose expanded coordinates stay <= N.  Integer entries have
@@ -216,18 +209,15 @@ def box_edges(N: int, b) -> tuple[int, ...]:
 def count_box(edges: Sequence[int], constraint: Constraint) -> int:
     """Visible points in the box [1,M1]x...x[1,Mk] for a validated vector.
 
-    Every family reduces to one Moebius count over the positions of its
-    ``Constraint``, with the numerators divided by their gcd: all of them
-    for "int" and "rat", the negative positions J for "signed".  The other
-    edges only multiply the count, and a signed vector with J empty has
-    every point visible.
+    Every vector reduces to one Moebius count over the positions of its
+    ``Constraint``, with the numerators divided by their gcd: the negative
+    positions, or all of them when there are none.  The other edges only
+    multiply the count.
     """
     k, positions, exps = constraint
     if len(edges) != k:
         raise UsageError(f"box has {len(edges)} edges, exponent vector has {k}")
     free = math.prod(m for j, m in enumerate(edges) if j not in positions)
-    if not positions:
-        return free
     return free * mobius_box_count([edges[j] for j in positions], exps)
 
 
@@ -235,9 +225,8 @@ def count_visible_int(N: int, b) -> int:
     """Number of b-visible points in [1,N]^k, exactly (b reduced by its gcd)."""
     # b is read once, so an iterator serves both calls; a bad vector is
     # reported before a bad N, as in density_report
-    vec = as_rational_exponent_vector(b)
-    constraint = constrained_exponents("int", vec)
-    return count_box(box_edges(N, vec), constraint)
+    vec = as_exponent_vector(b)
+    return count_box(box_edges(N, vec), constrained_exponents(vec))
 
 
 def mark_box(edges: Sequence[int], constraint: Constraint) -> bytearray:
@@ -258,7 +247,7 @@ def mark_box(edges: Sequence[int], constraint: Constraint) -> bytearray:
     if len(edges) != k:
         raise UsageError(f"box has {len(edges)} edges, exponent vector has {k}")
     grid = bytearray(b"\1") * math.prod(edges)
-    if not grid or not positions:
+    if not grid:
         return grid
     # exponent of each coordinate; a free one gets 0, so its modulus is 1
     powers = [0] * k
@@ -301,7 +290,7 @@ def brute_prefix_counts(n_max: int, b) -> list[int]:
     the nested boxes at once.  b is validated once; each point is then
     tested for a witness prime on its own.
     """
-    constraint = constrained_exponents("int", b)
+    constraint = constrained_exponents(as_exponent_vector(b))
     witness = constraint.witness
     buckets = [0] * (n_max + 1)
     for point in itertools.product(range(1, n_max + 1), repeat=constraint.k):
@@ -310,19 +299,18 @@ def brute_prefix_counts(n_max: int, b) -> list[int]:
     return list(itertools.accumulate(buckets))
 
 
-def density_report(N: int, b, case: str) -> DensityReport:
+def density_report(N: int, b) -> DensityReport:
     """Count + empirical proportion + theoretical 1/zeta density, one call.
 
-    ``case`` names the exponent family, exactly "int", "rat" or "signed";
-    ``constrained_exponents`` checks it.  The box is ``box_edges(N, b)``
-    for every family, and s is the sum of the constraint's exponents: 0
-    for a signed vector with no negative entry, which has no finite
-    density.
+    The box is ``box_edges(N, b)``, and s is the sum of the constraint's
+    exponents.
     """
+    from .zeta import inv_zeta
+
     # b is read once, so an iterator serves both calls; a bad vector is
     # reported before a bad N
     vec = as_rational_exponent_vector(b)
-    constraint = constrained_exponents(case, vec)
+    constraint = constrained_exponents(vec)
     edges = box_edges(N, vec)
     s = sum(constraint.exps)
     return DensityReport(

@@ -18,25 +18,25 @@ from . import counting, visibility, zeta
 
 Q, F, QF = ("quick",), ("full",), ("quick", "full")  # the profiles a line belongs to
 
-# Oracle sweeps: (profiles, name, family, vectors, point set).  A name's lines
-# make one check: the base tuples where the family's characterization and the
-# oracle disagree.  A point set is m, the box [1, m]^k, or "drawn": 500 points
-# of [1, 20]^k drawn from the seed.
+# Oracle sweeps: (profiles, name, vectors, point set).  A name's lines make one
+# check: the base tuples where the characterization and the oracle disagree.  A
+# point set is m, the box [1, m]^k, or "drawn": 500 points of [1, 20]^k drawn
+# from the seed.
 SWEEPS = [
-    (Q, "oracle-equivalence", "int", ("1,2", "2,3"), 20),
-    (F, "oracle-equivalence", "int", ("1,1", "1,2", "2,3", "2,4", "3,7"), 40),
-    (F, "oracle-equivalence", "int", ("1,1,1", "1,2,3", "2,4,6"), "drawn"),
-    (F, "oracle-equivalence", "rat", ("1/2,1/2", "2/3,1/2", "2/3,3/2"), 8),
-    (F, "oracle-equivalence", "rat", ("1/2,1,3/2",), 5),
-    (F, "oracle-equivalence", "signed", ("1,-2", "-1,-1", "-1/2,3", "2/3,-1/2"), 8),
-    (F, "oracle-equivalence", "signed", ("3,-2,-3", "1/2,-1,2"), 5),
-    # numerators with gcd G > 1 in every family
-    (Q, "gcd-reduction", "int", ("2,4", "2,2"), 20),
-    (F, "gcd-reduction", "int", ("2,4", "3,6", "2,2"), 40),
-    (F, "gcd-reduction", "rat", ("2/3,2/3", "2,2/3", "4/3,2/5", "3/2,9/4"), 8),
-    (F, "gcd-reduction", "rat", ("6,4,2/3",), 5),
-    (F, "gcd-reduction", "signed", ("2,-4", "2,-2", "-2,-4", "2/3,-2/3"), 8),
-    (F, "gcd-reduction", "signed", ("6,-4,-2",), 5),
+    (Q, "oracle-equivalence", ("1,2", "2,3"), 20),
+    (F, "oracle-equivalence", ("1,1", "1,2", "2,3", "2,4", "3,7"), 40),
+    (F, "oracle-equivalence", ("1,1,1", "1,2,3", "2,4,6"), "drawn"),
+    (F, "oracle-equivalence", ("1/2,1/2", "2/3,1/2", "2/3,3/2"), 8),
+    (F, "oracle-equivalence", ("1/2,1,3/2",), 5),
+    (F, "oracle-equivalence", ("1,-2", "-1,-1", "-1/2,3", "2/3,-1/2"), 8),
+    (F, "oracle-equivalence", ("3,-2,-3", "1/2,-1,2"), 5),
+    # numerators with gcd G > 1: integer, rational and signed
+    (Q, "gcd-reduction", ("2,4", "2,2"), 20),
+    (F, "gcd-reduction", ("2,4", "3,6", "2,2"), 40),
+    (F, "gcd-reduction", ("2/3,2/3", "2,2/3", "4/3,2/5", "3/2,9/4"), 8),
+    (F, "gcd-reduction", ("6,4,2/3",), 5),
+    (F, "gcd-reduction", ("2,-4", "2,-2", "-2,-4", "2/3,-2/3"), 8),
+    (F, "gcd-reduction", ("6,-4,-2",), 5),
 ]
 # A sweep's planted point (point, b, p), invisible for integer b through the
 # prime p and to the oracle: t = 1/sqrt(2) maps (2,4) to (1,1) under b = (2,4).
@@ -46,23 +46,24 @@ MOBIUS = {"quick": (30, [(1, 1), (1, 2), (1, 1, 1)]), "full": (60, [(1, 1), (1, 
 # The grid marker against the Moebius count over a box: (edges, vectors).  The
 # marker uses no Moebius inversion, and no enumeration reaches this scale.
 GRID = {"quick": ((500, 500), [(1, 1), (1, 2)]), "full": ((2000, 2000), [(1, 1), (1, 2)])}
-# Densities: (profiles, family, N, b, the paper's exponent sum s of the limit
-# 1/zeta(s), tolerance[, least box edge]).  s sums the entries of integer b, the
-# numerators of rational b, and |bj| over the negative entries of signed b.
+# Densities: (profiles, N, b, the paper's exponent sum s of the limit 1/zeta(s),
+# tolerance[, least box edge]), each check named with visibility.family(b).  s
+# sums the entries of integer b, the numerators of rational b, and |bj| over
+# the negative entries of signed b.
 DENSITY = [
-    (QF, "int", 1000, (1, 1), 2, 0.002),
-    (QF, "int", 500, (2, 3), 5, 0.005),
-    (QF, "rat", 10**6, ("1/2", "1/2"), 2, 0.002),
-    (QF, "rat", 10**6, ("2/3", "3/2"), 5, 0.005),
-    (QF, "signed", 4000, (1, -2), 2, 0.005),
-    (F, "int", 1000, (1, 2), 3, 0.005),
-    (F, "int", 200, (1, 1, 1), 3, 0.01),
-    (F, "rat", 8_000_000, ("2/3", "3/2"), 5, 0.01),
+    (QF, 1000, (1, 1), 2, 0.002),
+    (QF, 500, (2, 3), 5, 0.005),
+    (QF, 10**6, ("1/2", "1/2"), 2, 0.002),
+    (QF, 10**6, ("2/3", "3/2"), 5, 0.005),
+    (QF, 4000, (1, -2), 2, 0.005),
+    (F, 1000, (1, 2), 3, 0.005),
+    (F, 200, (1, 1, 1), 3, 0.01),
+    (F, 8_000_000, ("2/3", "3/2"), 5, 0.01),
     # numerators sum to 3, denominators to 5: on a box this large the
     # density lands near 1/zeta(3) ~ 0.832, far from 1/zeta(5) ~ 0.964
-    (F, "rat", 8_000_000, ("2/3", "1/2"), 3, 0.01, 200),
-    (F, "signed", 10**4, (1, -2), 2, 0.005),
-    (F, "signed", 300, (3, -2, -3), 5, 0.01),
+    (F, 8_000_000, ("2/3", "1/2"), 3, 0.01, 200),
+    (F, 10**4, (1, -2), 2, 0.005),
+    (F, 300, (3, -2, -3), 5, 0.01),
 ]
 # The tolerance of the certified zeta(s), and the s whose Euler products over
 # the primes to 1e5 must meet zeta(s) within 1e-4.
@@ -81,8 +82,8 @@ def verify_checks(profile: str, seed: int) -> list:
         ("mobius-vs-bruteforce", partial(_mobius_vs_bruteforce, *MOBIUS[profile])),
         ("grid-marking-vs-mobius", partial(_grid_vs_mobius, *GRID[profile])),
         *(
-            (f"density-{family}-{_vec(b)}-N{n}", partial(_density, family, n, b, *rest))
-            for profiles, family, n, b, *rest in DENSITY
+            (f"density-{visibility.family(b)}-{_vec(b)}-N{n}", partial(_density, n, b, *rest))
+            for profiles, n, b, *rest in DENSITY
             if profile in profiles
         ),
         ("zeta-certification", partial(_zeta_certification, ZETA[profile][0])),
@@ -96,9 +97,9 @@ def _vec(v) -> str:  # "(1,-2)"
 
 def _worked_example():
     point, b = (4, 16, 40, 128), (2, 4, 3, 7)
-    prime = visibility.witness_prime(point, "int", b)
+    prime = visibility.witness_prime(point, b)
     image = visibility._witness_image(point, b, prime) if prime is not None else None
-    ok = prime == 2 and image == (1, 1, 5, 1) and visibility.witness_prime(image, "int", b) is None
+    ok = prime == 2 and image == (1, 1, 5, 1) and visibility.witness_prime(image, b) is None
     return ok, f"witness p={prime}, image {image}"
 
 
@@ -106,12 +107,12 @@ def _sweep(lines, planted, seed):
     # the oracle searches the expanded point (li**(alpha/ai)) under alpha * b,
     # alpha the lcm of b's denominators, for each base tuple (l1, ..., lk)
     points = disagreements = 0
-    for family, vectors, spec in lines:
+    for vectors, spec in lines:
         for text in vectors:
             b = visibility.as_rational_exponent_vector(text.split(","))
             alpha = math.lcm(*(f.denominator for f in b))
             scaled, powers = [int(f * alpha) for f in b], [alpha // f.denominator for f in b]
-            witness = visibility.constrained_exponents(family, b).witness
+            witness = visibility.constrained_exponents(b).witness
             if spec == "drawn":
                 rng = random.Random(seed)
                 bases = [tuple(rng.randint(1, 20) for _ in b) for _ in range(500)]
@@ -127,7 +128,7 @@ def _sweep(lines, planted, seed):
     if planted is None:
         return disagreements == 0, detail
     point, b, p = planted
-    found = visibility.witness_prime(point, "int", b) == p and visibility.find_parametric_witness(point, b) is not None
+    found = visibility.witness_prime(point, b) == p and visibility.find_parametric_witness(point, b) is not None
     return disagreements == 0 and found, f"{detail}; {_vec(point)} invisible for b={_vec(b)}: {found}"
 
 
@@ -139,15 +140,15 @@ def _mobius_vs_bruteforce(n_max, vectors):
 
 def _grid_vs_mobius(edges, vectors):
     for exps in vectors:
-        marked = counting.count_visible_box(edges, visibility.constrained_exponents("int", exps))
+        marked = counting.count_visible_box(edges, visibility.constrained_exponents(exps))
         closed = counting.mobius_box_count(edges, exps)
         if marked != closed:
             return False, f"edges {edges}, exps {_vec(exps)}: {marked} != {closed}"
     return True, f"edges {edges}, exps {' and '.join(map(_vec, vectors))}, grid == mobius"
 
 
-def _density(family, n, b, s, tol, min_edge=1):
-    report = counting.density_report(n, b, family)
+def _density(n, b, s, tol, min_edge=1):
+    report = counting.density_report(n, b)
     if report.exponent_sum != s:
         return False, f"exponent sum {report.exponent_sum}, expected {s}"
     if min(report.box) < min_edge:

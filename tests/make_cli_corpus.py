@@ -66,8 +66,8 @@ _USAGE_ERRORS = (
     "density --b 2/3,2/3 --N 0",  # a bad N is reported before the shared-gcd note
     "check --b 1,2 --point 1,2,3",
     "density --b 0,1/2 --N 10",
-    "check --b 1/2,1 --case int --point 4,6",
-    "check --b 1,-2 --case rat --point 4,6",
+    "check --b 1/0,1 --point 4,6",
+    "check --b 1,-2 --point 4,6 --expanded",  # exits 0: only the label "int" refuses --expanded
     "check --b 1,x --point 1,2",
     "check --b 1,2 --point 4,8 --expanded",
     "check --b 2/3,1/2 --point 16,7 --expanded",
@@ -106,8 +106,8 @@ _OUTPUTS = (
     "sieve --b 1,1 --N 3 --format json",
     "sieve --b 1,1 --N 30 --limit 1000 --format json",
     "count --b 1,1 --box 0,5",
-    "count --b 1,1 --N 10 --case signed",
-    "count --b 2/3,1/2 --case rat --box 8,4 --format csv",
+    "count --b 1,-9 --N 10",  # 2**9 > 10: every point is visible
+    "count --b 2/3,1/2 --box 8,4 --format csv",
     "density --b 2,4 --N 50 --format csv",
     "density --b 1 --N 10",
     "zeta --s 3 --format json",
@@ -132,7 +132,7 @@ _PARSER = (
     "check --b 1,1",
     "check",
     "check --b 1,1 --point 4,6 extra",
-    "check --b 1,1 --point 4,6 --case",
+    "check --b 1,1 --point 4,6 --case",  # no such option: one rule reads every vector
     "check --b 1,1 --point 4,6 --expanded=1",
     "--version",
 )
@@ -150,7 +150,7 @@ _CHECK = tuple(
         "--b 2/3,1/2 --point 9,8 --expanded",
         "--b 1,-2 --point 5,4",  # t = 2 maps (5, 4) to (10, 1)
         "--b 1,-2 --point 5,6",
-        "--b 1,2 --case signed --point 4,8",  # no negative entry: every point is visible
+        "--b 3,-2,-3 --point 8,4,4",  # 2**2 | 4 but 2**3 does not divide 4
     )
     for fmt in _FORMATS
 )
@@ -160,7 +160,7 @@ _MORE_OUTPUTS = (
     "check --b 2,4,3,7 --point 1,1,5,1",
     "check --b 2,4,3,7 --point 4,16,40,128",
     "count --b 1,-2 --box 8,4 --format json",
-    "count --b 2/3,1/2 --case rat --box 8,4 --format json",
+    "count --b 2/3,1/2 --box 8,4 --format json",
     "count --b 1,1",  # neither --N nor --box
     "density --b 1/2,2/3 --N 50",
     "density --b 1/2,2/3 --N 50 --format csv",  # with it, every command has every format in every family
@@ -181,9 +181,10 @@ _MORE_OUTPUTS = (
 )
 
 # sieve writes SIEVE_CHUNK = 4096 points at a time: exactly one block, and one block and a point;
-# 256,256 and 65537,1 are the same bounds for the 65536-point chunks of older writers
+# 256,256 and 65537,1 are the same bounds for the 65536-point chunks of older writers.
+# 2**9 passes every constrained edge, so every point of these boxes is visible.
 _CHUNKS = tuple(
-    f"sieve --b 1,2 --case signed --box {box} --format {fmt}"
+    f"sieve --b 1,-9 --box {box} --format {fmt}"
     for box in ("256,256", "65537,1", "64,64", "4097,1")
     for fmt in _FORMATS
 )

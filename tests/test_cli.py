@@ -23,7 +23,7 @@ import bvis.counting
 import make_cli_corpus
 from bvis.cli import main, parse_b_spec
 from bvis.errors import UsageError
-from bvis.visibility import constrained_exponents, is_visible_int, is_visible_rat, is_visible_signed
+from bvis.visibility import constrained_exponents, family, is_visible_int, is_visible_rat, is_visible_signed
 from bvis.zeta import inv_zeta
 
 
@@ -41,35 +41,37 @@ def test_help_lists_every_option(runner, command):
 
 
 def test_parse_b_spec_inference():
-    case, vec = parse_b_spec("2,4,3,7", None)
-    assert case == "int"
+    # the spec is only parsed; its label is read off the vector for output
+    vec = parse_b_spec("2,4,3,7")
+    assert family(vec) == "int"
     assert vec == (2, 4, 3, 7)
 
-    case, vec = parse_b_spec("2/3,1/2", None)
-    assert case == "rat"
+    vec = parse_b_spec("2/3,1/2")
+    assert family(vec) == "rat"
     assert tuple(f.numerator for f in vec) == (2, 1)
 
-    case, vec = parse_b_spec("1,-2", None)
-    assert case == "signed"
-    assert constrained_exponents(case, vec).positions == (1,)
+    vec = parse_b_spec("1,-2")
+    assert family(vec) == "signed"
+    assert constrained_exponents(vec).positions == (1,)
 
-    # integers are valid rationals when the case is forced
-    case, vec = parse_b_spec("1,2", "rat")
-    assert case == "rat"
+    # integers are rationals with denominator 1, and every position constrains
+    vec = parse_b_spec("1,2")
     assert tuple(f.denominator for f in vec) == (1, 1)
+    assert tuple(constrained_exponents(vec).positions) == (0, 1)
 
 
 def test_parse_b_spec_rejections():
     with pytest.raises(UsageError):
-        parse_b_spec("1,x", None)
+        parse_b_spec("1,x")
     with pytest.raises(UsageError):
-        parse_b_spec("", None)
+        parse_b_spec("")
     with pytest.raises(UsageError):
-        parse_b_spec("1/2,1/2", "int")  # fractions cannot be demoted
-    with pytest.raises(UsageError):
-        parse_b_spec("1,-2", "rat")  # negatives require the signed case
-    with pytest.raises(UsageError):
-        parse_b_spec("1/0", None)
+        parse_b_spec("1/0")
+    # no family can be forced on a spec: there is no second argument
+    with pytest.raises(TypeError):
+        parse_b_spec("1/2,1/2", "int")
+    with pytest.raises(TypeError):
+        parse_b_spec("1,-2", "rat")
 
 
 # ---------------------------------------------------------------- check
@@ -152,19 +154,19 @@ def test_density_csv_matches_json(runner):
 
 
 @pytest.mark.parametrize(
-    "spec,case,edges",
+    "spec,predicate,edges",
     [
-        ("2,4", None, (12, 12)),
-        ("2/3,3/2", None, (12, 12)),
-        ("3,-2,-3", None, (5, 6, 8)),
-        ("1,2", "signed", (3, 3)),  # no negative entry: every point is visible
+        ("2,4", is_visible_int, (12, 12)),
+        ("2/3,3/2", is_visible_rat, (12, 12)),
+        ("3,-2,-3", is_visible_signed, (5, 6, 8)),
+        # no negative entry: the signed predicate constrains every position, as the sieve does
+        ("1,2", is_visible_signed, (3, 3)),
     ],
 )
-def test_sieve_lists_the_points_the_predicates_accept(runner, spec, case, edges):
-    kind, vector = parse_b_spec(spec, case)
-    predicate = {"int": is_visible_int, "rat": is_visible_rat, "signed": is_visible_signed}[kind]
+def test_sieve_lists_the_points_the_predicates_accept(runner, spec, predicate, edges):
+    vector = parse_b_spec(spec)
     args = ["sieve", "--b", spec, "--box", ",".join(map(str, edges)), "--format", "json"]
-    result = runner.invoke(main, args + (["--case", case] if case else []))
+    result = runner.invoke(main, args)
     assert result.exit_code == 0
     expected = [
         list(pt) for pt in itertools.product(*(range(1, e + 1) for e in edges)) if predicate(pt, vector)
@@ -192,23 +194,21 @@ _SIEVE_VECTORS = (
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from(_SIEVE_VECTORS + ("1,2 signed", "1 signed")).flatmap(
+    st.sampled_from(_SIEVE_VECTORS + ("1,-9", "-9")).flatmap(
         lambda spec: st.tuples(
             st.just(spec),
-            st.tuples(*[st.integers(min_value=0, max_value=12)] * len(spec.split()[0].split(","))),
+            st.tuples(*[st.integers(min_value=0, max_value=12)] * len(spec.split(","))),
         )
     )
 )
 def test_sieve_lists_what_the_witness_loop_accepts(runner, spec_edges):
-    # "1,2 signed" has no negative entry, so the marker strikes nothing
+    # "1,-9" and "-9" constrain with 2**9 > 12, so the marker strikes nothing
     spec, edges = spec_edges
-    b_spec, *case = spec.split()
-    kind, vector = parse_b_spec(b_spec, case[0] if case else None)
-    witness = constrained_exponents(kind, vector).witness
+    witness = constrained_exponents(parse_b_spec(spec)).witness
     grid = itertools.product(*(range(1, m + 1) for m in edges))
     expected = [list(pt) for pt in grid if witness(pt) is None]
-    args = ["sieve", "--b", b_spec, "--box", ",".join(map(str, edges)), "--format", "json"]
-    result = runner.invoke(main, args + ["--case", case[0]] if case else args)
+    args = ["sieve", "--b", spec, "--box", ",".join(map(str, edges)), "--format", "json"]
+    result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     assert json.loads(result.stdout)["points"] == expected
 
@@ -410,9 +410,9 @@ def test_no_command_imports_click_dataclasses_or_inspect():
             ["check", "--b", "2,4,3,7", "--point", "4,16,40,128", "--format", "plain"],
             ("bvis.counting", "bvis.theorems", "bvis.zeta", "json", "csv"),
         ),
-        (["count", "--b", "1,1", "--N", "100", "--format", "csv"], ("bvis.theorems", "json")),
+        (["count", "--b", "1,1", "--N", "100", "--format", "csv"], ("bvis.theorems", "bvis.zeta", "json")),
         (["density", "--b", "1,-2", "--N", "1000", "--format", "json"], ("bvis.theorems", "csv")),
-        (["sieve", "--b", "1,1", "--N", "3", "--format", "plain"], ("bvis.theorems", "json", "csv")),
+        (["sieve", "--b", "1,1", "--N", "3", "--format", "plain"], ("bvis.theorems", "bvis.zeta", "json", "csv")),
     ],
     ids=["zeta", "check", "count", "density", "sieve"],
 )

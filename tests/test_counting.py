@@ -22,9 +22,9 @@ from bvis.counting import (
     mobius_box_count,
 )
 from bvis.errors import ResourceLimitError, UsageError
+from bvis.zeta import inv_zeta
 from bvis.visibility import (
     Constraint,
-    as_exponent_vector,
     as_rational_exponent_vector,
     constrained_exponents,
     is_visible_int,
@@ -44,8 +44,9 @@ def count_by_enumeration(edges, predicate):
 
 def test_box_spec():
     # a box is its edges tuple; a zero edge is an empty box
-    assert count_box((3, 4, 5), constrained_exponents("signed", (1, 1, 1))) == 60
-    assert count_box((7, 0), constrained_exponents("int", (1, 1))) == 0
+    # (1, 1, -9) constrains the last coordinate alone, and 2**9 > 5 strikes nothing
+    assert count_box((3, 4, 5), constrained_exponents((1, 1, -9))) == 60
+    assert count_box((7, 0), constrained_exponents((1, 1))) == 0
 
 
 def test_density_report_fields():
@@ -69,7 +70,7 @@ def test_density_report_fields():
 
 
 def test_density_report_reads_a_whole_n_as_an_int():
-    report = density_report(1e3, (1, 1), "int")
+    report = density_report(1e3, (1, 1))
     assert report.box == (1000, 1000)
     assert all(type(m) is int for m in report.box)
     assert report.empirical == 0.608383
@@ -81,7 +82,7 @@ def test_density_report_reads_a_whole_n_as_an_int():
 def test_density_report_refuses_a_fractional_n():
     for N in (10.5, Fraction(21, 2), math.inf, math.nan, "x"):
         with pytest.raises(UsageError) as exc:
-            density_report(N, (1, 1), "int")
+            density_report(N, (1, 1))
         assert str(exc.value) == f"N must be a whole number, got {N}"
     # wholeness is checked before the lower bound
     with pytest.raises(UsageError) as exc:
@@ -311,7 +312,7 @@ def test_count_visible_int_matches_bruteforce():
 
 def test_b_is_read_once():
     # a generator is used up by its first read, so a second read would fail
-    assert density_report(10, (x for x in [1, 1]), "int").visible_count == 63
+    assert density_report(10, (x for x in [1, 1])).visible_count == 63
     assert count_visible_int(10, (x for x in [1, 1])) == 63
     assert brute_prefix_counts(10, (x for x in [1, 1]))[10] == 63
 
@@ -331,8 +332,8 @@ def test_count_visible_int_monotone():
 
 
 def test_density_converges_for_coprime_pairs():
-    coarse = density_report(100, [1, 1], "int")
-    fine = density_report(1000, [1, 1], "int")
+    coarse = density_report(100, [1, 1])
+    fine = density_report(1000, [1, 1])
     assert fine.abs_error < coarse.abs_error + 0.001
     assert fine.abs_error < 0.002
 
@@ -353,23 +354,23 @@ def test_rational_box_edges():
 
 
 def test_count_visible_rat_frozen():
-    report = density_report(64, ["2/3", "1/2"], "rat")
+    report = density_report(64, ["2/3", "1/2"])
     assert report.box == (8, 4)
     assert report.visible_count == 28
     assert report.total == 32
     assert report.exponent_sum == 3
 
     # a common denominator makes the base box the full [1,N]^k box
-    halved = density_report(100, ["1/2", "1/2"], "rat")
+    halved = density_report(100, ["1/2", "1/2"])
     assert halved.box == (100, 100)
     assert halved.visible_count == count_visible_int(100, (1, 1))
 
-    unit = density_report(10, ["1/1", "1/1"], "rat")
+    unit = density_report(10, ["1/1", "1/1"])
     assert unit.visible_count == 63
 
 
 def test_count_visible_rat_matches_predicate():
-    report = density_report(64, ["2/3", "1/2"], "rat")
+    report = density_report(64, ["2/3", "1/2"])
     brute = count_by_enumeration(
         report.box, lambda pt: is_visible_rat(pt, ["2/3", "1/2"])
     )
@@ -378,7 +379,7 @@ def test_count_visible_rat_matches_predicate():
 
 def test_count_visible_rat_no_density_below_two():
     # exponent sum 1/2 + 1/3 has numerator sum 1 + 1 = 2; use 1/2 alone (sum 1)
-    report = density_report(50, ["1/2"], "rat")
+    report = density_report(50, ["1/2"])
     assert report.exponent_sum == 1
     assert report.theoretical is None
     assert report.abs_error is None
@@ -387,37 +388,43 @@ def test_count_visible_rat_no_density_below_two():
 def test_count_visible_rat_errors():
     # numerators with gcd 2 are no error: (2/3, 2/3) reduces to (1/3, 1/3)
     fields = ("box", "visible_count", "exponent_sum", "theoretical")
-    shared, reduced = density_report(100, ["2/3", "2/3"], "rat"), density_report(100, ["1/3", "1/3"], "rat")
+    shared, reduced = density_report(100, ["2/3", "2/3"]), density_report(100, ["1/3", "1/3"])
     assert [getattr(shared, f) for f in fields] == [getattr(reduced, f) for f in fields]
+    # a negative entry is refused by the positive-rational predicate only; the
+    # report counts it by the one rule, over its negative position
     with pytest.raises(UsageError):
-        density_report(100, ["1/2", "-1/2"], "rat")
+        is_visible_rat((1, 1), ["1/2", "-1/2"])
+    signed = density_report(100, ["1/2", "-1/2"])
+    assert signed.visible_count == count_by_enumeration(signed.box, lambda pt: is_visible_signed(pt, ["1/2", "-1/2"]))
 
 
 # ---------------------------------------------------------------- signed
 
 
 def test_count_visible_signed_frozen():
-    report = density_report(100, [1, -2], "signed")
+    report = density_report(100, [1, -2])
     assert report.box == (100, 100)
     assert report.visible_count == 6100
     assert report.exponent_sum == 2
 
-    all_negative = density_report(10, [-1, -1], "signed")
+    all_negative = density_report(10, [-1, -1])
     assert all_negative.visible_count == 63
 
-    assert density_report(1, [1, -2], "signed").visible_count == 1
+    assert density_report(1, [1, -2]).visible_count == 1
 
 
 def test_count_visible_signed_empty_j():
-    report = density_report(50, ["1/2", "2/3"], "signed")
-    assert report.visible_count == report.total
-    assert report.exponent_sum == 0
-    assert report.theoretical is None
+    # no negative entry: every position constrains, as for the rational vector it is
+    report = density_report(50, ["1/2", "2/3"])
+    assert report.visible_count == count_by_enumeration(report.box, lambda pt: is_visible_rat(pt, ["1/2", "2/3"]))
+    assert report.visible_count < report.total
+    assert report.exponent_sum == 3
+    assert report.theoretical == inv_zeta(3)
 
 
 def test_count_visible_signed_matches_bruteforce_k2():
     for N in (1, 2, 5, 10, 20, 50):
-        report = density_report(N, [1, -2], "signed")
+        report = density_report(N, [1, -2])
         brute = count_by_enumeration(
             report.box, lambda pt: is_visible_signed(pt, [1, -2])
         )
@@ -427,7 +434,7 @@ def test_count_visible_signed_matches_bruteforce_k2():
 def test_count_visible_signed_matches_bruteforce_k3():
     b = [3, -2, -3]
     for N in (1, 2, 5, 10, 20, 30):
-        report = density_report(N, b, "signed")
+        report = density_report(N, b)
         brute = count_by_enumeration(
             report.box, lambda pt: is_visible_signed(pt, b)
         )
@@ -436,7 +443,7 @@ def test_count_visible_signed_matches_bruteforce_k3():
 
 def test_signed_factorizes_over_negative_coordinates():
     # the free coordinate contributes a plain factor of its edge
-    narrow = density_report(50, [1, -2], "signed").visible_count
+    narrow = density_report(50, [1, -2]).visible_count
     squarefree = sum(
         1 for n in range(1, 51) if all(m == 1 for _, m in factorize(n))
     )
@@ -451,22 +458,19 @@ def test_signed_factorizes_over_negative_coordinates():
     st.integers(min_value=1, max_value=3).flatmap(
         lambda k: st.tuples(
             st.tuples(*[st.integers(min_value=0, max_value=12)] * k),
-            st.lists(st.integers(min_value=0, max_value=4), min_size=k, max_size=k),
+            st.lists(st.integers(min_value=0, max_value=4), min_size=k, max_size=k).filter(any),
         )
     )
 )
 def test_mark_box_matches_its_definition(box):
-    # exponent 0 leaves a coordinate free, so the positions may be empty;
-    # primes up to 11 cover every coordinate of at most 12
+    # exponent 0 leaves a coordinate free, and at least one constrains, as in
+    # every Constraint; primes up to 11 cover every coordinate of at most 12
     edges, powers = box
     positions = tuple(j for j, e in enumerate(powers) if e)
     constraint = Constraint(len(edges), positions, tuple(powers[j] for j in positions))
     points = itertools.product(*(range(1, m + 1) for m in edges))
     expected = [
-        0
-        if positions
-        and any(all(pt[j] % p ** powers[j] == 0 for j in positions) for p in (2, 3, 5, 7, 11))
-        else 1
+        0 if any(all(pt[j] % p ** powers[j] == 0 for j in positions) for p in (2, 3, 5, 7, 11)) else 1
         for pt in points
     ]
     assert list(mark_box(edges, constraint)) == expected
@@ -474,7 +478,8 @@ def test_mark_box_matches_its_definition(box):
 
 def test_mark_box_edge_cases():
     assert mark_box((0, 5), Constraint(2, (0, 1), (1, 1))) == bytearray()
-    assert mark_box((3,), Constraint(1, (), ())) == bytearray(b"\1\1\1")
+    # a free axis beside a constrained edge of 1: nothing is struck out
+    assert mark_box((3, 1), constrained_exponents((1, -2))) == bytearray(b"\1\1\1")
     # a prime power past an edge strikes nothing out
     assert mark_box((2, 3), Constraint(2, (0, 1), (2, 2))) == bytearray(b"\1") * 6
     # only the constrained first coordinate decides
@@ -492,7 +497,7 @@ def test_mark_box_edge_cases():
         ((1000, 1), (0,), (1,)),
         ((1000,), (0,), (2,)),
         ((1, 1000), (1,), (3,)),
-        ((1000,), (), ()),
+        ((1000, 1), *constrained_exponents((1, -2))[1:]),  # a free line beside a constrained edge of 1
         ((1,), (0,), (1,)),
     ],
 )
@@ -505,18 +510,18 @@ def test_mark_box_on_a_line_matches_the_generic_marking(edges, positions, exps):
 
 
 @pytest.mark.parametrize(
-    "edges, case, b, expected",
+    "edges, b, expected",
     [
-        ((5_000_000, 2), "int", (1, 1), mobius_box_count((5_000_000, 2), (1, 1))),
+        ((5_000_000, 2), (1, 1), mobius_box_count((5_000_000, 2), (1, 1))),
         # the first coordinate is free: each of its 100_000 values keeps the squarefree second ones
-        ((100_000, 100), "signed", (1, -2), 100_000 * mobius_box_count((100,), (2,))),
+        ((100_000, 100), (1, -2), 100_000 * mobius_box_count((100,), (2,))),
     ],
     ids=["int-5000000x2", "signed-100000x100"],
 )
-def test_mark_box_is_fast_on_a_short_last_axis(edges, case, b, expected):
+def test_mark_box_is_fast_on_a_short_last_axis(edges, b, expected):
     # clearing along the last axis would take one slice per value of the long first one
     start = time.perf_counter()
-    visible = count_visible_box(edges, constrained_exponents(case, b))
+    visible = count_visible_box(edges, constrained_exponents(b))
     elapsed = time.perf_counter() - start
     assert visible == expected
     assert elapsed < 1.0
@@ -539,66 +544,61 @@ def test_bruteforce_examples():
 
 
 def test_density_report_dispatch():
-    as_int = density_report(10, [2, 3], "int")
+    as_int = density_report(10, [2, 3])
     assert as_int.visible_count == 98
     assert as_int.exponent_sum == 5
 
-    as_rat = density_report(64, ["2/3", "1/2"], "rat")
+    as_rat = density_report(64, ["2/3", "1/2"])
     assert as_rat.visible_count == 28
 
-    as_signed = density_report(100, [1, -2], "signed")
+    as_signed = density_report(100, [1, -2])
     assert as_signed.visible_count == 6100
 
-    with pytest.raises(UsageError):
+    # no function takes a family name: a third positional argument is refused
+    with pytest.raises(TypeError):
         density_report(10, [1, 1], "complex")
-
-    # only "int", "rat" and "signed" name a family, everywhere
-    unknown = "unknown case {!r}; expected int, rat, or signed"
-    with pytest.raises(UsageError) as exc:
-        density_report(10, [1, 1], "integer")
-    assert str(exc.value) == unknown.format("integer")
-    with pytest.raises(UsageError) as exc:
-        witness_prime((2, 4), "rational", ["1/2", "1/2"])
-    assert str(exc.value) == unknown.format("rational")
-    with pytest.raises(UsageError) as exc:
-        constrained_exponents("", (1, 1))
-    assert str(exc.value) == unknown.format("")
+    with pytest.raises(TypeError):
+        density_report(10, [1, 1], "int")
+    with pytest.raises(TypeError):
+        witness_prime((2, 4), "rat", ["1/2", "1/2"])
+    with pytest.raises(TypeError):
+        constrained_exponents("signed", (1, 1))
 
 
 def test_density_report_int_uses_reduced_exponent_sum():
     # (2,4) reduces to (1,2); the density is 1/zeta(3), not 1/zeta(6)
-    report = density_report(1000, [2, 4], "int")
+    report = density_report(1000, [2, 4])
     assert report.exponent_sum == 3
     assert report.abs_error < 0.005
 
 
 @pytest.mark.parametrize(
-    "kind,b,N",
+    "b,N",
     [
-        ("int", [1, 1], 100),
-        ("int", [2, 4], 60),  # reduced to (1,2) before counting
-        ("int", [1, 2, 3], 20),
-        ("rat", ["2/3", "1/2"], 64),
-        ("rat", ["2/3", "3/2"], 1000),
-        ("signed", [1, -2], 100),
-        ("signed", [3, -2, -3], 30),
-        ("signed", ["1/2", "2/3"], 50),  # J empty: s = 0
+        ([1, 1], 100),
+        ([2, 4], 60),  # reduced to (1,2) before counting
+        ([1, 2, 3], 20),
+        (["2/3", "1/2"], 64),
+        (["2/3", "3/2"], 1000),
+        ([1, -2], 100),
+        ([3, -2, -3], 30),
+        (["1/2", "2/3"], 50),  # no negative entry: every position constrains, s = 3
     ],
 )
-def test_count_box_agrees_with_density_report(kind, b, N):
-    report = density_report(N, b, kind)
-    vec = as_exponent_vector(b) if kind == "int" else as_rational_exponent_vector(b)
+def test_count_box_agrees_with_density_report(b, N):
+    report = density_report(N, b)
+    vec = as_rational_exponent_vector(b)
     edges = box_edges(N, vec)
     assert edges == report.box
-    constraint = constrained_exponents(kind, vec)
+    constraint = constrained_exponents(vec)
     assert count_box(edges, constraint) == report.visible_count
     assert sum(constraint.exps) == report.exponent_sum
 
 
 def test_count_box_empty_box():
     # density reports reject empty boxes; count_box just answers zero
-    assert count_box((0, 5), constrained_exponents("int", [1, 1])) == 0
-    assert count_box((12, 0), constrained_exponents("signed", [-1, -1])) == 0
+    assert count_box((0, 5), constrained_exponents([1, 1])) == 0
+    assert count_box((12, 0), constrained_exponents([-1, -1])) == 0
     with pytest.raises(UsageError) as exc:
-        count_box((8,), constrained_exponents("signed", [1, -2]))
+        count_box((8,), constrained_exponents([1, -2]))
     assert str(exc.value) == "box has 1 edges, exponent vector has 2"

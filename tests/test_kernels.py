@@ -8,7 +8,7 @@ import pytest
 import bvis
 from bvis._kernels import zeta_partial_sum
 from bvis.counting import count_visible_box, mobius_box_count
-from bvis.visibility import Constraint
+from bvis.visibility import Constraint, constrained_exponents
 
 
 def test_backend_name():
@@ -91,7 +91,8 @@ def test_count_visible_box_against_mobius():
 
 
 def test_count_visible_box_edge_cases():
-    assert count_visible_box((5, 5), Constraint(2, (), ())) == 25
+    # (1, -3) constrains the second coordinate alone, and 2**3 > 5 strikes nothing
+    assert count_visible_box((5, 5), constrained_exponents((1, -3))) == 25
     assert count_visible_box((0, 5), Constraint(2, (0, 1), (1, 1))) == 0
     assert count_visible_box((1, 1), Constraint(2, (0, 1), (1, 1))) == 1
 

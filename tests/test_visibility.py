@@ -28,14 +28,14 @@ from bvis.visibility import (
 
 
 def test_reduce_b_examples():
-    assert constrained_exponents("int", (2, 4)).exps == (1, 2)
-    assert constrained_exponents("int", (1, 1, 1)).exps == (1, 1, 1)
-    assert constrained_exponents("int", (6, 9, 15)).exps == (2, 3, 5)
+    assert constrained_exponents((2, 4)).exps == (1, 2)
+    assert constrained_exponents((1, 1, 1)).exps == (1, 1, 1)
+    assert constrained_exponents((6, 9, 15)).exps == (2, 3, 5)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=5))
 def test_reduce_b_has_gcd_one(entries):
-    assert math.gcd(*constrained_exponents("int", entries).exps) == 1
+    assert math.gcd(*constrained_exponents(entries).exps) == 1
 
 
 def test_exponent_vector_validation():
@@ -76,12 +76,12 @@ def test_rational_vector_validation():
     assert tuple(f.numerator for f in fracs) == (2, 1)
     assert tuple(f.denominator for f in fracs) == (3, 2)
     assert math.lcm(*(f.denominator for f in fracs)) == 6
-    assert constrained_exponents("signed", fracs).positions == ()
+    assert tuple(constrained_exponents(fracs).positions) == (0, 1)  # no negative entry: all of them
     assert fracs == (Fraction(2, 3), Fraction(1, 2))
 
 
 def test_negative_indices():
-    assert constrained_exponents("signed", [3, -2, -3]).positions == (1, 2)
+    assert constrained_exponents([3, -2, -3]).positions == (1, 2)
 
 
 # ---------------------------------------------------------------- integer case
@@ -317,8 +317,11 @@ def test_visible_signed_examples():
 
 
 def test_signed_empty_j_is_vacuously_visible():
+    # no negative entry: every position constrains, as the oracle's t < 1 says
+    assert witness_prime_signed((2, 2), (1, 1)) == 2
+    assert find_parametric_witness((2, 2), (1, 1)) == (1, 1)
     for pt in [(1, 1), (4, 8), (100, 100)]:
-        assert is_visible_signed(pt, ["1/2", "1/2"])
+        assert is_visible_signed(pt, ["1/2", "1/2"]) == is_visible_rat(pt, ["1/2", "1/2"])
 
 
 def test_signed_matches_int_when_all_negative():
@@ -356,16 +359,16 @@ def test_signed_gcd_precondition():
 
 
 @pytest.mark.parametrize(
-    "kind,b,positions,exps",
+    "b,positions,exps",
     [
-        ("int", (2, 4, 6), (0, 1, 2), (1, 2, 3)),
-        ("rat", ["2/3", "1/2"], (0, 1), (2, 1)),
-        ("signed", ["3", "-2", "-3"], (1, 2), (2, 3)),
-        ("signed", ["1", "2"], (), ()),
+        ((2, 4, 6), (0, 1, 2), (1, 2, 3)),
+        (["2/3", "1/2"], (0, 1), (2, 1)),
+        (["3", "-2", "-3"], (1, 2), (2, 3)),
+        (["1", "2"], (0, 1), (1, 2)),  # no negative entry: every position constrains
     ],
 )
-def test_constraint_per_family(kind, b, positions, exps):
-    constraint = visibility.constrained_exponents(kind, b)
+def test_constraint_per_family(b, positions, exps):
+    constraint = visibility.constrained_exponents(b)
     k, got_positions, got_exps = constraint  # unpacks as (k, positions, exponents)
     assert (k, tuple(got_positions), got_exps) == (len(b), positions, exps)
     for point in itertools.product(range(1, 9), repeat=len(b)):
@@ -374,11 +377,11 @@ def test_constraint_per_family(kind, b, positions, exps):
             (
                 p
                 for p in (2, 3, 5, 7)
-                if positions and all(point[j] % p**e == 0 for j, e in zip(positions, exps))
+                if all(point[j] % p**e == 0 for j, e in zip(positions, exps))
             ),
             None,
         )
-        assert visibility.witness_prime(point, kind, b) == expected, point
+        assert visibility.witness_prime(point, b) == expected, point
         assert constraint.witness(point) == expected, point
 
 
@@ -410,14 +413,9 @@ def test_one_gcd_rule_is_scale_invariant(b, m, d, data):
         m //= g
     scaled = [Fraction(m, math.gcd(d, *(f.numerator for f in b))) * f for f in b]
     assert [f.denominator for f in scaled] == [f.denominator for f in b]
-    kinds = ["signed"] if any(f < 0 for f in b) else ["rat", "signed"]
-    if all(f > 0 and f.denominator == 1 for f in b):
-        kinds.append("int")
     base = tuple(data.draw(st.lists(st.integers(1, 3), min_size=len(b), max_size=len(b))))
-    for kind in kinds:
-        assert constrained_exponents(kind, scaled) == constrained_exponents(kind, b)
-        if kind == "signed" and all(f > 0 for f in b):
-            continue  # no negative position: the oracle's t < 1 is not the signed family's t > 1
-        for vector in (b, scaled):
-            point, integers = _expanded(base, vector)
-            assert (find_parametric_witness(point, integers) is None) == (witness_prime(base, kind, b) is None)
+    assert constrained_exponents(scaled) == constrained_exponents(b)
+    # every sign pattern, all-positive included, agrees with the oracle
+    for vector in (b, scaled):
+        point, integers = _expanded(base, vector)
+        assert (find_parametric_witness(point, integers) is None) == (witness_prime(base, b) is None)
