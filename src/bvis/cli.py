@@ -141,9 +141,7 @@ def check(b_spec, point_spec, expanded, fmt):
     whole = family(vector) == "int"  # no restricted lattice, and a witness has an image
     point = _parse_ints(point_spec, "--point")
     if expanded:
-        if whole:
-            raise UsageError("--expanded only applies to fractional exponents")
-        point = base_from_expanded(point, vector)
+        point = base_from_expanded(point, vector)  # the identity when alpha = 1
     witness = witness_prime(point, vector)
     image = _witness_image(point, vector, witness) if whole and witness is not None else None
     fields = {

@@ -21,10 +21,11 @@ since t -> t**G maps (0, 1) and (1, oo) onto themselves.  For rational b
 this goes past the paper's gcd-one condition; ``bvis verify`` checks it.
 
 ``constrained_exponents`` turns a vector into its ``Constraint`` (which
-positions constrain, with which exponents), and ``witness_prime`` answers
-every vector through it.  "int", "rat" and "signed" survive only as the
-label ``family`` prints; the ``*_int``, ``*_rat`` and ``*_signed``
-wrappers differ only in the vectors they accept.
+positions constrain, with which exponents), and ``witness_prime`` and
+``is_visible`` answer every vector through it.  "int", "rat" and "signed"
+survive only as the label ``family`` prints; the ``*_int``, ``*_rat`` and
+``*_signed`` predicates are other names for those two functions and read
+every nonzero rational vector.
 
 ``find_parametric_witness`` is the oracle: an independent brute-force
 implementation of the defining search over scaled image points, used to
@@ -53,8 +54,8 @@ LatticePoint = tuple[int, ...]
 RationalPoint = tuple[int, ...]
 
 
-def as_exponent_vector(b, signed: bool = False) -> tuple[int, ...]:
-    """b as positive (nonzero if ``signed``) integer exponents (b1,...,bk), k >= 1, or a UsageError."""
+def as_exponent_vector(b) -> tuple[int, ...]:
+    """b as nonzero integer exponents (b1,...,bk), k >= 1, of either sign, or a UsageError."""
     items = tuple(b)
     try:
         entries = tuple(int(x) for x in items)
@@ -65,8 +66,8 @@ def as_exponent_vector(b, signed: bool = False) -> tuple[int, ...]:
         raise UsageError(f"integer exponents must be whole numbers, got {items}")
     if not entries:
         raise UsageError("exponent vector must have at least one entry")
-    if not all(entries) if signed else any(e < 1 for e in entries):
-        raise UsageError(f"integer exponents must be {'nonzero' if signed else '>= 1'}, got {entries}")
+    if not all(entries):
+        raise UsageError(f"integer exponents must be nonzero, got {entries}")
     return entries
 
 
@@ -171,41 +172,15 @@ def _witness_image(point: Sequence[int], b, prime: int) -> tuple[int, ...]:
     return tuple(c // prime**e for c, e in zip(point, constrained_exponents(b).exps))
 
 
-def _positive(b) -> tuple[Fraction, ...]:
-    fracs = as_rational_exponent_vector(b)
-    if any(f < 0 for f in fracs):
-        raise UsageError("positive-rational predicate got negative exponents; use the signed predicate")
-    return fracs
-
-
-# The wrappers below check only that b is of their family; perfbench's
-# tracer wraps them by name.
-def witness_prime_int(point: Sequence[int], b) -> int | None:
-    """Smallest prime certifying invisibility of the point, or None."""
-    return witness_prime(point, as_exponent_vector(b))
-
-
-def is_visible_int(point: Sequence[int], b) -> bool:
-    """Integer-exponent visibility via the prime-power characterization."""
-    return witness_prime(point, as_exponent_vector(b)) is None
-
-
-def witness_prime_rat(point: Sequence[int], b) -> int | None:
-    return witness_prime(point, _positive(b))
-
-
-def is_visible_rat(point: Sequence[int], b) -> bool:
-    """Positive-rational visibility of a base tuple on the restricted lattice."""
-    return witness_prime(point, _positive(b)) is None
-
-
-def witness_prime_signed(point: Sequence[int], b) -> int | None:
-    return witness_prime(point, b)
-
-
-def is_visible_signed(point: Sequence[int], b) -> bool:
-    """Visibility of a base tuple for any nonzero rational b, negative entries or not."""
+def is_visible(point: Sequence[int], b) -> bool:
+    """Whether the point (a base tuple) is visible for b: no prime witnesses it."""
     return witness_prime(point, b) is None
+
+
+# Other names for the two predicates, kept for callers that name a family;
+# perfbench's tracer wraps them by name.
+witness_prime_int = witness_prime_rat = witness_prime_signed = witness_prime
+is_visible_int = is_visible_rat = is_visible_signed = is_visible
 
 
 def base_from_expanded(coords: Sequence[int], b) -> RationalPoint:
@@ -251,7 +226,7 @@ def find_parametric_witness(point: Sequence[int], b) -> LatticePoint | None:
     sum c * (L/|bi|) * bits(c) over the coordinates (L = lcm(b)) passes
     ORACLE_BIT_BUDGET, raise ResourceLimitError before anything is built.
     """
-    entries = as_exponent_vector(b, signed=True)
+    entries = as_exponent_vector(b)
     coords = _as_point(point, len(entries))
     box = math.prod(coords)
     if box > DEFAULT_ORACLE_BOX_LIMIT:

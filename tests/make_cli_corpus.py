@@ -67,9 +67,9 @@ _USAGE_ERRORS = (
     "check --b 1,2 --point 1,2,3",
     "density --b 0,1/2 --N 10",
     "check --b 1/0,1 --point 4,6",
-    "check --b 1,-2 --point 4,6 --expanded",  # exits 0: only the label "int" refuses --expanded
+    "check --b 1,-2 --point 4,6 --expanded",  # exits 0: alpha = 1, so each point is its own base
     "check --b 1,x --point 1,2",
-    "check --b 1,2 --point 4,8 --expanded",
+    "check --b 1,2 --point 4,8 --expanded",  # exits 0, as without --expanded
     "check --b 2/3,1/2 --point 16,7 --expanded",
     "count --b 1,1 --N 5 --box 5,5",
     "sieve --b 1,1 --N 3 --limit 0",
@@ -112,6 +112,7 @@ _OUTPUTS = (
     "density --b 1 --N 10",
     "zeta --s 3 --format json",
     "check --b 2/3,1/2 --point 16,8 --expanded --format csv",
+    "check --b 1,1 --point 4,6 --expanded --format json",  # --expanded takes every vector
     "verify --profile quick",
 )
 

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -174,8 +177,6 @@ def test_mobius_box_count_in_small_chunks_and_windows(box, chunk, window):
         # head = depth = 100872 values of mu, one window; a whole Mertens
         # table read in 65536-value slices peaked at 2.9 MB
         (10175172344, 86130807922539665546, 1 << 20),
-        # head = depth = 10**6, eight windows; a whole table peaked at 6.0 MB
-        (10**12, 831907372580730277919216, 2 << 20),
     ],
 )
 def test_a_sum_without_a_tail_holds_a_window_of_mu(edge, count, budget):
@@ -187,6 +188,36 @@ def test_a_sum_without_a_tail_holds_a_window_of_mu(edge, count, budget):
         tracemalloc.stop()
     assert got == count
     assert peak < budget
+
+
+# Growth of a fresh process's peak RSS (VmHWM) across one sum.  VmHWM starts
+# anew at exec, where ru_maxrss carries over the spawning process's peak.
+_PEAK_RSS_PROBE = """
+from bvis.counting import mobius_box_count
+
+def peak_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+before = peak_kb()
+count = mobius_box_count((10**12, 10**12), (1, 2))
+print(count, (peak_kb() - before) * 1024)
+"""
+
+
+def test_a_sum_without_a_tail_at_1e12_holds_a_window_of_mu():
+    # head = depth = 10**6, eight windows; a whole table peaked at 6.0 MB.  The
+    # sum runs untraced in a child: tracemalloc would trace every int the head
+    # makes, which made it about 40 times slower.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_PROBE], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    count, growth = map(int, out.stdout.split())
+    assert count == 831907372580730277919216
+    assert growth < 2 << 20
 
 
 def test_mobius_box_count_head_tail_splits():
@@ -390,10 +421,9 @@ def test_count_visible_rat_errors():
     fields = ("box", "visible_count", "exponent_sum", "theoretical")
     shared, reduced = density_report(100, ["2/3", "2/3"]), density_report(100, ["1/3", "1/3"])
     assert [getattr(shared, f) for f in fields] == [getattr(reduced, f) for f in fields]
-    # a negative entry is refused by the positive-rational predicate only; the
-    # report counts it by the one rule, over its negative position
-    with pytest.raises(UsageError):
-        is_visible_rat((1, 1), ["1/2", "-1/2"])
+    # a negative entry is no error either: the predicate and the report read it
+    # by the one rule, over its negative position
+    assert is_visible_rat((1, 1), ["1/2", "-1/2"]) == (witness_prime((1, 1), ["1/2", "-1/2"]) is None)
     signed = density_report(100, ["1/2", "-1/2"])
     assert signed.visible_count == count_by_enumeration(signed.box, lambda pt: is_visible_signed(pt, ["1/2", "-1/2"]))
 
@@ -583,6 +613,7 @@ def test_density_report_int_uses_reduced_exponent_sum():
         ([1, -2], 100),
         ([3, -2, -3], 30),
         (["1/2", "2/3"], 50),  # no negative entry: every position constrains, s = 3
+        ([-1, -1], 40),  # every entry negative: every position constrains, through t > 1
     ],
 )
 def test_count_box_agrees_with_density_report(b, N):
@@ -593,6 +624,9 @@ def test_count_box_agrees_with_density_report(b, N):
     constraint = constrained_exponents(vec)
     assert count_box(edges, constraint) == report.visible_count
     assert sum(constraint.exps) == report.exponent_sum
+    # the integer-vector counts read every sign too
+    if all(f.denominator == 1 for f in vec):
+        assert count_visible_int(N, b) == brute_prefix_counts(N, b)[N] == report.visible_count
 
 
 def test_count_box_empty_box():

@@ -27,6 +27,12 @@ from bvis.visibility import (
 # ---------------------------------------------------------------- vectors
 
 
+def test_family_names_are_the_one_predicate():
+    for kind in ("int", "rat", "signed"):
+        assert getattr(visibility, f"witness_prime_{kind}") is visibility.witness_prime
+        assert getattr(visibility, f"is_visible_{kind}") is visibility.is_visible
+
+
 def test_reduce_b_examples():
     assert constrained_exponents((2, 4)).exps == (1, 2)
     assert constrained_exponents((1, 1, 1)).exps == (1, 1, 1)
@@ -41,21 +47,17 @@ def test_reduce_b_has_gcd_one(entries):
 def test_exponent_vector_validation():
     with pytest.raises(UsageError):
         as_exponent_vector(())
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="nonzero"):
         as_exponent_vector((0, 1))
-    with pytest.raises(UsageError):
-        as_exponent_vector((1, -2))
+    # entries of either sign are read, for every caller
+    assert as_exponent_vector((1, -2)) == (1, -2)
     # a non-integral entry is refused, not truncated; integral values of
     # other types are read as the integer
     with pytest.raises(UsageError, match="whole numbers"):
         as_exponent_vector([1.5, 1])
     with pytest.raises(UsageError, match="whole numbers"):
         as_exponent_vector([Fraction(3, 2), 1])
-    assert as_exponent_vector([2.0, "3", Fraction(4)]) == (2, 3, 4)
-    # the oracle's vectors need only be nonzero
-    assert as_exponent_vector((1, -2), signed=True) == (1, -2)
-    with pytest.raises(UsageError, match="nonzero"):
-        as_exponent_vector((0, 1), signed=True)
+    assert as_exponent_vector([2.0, "3", Fraction(-4)]) == (2, 3, -4)
 
 
 @pytest.mark.parametrize("entry", [math.inf, math.nan])
@@ -291,9 +293,14 @@ def test_rat_gcd_precondition():
     assert is_visible_rat((2, 3), ["2/3", "2/3"])
 
 
-def test_rat_rejects_negative_exponents():
-    with pytest.raises(UsageError):
-        is_visible_rat((2, 3), ["1/2", "-1/2"])
+def test_rat_reads_negative_exponents():
+    # no predicate refuses a vector for its family: a negative entry gets the one rule
+    for b in (["1/2", "-1/2"], ["-1/2", "-1/2"], ["2/3", "-3"]):
+        for pt in itertools.product(range(1, 13), repeat=2):
+            assert is_visible_rat(pt, b) == (witness_prime(pt, b) is None)
+    # only the negative position constrains, with exponent 1
+    assert not is_visible_rat((3, 4), ["1/2", "-1/2"])
+    assert is_visible_rat((4, 1), ["1/2", "-1/2"])
 
 
 def test_base_from_expanded():
