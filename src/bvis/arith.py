@@ -62,9 +62,6 @@ SIEVE_BYTES_PER_ENTRY = 6
 # 64 KB in each slice that p = 2 copies.
 MOBIUS_WINDOW = 1 << 17
 
-# Values of M above its table that one Mertens instance may remember.
-MERTENS_MEMO_CAP = 1 << 18
-
 # Mertens tables below this limit are lists of Python ints summed in plain
 # Python, without importing numpy (about 0.1 s of start-up).  From here on
 # the table is an int32 numpy array.  Measured end to end on `bvis density
@@ -396,11 +393,11 @@ class Mertens:
     sum_{d=1..x} M(x // d) = 1 is solved for M(x), grouping the d that
     share a quotient (Deleglise & Rivat, "Computing the summation of the
     Moebius function", Experimental Math. 5(4), 1996); the results are
-    memoized.  Below PURE_SIEVE_LIMIT the table is a list of Python ints
-    and its sums are plain Python; from there on it is an int32 numpy
-    array, 4 bytes per entry, filled in place window by window.  Raises
-    ResourceLimitError before allocating when the table would exceed the
-    sieve budget, and when the memo would pass MERTENS_MEMO_CAP entries.
+    memoized, at most ``counting.plan``'s memo bound of them for a box
+    sum.  Below PURE_SIEVE_LIMIT the table is a list of Python ints and its
+    sums are plain Python; from there on it is an int32 numpy array, 4
+    bytes per entry, filled in place window by window.  A table past the
+    sieve budget raises ResourceLimitError before anything is allocated.
     """
 
     def __init__(self, table_limit: int):
@@ -443,8 +440,6 @@ class Mertens:
         total = 1 - self._table_terms(x, r, split, big)
         for d in range(2, split + 1):
             total -= self(x // d)
-        if len(self._memo) >= MERTENS_MEMO_CAP:
-            raise ResourceLimitError(f"Mertens memo would pass {MERTENS_MEMO_CAP} entries")
         self._memo[x] = total
         return total
 

@@ -11,15 +11,16 @@ min(D, max_i iroot(Mi, ei + 1)) every d has its own term; they are summed
 HEAD_CHUNK values of mu at a time, by C-level iterators over exact ints.
 Past the head, d runs over stretches where every floor(Mi / d**ei) is
 constant; such a run [d1, d2] adds its product times M(d2) - M(d1 - 1), a
-difference of Mertens values (Deleglise & Rivat, 1996).  arith.Mertens
-tabulates M up to about 2 * D**(2/3), and at least the head, and recurses
-above that, so a count costs about max(head, D**(2/3)) time instead of D;
-for b = (1, 1) the head is sqrt(D).  Every head reads mu from
-arith.mobius_windows one bytes window at a time.  A sum whose head
-reaches the depth, as for unequal exponents, has no tail: it holds no
-table of M and never imports numpy.  A head or table past the sieve
-budget raises ResourceLimitError (CLI exit 4) before anything is
-allocated; a sum with a tail builds its table before it sums the head.
+difference of Mertens values (Deleglise & Rivat, 1996).  ``plan`` sizes
+a sum before any work: its depth, its head, the limit up to which
+arith.Mertens tabulates M (about 2 * D**(2/3), and at least the head),
+and a bound on the values of M memoized above it.  So a count costs about
+max(head, D**(2/3)) time instead of D; for b = (1, 1) the head is
+sqrt(D).  Every head reads mu from arith.mobius_windows one bytes window
+at a time.  A sum whose head reaches the depth, as for unequal
+exponents, has no tail: it holds no table of M and never imports numpy.
+A table or head past the sieve budget raises ResourceLimitError (CLI
+exit 4) before anything is allocated, the table's refusal first.
 
 ``count_box(edges, constraint)`` is the one path from a box to a count
 for every vector.  It takes the box edges and the ``Constraint`` that
@@ -92,22 +93,27 @@ class DensityReport:
         return abs(self.empirical - self.theoretical)
 
 
-def _mertens_table_limit(pairs, depth: int, head: int) -> int:
-    """Sieve limit L for the Mertens values of a box sum with a tail (head < depth).
+def plan(pairs) -> tuple[int, int, int | None, int]:
+    """(depth, head, table_limit, memo_bound) of the sum over pairs (Mi, ei), all Mi >= 1.
 
-    At least the head, so that M(head), where the tail starts, and the
-    short runs just past it are read from the table, and 2 * depth**(2/3),
-    at most the depth.  The head reads its mu from windows of its own.
-    Every value of M needed above L has the form iroot(m // j, e) for some
-    edge m with exponent e (run ends are, and floor division by d keeps the
-    form), so at most sum m // (L+1)**e of them get memoized; L doubles
+    A sum whose head reaches the depth has no tail, table (None) or memo.
+    Otherwise the table limit L is at least the head, so that M(head),
+    where the tail starts, and the short runs just past it are read from
+    the table, and 2 * depth**(2/3), at most the depth.  Every value of M
+    needed above L has the form iroot(m // j, e) > L for some edge m with
+    exponent e (run ends are, and floor division by d keeps the form), so
+    at most memo_bound = sum m // (L+1)**e of them get memoized; L doubles
     until that is below L / 256, about where a memoized value costs what
     the sieve spends on 256 table entries.
     """
+    depth = min(iroot(m, e) for m, e in pairs)
+    head = min(depth, max(iroot(m, e + 1) for m, e in pairs))
+    if head == depth:
+        return depth, head, None, 0
     limit = min(depth, max(head, 2 * iroot(depth * depth, 3)))
     while limit < depth and 256 * sum(m // (limit + 1) ** e for m, e in pairs) > limit:
         limit = min(depth, 2 * limit)
-    return limit
+    return depth, head, limit, sum(m // (limit + 1) ** e for m, e in pairs)
 
 
 def mobius_box_count(edges: Sequence[int], exps: Sequence[int]) -> int:
@@ -123,13 +129,12 @@ def mobius_box_count(edges: Sequence[int], exps: Sequence[int]) -> int:
     if any(m == 0 for m in edges):
         return 0
     pairs = tuple(zip(edges, exps))
-    depth = min(iroot(m, e) for m, e in pairs)
-    head = min(depth, max(iroot(m, e + 1) for m, e in pairs))
-    if head < depth:
+    depth, head, table_limit, _ = plan(pairs)
+    if table_limit is not None:
         # before the head, so that a table past the budget is refused first
-        mertens = Mertens(_mertens_table_limit(pairs, depth, head))
+        mertens = Mertens(table_limit)
     total = _head_sum(pairs, mobius_windows(head))
-    if head == depth:
+    if table_limit is None:
         return total
     d, before = head + 1, mertens(head)
     while d <= depth:

@@ -8,7 +8,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bvis import arith, counting
@@ -190,34 +190,65 @@ def test_a_sum_without_a_tail_holds_a_window_of_mu(edge, count, budget):
     assert peak < budget
 
 
-# Growth of a fresh process's peak RSS (VmHWM) across one sum.  VmHWM starts
-# anew at exec, where ru_maxrss carries over the spawning process's peak.
+# Growth of a fresh process's peak RSS (VmHWM) across one count, then the
+# count or the ResourceLimitError's text.  VmHWM starts anew at exec, where
+# ru_maxrss carries over the spawning process's peak.
 _PEAK_RSS_PROBE = """
+import sys
 from bvis.counting import mobius_box_count
+from bvis.errors import ResourceLimitError
 
 def peak_kb():
     with open("/proc/self/status") as status:
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 
+edges, exps = (tuple(map(int, arg.split(","))) for arg in sys.argv[1:])
 before = peak_kb()
-count = mobius_box_count((10**12, 10**12), (1, 2))
-print(count, (peak_kb() - before) * 1024)
+try:
+    result = mobius_box_count(edges, exps)
+except ResourceLimitError as exc:
+    result = exc
+print((peak_kb() - before) * 1024, result)
 """
 
 
-def test_a_sum_without_a_tail_at_1e12_holds_a_window_of_mu():
-    # head = depth = 10**6, eight windows; a whole table peaked at 6.0 MB.  The
-    # sum runs untraced in a child: tracemalloc would trace every int the head
-    # makes, which made it about 40 times slower.
+def peak_rss_growth(edges, exps) -> tuple[int, str]:
+    """Bytes of peak RSS that ``mobius_box_count(edges, exps)`` adds in a fresh child, and what it printed.
+
+    The count runs untraced: tracemalloc would trace every int the head
+    makes, which made the 10**12 sum about 40 times slower.
+    """
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [",".join(map(str, values)) for values in (edges, exps)]
     out = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_PROBE], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", _PEAK_RSS_PROBE, *argv], capture_output=True, text=True, env=env, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    count, growth = map(int, out.stdout.split())
-    assert count == 831907372580730277919216
+    growth, result = out.stdout.rstrip("\n").split(" ", 1)
+    return int(growth), result
+
+
+def test_a_sum_without_a_tail_at_1e12_holds_a_window_of_mu():
+    # head = depth = 10**6, eight windows; a whole table peaked at 6.0 MB
+    growth, count = peak_rss_growth((10**12, 10**12), (1, 2))
+    assert count == "831907372580730277919216"
     assert growth < 2 << 20
+
+
+@pytest.mark.parametrize(
+    "edges, exps, text",
+    [
+        # a table of 43088692 entries, refused before the head of 316227
+        ((10**11, 10**11), (1, 1), "Moebius sieve limit 43088692 needs 258532152 bytes"),
+        # no tail: a head of 10**8 values of mu
+        ((10**16, 10**16), (1, 2), "Moebius sieve limit 100000000 needs 600000000 bytes"),
+    ],
+)
+def test_a_refused_count_allocates_nothing(edges, exps, text):
+    growth, error = peak_rss_growth(edges, exps)
+    assert error == f"{text} (6 per entry), which exceeds memory budget 200000000 bytes"
+    assert growth < 1 << 20
 
 
 def test_mobius_box_count_head_tail_splits():
@@ -278,15 +309,56 @@ def test_mertens_tables_on_both_sides_of_the_crossover():
         assert [mertens(10**7), mertens(10**8)] == [1037, 1928]
 
 
-def test_mertens_budgets(monkeypatch):
+def test_mertens_budgets():
     with pytest.raises(ResourceLimitError):
         Mertens(10**9)  # 6e9 bytes of sieve
     over = arith.DEFAULT_SIEVE_BUDGET // arith.SIEVE_BYTES_PER_ENTRY + 1
     with pytest.raises(ResourceLimitError):
         mobius_windows(over)
-    monkeypatch.setattr(arith, "MERTENS_MEMO_CAP", 3)
-    with pytest.raises(ResourceLimitError):
-        Mertens(100)(10_000)
+
+
+@st.composite
+def planned_boxes(draw):
+    """k = 1..3 pairs (edge up to 10**12, exponent 1..4); the first holds the depth to at most 10**6."""
+    e = draw(st.integers(min_value=1, max_value=4))
+    depth = min(draw(st.integers(min_value=1, max_value=10**6)), iroot(10**12, e))
+    first = draw(st.integers(min_value=depth**e, max_value=min(10**12, (depth + 1) ** e - 1)))
+    rest = []
+    for f in draw(st.lists(st.integers(min_value=1, max_value=4), max_size=2)):
+        # the first edge again, or any edge from depth**f up to 10**12
+        other = st.integers(min_value=min(depth**f, 10**12), max_value=10**12)
+        rest.append((draw(st.just(first) | other), f))
+    return draw(st.permutations([(first, e), *rest]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(planned_boxes())
+# depth 3, where 2 * iroot(3**2, 3) = 4 passes the depth
+@example([(3, 1), (3, 1)])
+def test_the_plan_bounds_each_count(box):
+    edges, exps = tuple(m for m, _ in box), tuple(e for _, e in box)
+    depth, head, table_limit, memo_bound = counting.plan(tuple(box))
+    built = []
+
+    class Recorded(Mertens):
+        def __init__(self, table_limit):
+            super().__init__(table_limit)
+            built.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "Mertens", Recorded)
+        count = mobius_box_count(edges, exps)
+    assert 1 <= head <= depth <= 10**6
+    if table_limit is None:
+        assert head == depth and memo_bound == 0 and not built
+    else:
+        assert head <= table_limit <= depth and head < depth
+        assert table_limit == depth or 256 * memo_bound <= table_limit
+        (mertens,) = built
+        assert mertens.table_limit == table_limit
+        assert len(mertens._memo) <= memo_bound
+    if depth <= 10**4:
+        assert count == _naive_box_count(edges, exps)
 
 
 def test_a_mertens_table_holds_four_bytes_per_entry():
