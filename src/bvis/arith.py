@@ -23,9 +23,11 @@ window reads.  Sieved mu has one form, the windows of
 ``mobius_windows``: MOBIUS_WINDOW signed bytes each, sieved with bytes
 operations when the caller reaches it.  ``mobius_table`` joins them into
 a list, and ``Mertens`` sums them window by window into its table of M,
-so no full-length buffer of mu is ever held.  numpy is imported only for
-a Mertens table of PURE_SIEVE_LIMIT entries or more, so the predicates,
-prime sieves and sums without a tail never load it.
+so no full-length buffer of mu is ever held.  The table has one form at
+every size, an int32 ``array``.  numpy is imported only to fill and sum
+a table of PURE_SIEVE_LIMIT entries or more, through a view of the same
+array, so the predicates, prime sieves and sums without a tail never
+load it, and ``array`` is imported only when a table is built.
 
 All functions are pure.
 """
@@ -35,6 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import struct
 from typing import Iterator
 
 from .errors import ResourceLimitError
@@ -51,23 +54,33 @@ PRIME_SEGMENT = 1 << 18
 PRIME_CHUNK = 1 << 12
 
 # Bytes per entry that a Moebius sieve is charged against
-# DEFAULT_SIEVE_BUDGET.  A Mertens table holds an int32 of M per entry and a
-# walk of the windows holds one window, but the charge stays 6, and with it
-# the limits that the refusal messages quote: it bounds a walk's time and
-# keeps every log sum of the window sieve below its marker byte (see
-# ``mobius_windows``).
+# DEFAULT_SIEVE_BUDGET.  A Mertens table holds an int32 of M per entry at
+# every size, and a walk of the windows holds one window, but the charge
+# stays 6, and with it the limits that the refusal messages quote: it
+# bounds a walk's time and keeps every log sum of the window sieve below
+# its marker byte (see ``mobius_windows``).
 SIEVE_BYTES_PER_ENTRY = 6
 
-# Values of mu per window of the Moebius walk, one byte each: 128 KB, and
-# 64 KB in each slice that p = 2 copies.
+# Values of mu per window of the Moebius walk, one byte each: 128 KB.
 MOBIUS_WINDOW = 1 << 17
+# A window's slices are translated this many bytes at a time, so each copy
+# a translation makes stays at 16 KB, where a whole slice for p = 2 took
+# 64 KB.  Pieces of 1 KB made the walk to 9.3e6 slower (best of 15: 90 ms
+# against 74 ms).
+MOBIUS_PIECE = 1 << 14
+# Entries of M that a pure-Python table fill turns into ints at a time: a
+# few tens of KB of ints and pointers.
+_FILL_CHUNK = 1 << 10
 
-# Mertens tables below this limit are lists of Python ints summed in plain
-# Python, without importing numpy (about 0.1 s of start-up).  From here on
-# the table is an int32 numpy array.  Measured end to end on `bvis density
-# --b 1,1`, the lists win up to a tie near 4.3e5 entries, past which numpy's
-# vectorized recursion sums win.
-PURE_SIEVE_LIMIT = 400_000
+# Mertens tables below this limit are filled and summed in plain Python,
+# without importing numpy (about 0.1 s and 14 MB of start-up); from here on
+# through a numpy view of the same int32 array.  Measured end to end on
+# `bvis density --b 1,1` (median CPU of 10 alternating runs, 2-vCPU x86-64
+# VM), plain Python wins at 6.8e5 entries (N = 2e8: 0.271 s against 0.284 s),
+# the two tie near 7.9e5 (N = 2.5e8: 0.336 s against 0.326 s), and numpy
+# wins from 9.0e5 on (N = 3e8: 0.306 s against 0.343 s).  While the
+# pure-Python tables were lists of ints, the tie was near 4.3e5.
+PURE_SIEVE_LIMIT = 800_000
 
 
 def sieve_primes(limit: int) -> tuple[int, ...]:
@@ -354,16 +367,22 @@ def _log_weight(p: int) -> int:
 
 
 def _mobius_window(lo: int, hi: int, r: int, weights, adds) -> memoryview:
-    """mu[lo..hi-1] as signed bytes, for hi - 1 <= limit and r = isqrt(limit) (see ``mobius_windows``)."""
-    sums = bytearray(hi - lo)
-    marks = memoryview(b"\xff" * ((hi - lo) // 4 + 1))
+    """mu[lo..hi-1] as signed bytes, for hi - 1 <= limit and r = isqrt(limit) (see ``mobius_windows``).
+
+    Slices are translated MOBIUS_PIECE values at a time, so the copies a
+    translation makes stay at two pieces.
+    """
+    size = hi - lo
+    sums = bytearray(size)
+    marks = memoryview(b"\xff" * (size // 4 + 1))
     for p, c in weights:
         # -lo % q is the offset of the first multiple of q at or above lo
-        start = -lo % p
-        sums[start::p] = sums[start::p].translate(adds[c])
+        span = p * MOBIUS_PIECE
+        for a in range(-lo % p, size, span):
+            sums[a : a + span : p] = sums[a : a + span : p].translate(adds[c])
         q = p * p
         start = -lo % q
-        sums[start::q] = marks[: (hi - lo - 1 - start) // q + 1]
+        sums[start::q] = marks[: (size - 1 - start) // q + 1]
     square = (r + 1) ** 2
     n = max(lo, 1)
     while n < hi:
@@ -372,7 +391,9 @@ def _mobius_window(lo: int, hi: int, r: int, weights, adds) -> memoryview:
         end = min(hi, math.isqrt(math.isqrt(square << t)) + 1)
         # a log sum below t has a prime factor above r; the marker is 0
         table = b"\xff" * t + b"\1" * (0x80 - t) + b"\1" * t + b"\xff" * (0x7F - t) + b"\0"
-        sums[n - lo : end - lo] = sums[n - lo : end - lo].translate(table)
+        for a in range(n - lo, end - lo, MOBIUS_PIECE):
+            b = min(a + MOBIUS_PIECE, end - lo)
+            sums[a:b] = sums[a:b].translate(table)
         n = end
     if lo == 0:
         sums[0] = 0
@@ -394,36 +415,54 @@ class Mertens:
     share a quotient (Deleglise & Rivat, "Computing the summation of the
     Moebius function", Experimental Math. 5(4), 1996); the results are
     memoized, at most ``counting.plan``'s memo bound of them for a box
-    sum.  Below PURE_SIEVE_LIMIT the table is a list of Python ints and its
-    sums are plain Python; from there on it is an int32 numpy array, 4
-    bytes per entry, filled in place window by window.  A table past the
+    sum.  The table is one int32 ``array``, 4 bytes per entry at every
+    size, allocated once and filled in place window by window; a window is
+    dropped before the next one is sieved.  Below PURE_SIEVE_LIMIT it is
+    filled and summed in plain Python, _FILL_CHUNK entries at a time; from
+    there on through a numpy view of the same buffer.  A table past the
     sieve budget raises ResourceLimitError before anything is allocated.
     """
 
     def __init__(self, table_limit: int):
+        from array import array
+
         self.table_limit = table_limit
         windows = mobius_windows(table_limit)
+        # |M(x)| <= x <= table_limit, so int32 is exact
+        self.table = table = array("i", [0]) * (table_limit + 1)
+        lo = carry = 0
         if table_limit < PURE_SIEVE_LIMIT:
-            self.table = list(itertools.accumulate(itertools.chain.from_iterable(windows)))
+            for window in windows:
+                for start in range(0, len(window), _FILL_CHUNK):
+                    sums = list(itertools.accumulate(window[start : start + _FILL_CHUNK], initial=carry))
+                    del sums[0]  # the carry, M(lo - 1)
+                    carry = sums[-1]
+                    # packed straight into the table: building an array of
+                    # the sums first took about twice as long
+                    struct.pack_into(f"{len(sums)}i", table, 4 * lo, *sums)
+                    lo += len(sums)
+                del window, sums  # before the next window is sieved
         else:
             import numpy as np
 
-            # |M(x)| <= x <= table_limit, so int32 is exact
-            self.table = np.empty(table_limit + 1, dtype=np.int32)
-            lo = carry = 0
+            self._view = view = np.frombuffer(table, dtype=np.int32)
             for window in windows:
-                part = self.table[lo : lo + len(window)]
-                np.cumsum(np.frombuffer(window, dtype=np.int8), dtype=np.int32, out=part)
-                part += carry
+                part = view[lo : lo + len(window)]
+                # cast in place: a cumsum that casts int8 to int32 holds a
+                # cast copy of the whole window
+                part[:] = np.frombuffer(window, dtype=np.int8)
+                part[0] += carry
+                np.cumsum(part, out=part)
                 carry = int(part[-1])
                 lo += len(window)
+                del window, part  # before the next window is sieved
         self._memo: dict[int, int] = {}
 
     def __call__(self, x: int) -> int:
         if x <= self.table_limit:
             if x < 0:
                 raise ValueError(f"Mertens expects x >= 0, got {x}")
-            return int(self.table[x])
+            return self.table[x]
         value = self._memo.get(x)
         if value is None:
             value = self._above_table(x)
@@ -444,17 +483,27 @@ class Mertens:
         return total
 
     def _table_terms(self, x: int, r: int, split: int, big: int) -> int:
-        """The identity's terms read from the table: v <= r, and split < d <= big."""
+        """The identity's terms read from the table: v <= r, and split < d <= big.
+
+        The terms for v <= r are summed by parts, as sum_{v <= r} (x // v) *
+        mu(v) - (x // (r+1)) * M(r), with mu(v) = M(v) - M(v - 1) read from
+        the table.
+        """
         table = self.table
-        if isinstance(table, list):
-            return sum((x // v - x // (v + 1)) * table[v] for v in range(1, r + 1)) + sum(
-                table[x // d] for d in range(split + 1, big + 1)
-            )
+        boundary = x // (r + 1) * table[r]
+        if self.table_limit < PURE_SIEVE_LIMIT:
+            quotients = map(operator.floordiv, itertools.repeat(x), range(1, r + 1))
+            mu = map(operator.sub, table[1 : r + 1], table[:r])
+            far = sum(table[x // d] for d in range(split + 1, big + 1))
+            return sum(map(operator.mul, quotients, mu)) - boundary + far
         import numpy as np
 
-        v = np.arange(1, r + 1, dtype=np.int64)
+        view = self._view
+        quotients = np.arange(1, r + 1, dtype=np.int64)
+        np.floor_divide(x, quotients, out=quotients)
         d = np.arange(split + 1, big + 1, dtype=np.int64)
-        return int((x // v - x // (v + 1)) @ table[1 : r + 1]) + int(table[x // d].sum(dtype=np.int64))
+        np.floor_divide(x, d, out=d)
+        return int(quotients @ np.diff(view[: r + 1])) - boundary + int(view[d].sum(dtype=np.int64))
 
 
 def iroot(x: int, k: int) -> int:

@@ -13,8 +13,9 @@ Past the head, d runs over stretches where every floor(Mi / d**ei) is
 constant; such a run [d1, d2] adds its product times M(d2) - M(d1 - 1), a
 difference of Mertens values (Deleglise & Rivat, 1996).  ``plan`` sizes
 a sum before any work: its depth, its head, the limit up to which
-arith.Mertens tabulates M (about 2 * D**(2/3), and at least the head),
-and a bound on the values of M memoized above it.  So a count costs about
+arith.Mertens tabulates M (about 2 * D**(2/3), and at least the head) in
+one int32 array, 4 bytes per entry at every size, and a bound on the
+values of M memoized above it.  So a count costs about
 max(head, D**(2/3)) time instead of D; for b = (1, 1) the head is
 sqrt(D).  Every head reads mu from arith.mobius_windows one bytes window
 at a time.  A sum whose head reaches the depth, as for unequal

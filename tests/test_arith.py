@@ -233,6 +233,18 @@ def test_mobius_windows_match_pointwise(monkeypatch, window):
     assert mobius_table(limit) == walked
 
 
+@pytest.mark.parametrize("piece", [1, 3, 64])
+def test_mobius_windows_in_small_pieces_match_pointwise(monkeypatch, piece):
+    # each window's slices translated a few bytes at a time, so pieces end
+    # inside runs of multiples and inside the runs that share a threshold
+    monkeypatch.setattr(arith, "MOBIUS_PIECE", piece)
+    limit = 2000
+    expected = [0] + [mobius(d) for d in range(1, limit + 1)]
+    for window in (64, 1 << 17):
+        monkeypatch.setattr(arith, "MOBIUS_WINDOW", window)
+        assert mobius_table(limit) == expected, window
+
+
 @given(st.integers(min_value=0, max_value=10**60), st.integers(min_value=1, max_value=10))
 def test_iroot_is_exact_floor(x, k):
     r = iroot(x, k)

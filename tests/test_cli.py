@@ -319,8 +319,8 @@ assert "numpy" not in sys.modules, "count"
 # b = (1, 2) has no tail: it reads its PURE_SIEVE_LIMIT values of mu in bytes windows
 run("count", "--b", "1,2", "--N", str(arith.PURE_SIEVE_LIMIT**2), "--format", "csv")
 assert "numpy" not in sys.modules, "count without a tail"
-# b = (1, 1) tabulates M up to 430,886, past the crossover
-run("count", "--b", "1,1", "--N", "100000000", "--format", "csv")
+# b = (1, 1) tabulates M up to 2,000,000, past the crossover
+run("count", "--b", "1,1", "--N", "1000000000", "--format", "csv")
 assert "numpy" in sys.modules, "count with a table past the crossover"
 """
 
@@ -350,7 +350,7 @@ def test_check_sieve_and_zeta_never_import_numpy():
     assert 0 < zeta["value"] - zeta["euler_product"] < 1e-5
     assert json.loads(lines[-6])["visible"] == "607927104783"  # OEIS A018805(10**6)
     assert json.loads(lines[-5])["visible"] == "6087"  # OEIS A018805(100)
-    assert lines[-1].endswith(",6079271032731815,10000000000000000")  # OEIS A018805(10**8)
+    assert lines[-1].endswith(",607927102346016827,1000000000000000000")  # OEIS A018805(10**9)
 
 
 # ---------------------------------------------------------------- start-up imports
@@ -407,15 +407,18 @@ def test_no_command_imports_click_dataclasses_or_inspect():
     [
         (
             ["zeta", "--s", "2", "--euler-limit", "1000"],
-            ("bvis.counting", "bvis.theorems", "bvis.visibility", "json", "csv"),
+            ("bvis.counting", "bvis.theorems", "bvis.visibility", "json", "csv", "array"),
         ),
         (
             ["check", "--b", "2,4,3,7", "--point", "4,16,40,128", "--format", "plain"],
-            ("bvis.counting", "bvis.theorems", "bvis.zeta", "json", "csv"),
+            ("bvis.counting", "bvis.theorems", "bvis.zeta", "json", "csv", "array"),
         ),
         (["count", "--b", "1,1", "--N", "100", "--format", "csv"], ("bvis.theorems", "bvis.zeta", "json")),
         (["density", "--b", "1,-2", "--N", "1000", "--format", "json"], ("bvis.theorems", "csv")),
-        (["sieve", "--b", "1,1", "--N", "3", "--format", "plain"], ("bvis.theorems", "bvis.zeta", "json", "csv")),
+        (
+            ["sieve", "--b", "1,1", "--N", "3", "--format", "plain"],
+            ("bvis.theorems", "bvis.zeta", "json", "csv", "array"),
+        ),
     ],
     ids=["zeta", "check", "count", "density", "sieve"],
 )

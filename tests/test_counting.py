@@ -139,7 +139,7 @@ def test_mobius_box_count_matches_naive_sum(box):
     edges = tuple(m for m, _ in box)
     exps = tuple(e for _, e in box)
     expected = _naive_box_count(edges, exps)
-    # Mertens tables as lists, then as numpy arrays
+    # Mertens tables filled and summed in plain Python, then through numpy
     for pure_limit in (arith.DEFAULT_SIEVE_BUDGET, 0):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(arith, "PURE_SIEVE_LIMIT", pure_limit)
@@ -157,8 +157,8 @@ def test_mobius_box_count_matches_naive_sum(box):
     st.sampled_from((1, 7, 64)),
 )
 def test_mobius_box_count_in_small_chunks_and_windows(box, chunk, window):
-    # chunks and windows of mu that end inside the head, with both kinds of
-    # Mertens table; the box again with one edge throughout, whose exponents
+    # chunks and windows of mu that end inside the head, with Mertens tables
+    # filled and summed both ways; the box again with one edge throughout, whose exponents
     # share quotients
     exps = tuple(e for _, e in box)
     for edges in (tuple(m for m, _ in box), (box[0][0],) * len(box)):
@@ -288,12 +288,12 @@ def test_mertens_matches_oeis():
 
 def test_mertens_recursion_matches_running_sum(monkeypatch):
     # a 100-entry table with recursion up to 100**2, against pointwise mu,
-    # as a list and then as a numpy array
+    # filled and summed in plain Python and then through numpy
     running = list(itertools.accumulate(mobius(x) if x else 0 for x in range(10_001)))
     for pure_limit in (arith.DEFAULT_SIEVE_BUDGET, 0):
         monkeypatch.setattr(arith, "PURE_SIEVE_LIMIT", pure_limit)
         mertens = Mertens(100)
-        assert isinstance(mertens.table, list) == bool(pure_limit)
+        assert mertens.table.typecode == "i"
         assert [mertens(x) for x in range(10_001)] == running, pure_limit
         with pytest.raises(ValueError):
             mertens(101**2)
@@ -303,8 +303,8 @@ def test_mertens_tables_on_both_sides_of_the_crossover():
     # OEIS A084237: M(10^7) = 1037, M(10^8) = 1928, both above the table
     limit = arith.PURE_SIEVE_LIMIT
     below, above = Mertens(limit - 1), Mertens(limit)
-    assert isinstance(below.table, list) and above.table.dtype == "int32"
-    assert below.table == above.table[:limit].tolist()
+    assert below.table.typecode == above.table.typecode == "i"
+    assert below.table == above.table[:limit]
     for mertens in (below, above):
         assert [mertens(10**7), mertens(10**8)] == [1037, 1928]
 
@@ -363,9 +363,12 @@ def test_the_plan_bounds_each_count(box):
 
 def test_a_mertens_table_holds_four_bytes_per_entry():
     # an int32 of M per entry, summed window by window: no buffer of mu as
-    # long as the table is ever held.  The peak adds what sieving a window
-    # takes, its slices and their translations, about 5.3 windows.
-    import numpy as np  # before tracing starts, so that its import is not counted
+    # long as the table is ever held.  The peak adds what sieving one window
+    # takes, the window, its square markers and pieces of its slices, about
+    # 1.8 windows; it was 5.3 while whole slices were translated, a cumsum
+    # cast each window to int32 and the previous window was held.
+    import numpy  # noqa: F401  before tracing starts, so that its import is not counted
+
     limit, window = 4_000_000, arith.MOBIUS_WINDOW
     tracemalloc.start()
     try:
@@ -373,11 +376,27 @@ def test_a_mertens_table_holds_four_bytes_per_entry():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert mertens.table.dtype == np.int32
+    assert mertens.table.typecode == "i"
     assert held <= 4 * limit + window
-    assert peak <= 4 * limit + 8 * window
+    assert peak <= 4 * limit + 2 * window
     below = Mertens(arith.PURE_SIEVE_LIMIT - 1).table
-    assert mertens.table[: len(below)].tolist() == below
+    assert mertens.table[: len(below)] == below
+
+
+def test_a_mertens_table_below_the_crossover_holds_four_bytes_per_entry():
+    # the same int32 array, filled in plain Python a chunk at a time, with a
+    # peak of about 2 windows above it; a list of Python ints held about 22.5
+    # bytes per entry
+    limit, window = arith.PURE_SIEVE_LIMIT, arith.MOBIUS_WINDOW
+    tracemalloc.start()
+    try:
+        mertens = Mertens(limit - 1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mertens.table.typecode == "i"
+    assert held <= 4 * limit + window
+    assert peak <= 4 * limit + 3 * window
 
 
 def test_a_table_past_the_budget_is_refused_before_the_head(monkeypatch):
