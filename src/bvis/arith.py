@@ -14,7 +14,7 @@ ResourceLimitError.
 
 ``sieve_primes`` and ``_iter_primes`` are pure Python: an odd-only
 bytearray sieve walked one fixed-size window at a time, so a prime walk
-holds about 0.5 MB at any limit.  Only the primes become ints: ``compress``
+holds about 0.6 MB at any limit.  Only the primes become ints: ``compress``
 picks a prime's offset from a tuple built once per walk, and one addition
 makes the prime.  The Euler product and the grid marker walk
 ``_iter_primes`` and never hold the primes as a tuple of ints; the Moebius
@@ -110,8 +110,8 @@ def _iter_primes(limit: int) -> Iterator[int]:
     sieved first, by this same walk, and then each window of PRIME_SEGMENT
     odd candidates, one byte each, has every such prime's multiples cleared
     with one slice assignment from a zero buffer.  A window is sieved only
-    when the caller reaches it, so memory stays at a window or two and the
-    base primes whatever the limit.  An int is made only for each prime,
+    when the caller reaches it, so memory stays at one window and the base
+    primes whatever the limit.  An int is made only for each prime,
     not for each candidate (see ``_odd_prime_windows``).  The limit is
     checked before anything is allocated.
     """
@@ -153,6 +153,7 @@ def _odd_prime_windows(limit: int, base: tuple[int, ...]) -> Iterator[Iterator[i
         for i in range(0, hi - lo, chunk):
             first = itertools.repeat(2 * (lo + i) + 1)
             yield map(operator.add, itertools.compress(offsets, block[i : i + chunk]), first)
+        del block  # before the next window is sieved
 
 
 _TRIAL_PRIMES = sieve_primes(999)

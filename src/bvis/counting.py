@@ -48,7 +48,7 @@ from typing import Sequence
 
 from .arith import Mertens, _iter_primes, floor_root, iroot, mobius_windows
 from .errors import UsageError
-from .visibility import Constraint, as_exponent_vector, as_rational_exponent_vector, constrained_exponents
+from .visibility import Constraint, as_rational_exponent_vector, constrained_exponents
 
 # The head of a Moebius sum is summed this many values of mu at a time, so
 # each list a chunk builds (its squarefree d, their quotients) stays at a
@@ -228,10 +228,10 @@ def count_box(edges: Sequence[int], constraint: Constraint) -> int:
 
 
 def count_visible_int(N: int, b) -> int:
-    """Number of b-visible points in [1,N]^k, exactly (b reduced by its gcd)."""
+    """Number of b-visible points in the box ``box_edges(N, b)``, exactly: [1,N]^k for integer b."""
     # b is read once, so an iterator serves both calls; a bad vector is
     # reported before a bad N, as in density_report
-    vec = as_exponent_vector(b)
+    vec = as_rational_exponent_vector(b)
     return count_box(box_edges(N, vec), constrained_exponents(vec))
 
 
@@ -292,11 +292,11 @@ def count_visible_box(edges: Sequence[int], constraint: Constraint) -> int:
 def brute_prefix_counts(n_max: int, b) -> list[int]:
     """counts[N] = visible points of [1,N]^k by enumeration, for every N <= n_max.
 
-    One sweep of the largest box, bucketed by max coordinate, covers all
-    the nested boxes at once.  b is validated once; each point is then
-    tested for a witness prime on its own.
+    The points are base tuples, so for rational b the cube is not the
+    ``box_edges`` box.  One sweep of the largest cube, bucketed by max
+    coordinate, covers all the nested cubes at once.
     """
-    constraint = constrained_exponents(as_exponent_vector(b))
+    constraint = constrained_exponents(b)
     witness = constraint.witness
     buckets = [0] * (n_max + 1)
     for point in itertools.product(range(1, n_max + 1), repeat=constraint.k):

@@ -104,14 +104,14 @@ def _worked_example():
 
 
 def _sweep(lines, planted, seed):
-    # the oracle searches the expanded point (li**(alpha/ai)) under alpha * b,
-    # alpha the lcm of b's denominators, for each base tuple (l1, ..., lk)
+    # the oracle searches the expanded point (li**(alpha/ai)) of each base
+    # tuple (l1, ..., lk), alpha the lcm of b's denominators
     points = disagreements = 0
     for vectors, spec in lines:
         for text in vectors:
             b = visibility.as_rational_exponent_vector(text.split(","))
             alpha = math.lcm(*(f.denominator for f in b))
-            scaled, powers = [int(f * alpha) for f in b], [alpha // f.denominator for f in b]
+            powers = [alpha // f.denominator for f in b]
             witness = visibility.constrained_exponents(b).witness
             if spec == "drawn":
                 rng = random.Random(seed)
@@ -120,7 +120,7 @@ def _sweep(lines, planted, seed):
                 bases = list(itertools.product(range(1, spec + 1), repeat=len(b)))
             points += len(bases)
             disagreements += sum(
-                (visibility.find_parametric_witness([c**e for c, e in zip(pt, powers)], scaled) is None)
+                (visibility.find_parametric_witness([c**e for c, e in zip(pt, powers)], b) is None)
                 != (witness(pt) is None)
                 for pt in bases
             )

@@ -29,9 +29,9 @@ every nonzero rational vector.
 
 ``find_parametric_witness`` is the oracle: an independent brute-force
 implementation of the defining search over scaled image points, used to
-cross-check the divisibility characterization on the expanded point under
-the integer vector alpha * b.  It never reasons about primes; a point is
-visible iff it finds no witness.
+cross-check the divisibility characterization on the expanded point of a
+base tuple, for every nonzero rational vector.  It never reasons about
+primes; a point is visible iff it finds no witness.
 """
 
 from __future__ import annotations
@@ -54,23 +54,6 @@ LatticePoint = tuple[int, ...]
 RationalPoint = tuple[int, ...]
 
 
-def as_exponent_vector(b) -> tuple[int, ...]:
-    """b as nonzero integer exponents (b1,...,bk), k >= 1, of either sign, or a UsageError."""
-    items = tuple(b)
-    try:
-        entries = tuple(int(x) for x in items)
-    except (ValueError, OverflowError):  # nan, inf, "x"
-        entries = None
-    # int() truncates 3/2 to 1, where box_edges reads the same entry as 3/2
-    if entries is None or (entries != items and any(Fraction(x) != e for x, e in zip(items, entries))):
-        raise UsageError(f"integer exponents must be whole numbers, got {items}")
-    if not entries:
-        raise UsageError("exponent vector must have at least one entry")
-    if not all(entries):
-        raise UsageError(f"integer exponents must be nonzero, got {entries}")
-    return entries
-
-
 def as_rational_exponent_vector(b) -> tuple[Fraction, ...]:
     """b as nonzero rational exponents bi/ai, k >= 1, or a UsageError.
 
@@ -79,8 +62,8 @@ def as_rational_exponent_vector(b) -> tuple[Fraction, ...]:
     """
     items = tuple(b)
     try:
-        fracs = tuple(Fraction(x) for x in items)
-    except (ValueError, OverflowError):  # nan, inf, "x"
+        fracs = tuple(map(Fraction, items))
+    except (ValueError, OverflowError, ZeroDivisionError):  # nan, inf, "x", "1/0"
         raise UsageError(f"rational exponents must be finite rationals, got {items}") from None
     if not fracs:
         raise UsageError("exponent vector must have at least one entry")
@@ -208,7 +191,10 @@ def base_from_expanded(coords: Sequence[int], b) -> RationalPoint:
 def find_parametric_witness(point: Sequence[int], b) -> LatticePoint | None:
     """Brute-force search for a smaller integer image of the point.
 
-    b holds nonzero integer exponents.  An image is the integer point
+    The point is in lattice coordinates, not a base tuple.  With alpha the
+    lcm of b's denominators, b and alpha * b trace the same curve
+    (t -> t**alpha maps (0, 1) and (1, oo) onto themselves), so b below is
+    the integer vector alpha * b.  An image is the integer point
     (ni * t**bi) for one t != 1: t < 1 when every bi > 0, so that every
     coordinate shrinks, else t > 1, which shrinks the negative positions.
     The pivot p is the smallest shrinking coordinate.  Each pivot image
@@ -226,13 +212,15 @@ def find_parametric_witness(point: Sequence[int], b) -> LatticePoint | None:
     sum c * (L/|bi|) * bits(c) over the coordinates (L = lcm(b)) passes
     ORACLE_BIT_BUDGET, raise ResourceLimitError before anything is built.
     """
-    entries = as_exponent_vector(b)
-    coords = _as_point(point, len(entries))
+    fracs = as_rational_exponent_vector(b)
+    coords = _as_point(point, len(fracs))
     box = math.prod(coords)
     if box > DEFAULT_ORACLE_BOX_LIMIT:
         raise ResourceLimitError(
             f"witness search box of {box} points exceeds limit {DEFAULT_ORACLE_BOX_LIMIT}"
         )
+    alpha = math.lcm(*(f.denominator for f in fracs))
+    entries = [f.numerator * (alpha // f.denominator) for f in fracs]
     negative = any(e < 0 for e in entries)
     pivot = min((i for i, e in enumerate(entries) if (e < 0) == negative), key=coords.__getitem__)
     n_p, b_p = coords[pivot], entries[pivot]

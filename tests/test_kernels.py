@@ -50,7 +50,7 @@ def test_readme_library_examples():
     blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
     test = doctest.DocTestParser().get_doctest("\n".join(blocks), {}, "README.md", "README.md", 0)
     failed, attempted = doctest.DocTestRunner().run(test)
-    assert (failed, attempted) == (0, 14)
+    assert (failed, attempted) == (0, 15)
 
 
 # ---------------------------------------------------------------- zeta kernel

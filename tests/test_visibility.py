@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from bvis.arith import factorize
 from bvis import visibility
 from bvis.errors import ResourceLimitError, UsageError
 from bvis.visibility import (
-    as_exponent_vector,
     as_rational_exponent_vector,
     base_from_expanded,
     constrained_exponents,
@@ -46,26 +46,33 @@ def test_reduce_b_has_gcd_one(entries):
 
 def test_exponent_vector_validation():
     with pytest.raises(UsageError):
-        as_exponent_vector(())
+        as_rational_exponent_vector(())
     with pytest.raises(UsageError, match="nonzero"):
-        as_exponent_vector((0, 1))
+        as_rational_exponent_vector((0, 1))
     # entries of either sign are read, for every caller
-    assert as_exponent_vector((1, -2)) == (1, -2)
-    # a non-integral entry is refused, not truncated; integral values of
+    assert as_rational_exponent_vector((1, -2)) == (1, -2)
+    # a non-integral entry is read exactly, not truncated; integral values of
     # other types are read as the integer
-    with pytest.raises(UsageError, match="whole numbers"):
-        as_exponent_vector([1.5, 1])
-    with pytest.raises(UsageError, match="whole numbers"):
-        as_exponent_vector([Fraction(3, 2), 1])
-    assert as_exponent_vector([2.0, "3", Fraction(-4)]) == (2, 3, -4)
+    assert as_rational_exponent_vector([1.5, 1]) == (Fraction(3, 2), 1)
+    assert as_rational_exponent_vector([Fraction(3, 2), 1]) == (Fraction(3, 2), 1)
+    assert as_rational_exponent_vector([2.0, "3", Fraction(-4)]) == (2, 3, -4)
 
 
-@pytest.mark.parametrize("entry", [math.inf, math.nan])
+@pytest.mark.parametrize("entry", [math.inf, math.nan, "1/0"])
 def test_a_non_finite_exponent_is_a_usage_error(entry):
-    with pytest.raises(UsageError, match=r"integer exponents must be whole numbers, got \((inf|nan), 1\)"):
-        as_exponent_vector([entry, 1])
-    with pytest.raises(UsageError, match=r"rational exponents must be finite rationals, got \((inf|nan), 1\)"):
-        as_rational_exponent_vector([entry, 1])
+    from bvis.counting import box_edges, density_report
+
+    b = [entry, 1]
+    message = re.escape(f"rational exponents must be finite rationals, got ({entry!r}, 1)")
+    for call in (
+        lambda: as_rational_exponent_vector(b),
+        lambda: witness_prime((2, 2), b),
+        lambda: find_parametric_witness((2, 2), b),
+        lambda: box_edges(10, b),
+        lambda: density_report(10, b),
+    ):
+        with pytest.raises(UsageError, match=message):
+            call()
 
 
 def test_rational_vector_validation():
@@ -393,9 +400,9 @@ def test_constraint_per_family(b, positions, exps):
 
 
 def _expanded(base, b):
-    """The lattice point over a base tuple of b, and the integer vector alpha * b."""
+    """The lattice point over a base tuple of b."""
     alpha = math.lcm(*(f.denominator for f in b))
-    return [c ** (alpha // f.denominator) for c, f in zip(base, b)], [int(f * alpha) for f in b]
+    return [c ** (alpha // f.denominator) for c, f in zip(base, b)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -424,5 +431,33 @@ def test_one_gcd_rule_is_scale_invariant(b, m, d, data):
     assert constrained_exponents(scaled) == constrained_exponents(b)
     # every sign pattern, all-positive included, agrees with the oracle
     for vector in (b, scaled):
-        point, integers = _expanded(base, vector)
-        assert (find_parametric_witness(point, integers) is None) == (witness_prime(base, b) is None)
+        point = _expanded(base, vector)
+        assert (find_parametric_witness(point, vector) is None) == (witness_prime(base, b) is None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.data(),
+)
+def test_oracle_reads_rational_vectors(b, data):
+    # b and alpha * b trace the same curve, so the oracle answers a rational
+    # vector on its expanded point as it answers the integer vector alpha * b
+    base = tuple(data.draw(st.lists(st.integers(1, 6), min_size=len(b), max_size=len(b))))
+    point = _expanded(base, b)
+    alpha = math.lcm(*(f.denominator for f in b))
+    integers = [int(f * alpha) for f in b]
+    try:
+        witness = find_parametric_witness(point, b)
+    except ResourceLimitError:
+        # a box past the limit, or powers past the bit budget, is refused under alpha * b too
+        with pytest.raises(ResourceLimitError):
+            find_parametric_witness(point, integers)
+        return
+    assert (witness is None) == (witness_prime(base, b) is None)
+    assert witness == find_parametric_witness(point, integers)
+
