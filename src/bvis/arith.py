@@ -42,10 +42,9 @@ from typing import Iterator
 
 from .errors import ResourceLimitError
 
-# A prime walk past this limit is refused; its memory stays at a window or
-# two, so the limit bounds its time (about 5 s at the limit on a 2-vCPU
-# x86-64 VM).  A Moebius sieve or Mertens table is refused when its arrays
-# would pass this many bytes.
+# A prime walk past this limit is refused; it holds one window, so the limit
+# bounds its time (about 5 s on a 2-vCPU x86-64 VM).  A Moebius sieve or
+# Mertens table is refused when its arrays would pass this many bytes.
 DEFAULT_SIEVE_BUDGET = 200_000_000
 
 # Odd candidates per window of the prime sieve, one byte each: 256 KB.

@@ -135,17 +135,17 @@ def _cell(value, none: str) -> str:
 
 def check(b_spec, point_spec, expanded, fmt):
     """Visibility verdict for one point, with a witness when invisible."""
-    from .visibility import _witness_image, base_from_expanded, family, witness_prime
+    from .visibility import _witness_image, base_from_expanded, witness_prime
 
     vector = parse_b_spec(b_spec)
-    whole = family(vector) == "int"  # no restricted lattice, and a witness has an image
+    label = _family(vector)  # an "int" case has no restricted lattice, and a witness has an image
     point = _parse_ints(point_spec, "--point")
     if expanded:
         point = base_from_expanded(point, vector)  # the identity when alpha = 1
     witness = witness_prime(point, vector)
-    image = _witness_image(point, vector, witness) if whole and witness is not None else None
+    image = _witness_image(point, vector, witness) if label["case"] == "int" and witness is not None else None
     fields = {
-        **_family(vector),
+        **label,
         "point": list(point),
         "visible": witness is None,
         "witness_prime": witness,

@@ -46,9 +46,9 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import Mertens, _iter_primes, floor_root, iroot, mobius_windows
+from .arith import Mertens, _iter_primes, iroot, mobius_windows
 from .errors import UsageError
-from .visibility import Constraint, as_rational_exponent_vector, constrained_exponents
+from .visibility import Constraint, as_rational_exponent_vector, constrained_exponents, expansion_powers
 
 # The head of a Moebius sum is summed this many values of mu at a time, so
 # each list a chunk builds (its squarefree d, their quotients) stays at a
@@ -193,10 +193,10 @@ def _head_sum(pairs, windows) -> int:
 def box_edges(N: int, b) -> tuple[int, ...]:
     """The box a density is measured on, for nonzero rational exponents bi/ai.
 
-    Edge i is Mi = floor(N**(ai/alpha)) with alpha = lcm(ai): the base
-    tuples whose expanded coordinates stay <= N.  Integer entries have
-    ai = 1, so their box is [1,N]^k.  N is read like an integer exponent:
-    a whole int, float or Fraction becomes that int.
+    Edge i is Mi = floor(N**(1/pi)), pi = alpha // ai the ``expansion_powers``
+    power: the base tuples whose expanded coordinates stay <= N.  Integer
+    vectors have pi = 1, so their box is [1,N]^k.  N is read like an integer
+    exponent: a whole int, float or Fraction becomes that int.
     """
     try:
         n = int(N)
@@ -207,9 +207,7 @@ def box_edges(N: int, b) -> tuple[int, ...]:
         raise UsageError(f"N must be a whole number, got {N}")
     if n < 1:
         raise UsageError(f"N must be >= 1, got {n}")
-    fracs = as_rational_exponent_vector(b)
-    alpha = math.lcm(*(f.denominator for f in fracs))
-    return tuple(floor_root(n, f.denominator, alpha) for f in fracs)
+    return tuple(iroot(n, power) for power in expansion_powers(as_rational_exponent_vector(b)))
 
 
 def count_box(edges: Sequence[int], constraint: Constraint) -> int:
@@ -229,8 +227,7 @@ def count_box(edges: Sequence[int], constraint: Constraint) -> int:
 
 def count_visible_int(N: int, b) -> int:
     """Number of b-visible points in the box ``box_edges(N, b)``, exactly: [1,N]^k for integer b."""
-    # b is read once, so an iterator serves both calls; a bad vector is
-    # reported before a bad N, as in density_report
+    # read once: an iterator serves both calls, and a bad vector is reported before a bad N
     vec = as_rational_exponent_vector(b)
     return count_box(box_edges(N, vec), constrained_exponents(vec))
 
@@ -313,8 +310,7 @@ def density_report(N: int, b) -> DensityReport:
     """
     from .zeta import inv_zeta
 
-    # b is read once, so an iterator serves both calls; a bad vector is
-    # reported before a bad N
+    # read once: an iterator serves both calls, and a bad vector is reported before a bad N
     vec = as_rational_exponent_vector(b)
     constraint = constrained_exponents(vec)
     edges = box_edges(N, vec)

@@ -104,14 +104,11 @@ def _worked_example():
 
 
 def _sweep(lines, planted, seed):
-    # the oracle searches the expanded point (li**(alpha/ai)) of each base
-    # tuple (l1, ..., lk), alpha the lcm of b's denominators
     points = disagreements = 0
     for vectors, spec in lines:
         for text in vectors:
             b = visibility.as_rational_exponent_vector(text.split(","))
-            alpha = math.lcm(*(f.denominator for f in b))
-            powers = [alpha // f.denominator for f in b]
+            powers = visibility.expansion_powers(b)
             witness = visibility.constrained_exponents(b).witness
             if spec == "drawn":
                 rng = random.Random(seed)

@@ -39,9 +39,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .arith import factorize, iroot, is_perfect_power
+from .arith import _TRIAL_PRIMES, _TRIAL_SQUARE, factorize, iroot, is_perfect_power
 from .errors import ResourceLimitError, UsageError
 
 # Ceiling on the conceptual witness-search box of the parametric oracle.
@@ -50,19 +50,17 @@ DEFAULT_ORACLE_BOX_LIMIT = 100_000_000
 # huge exponent would otherwise make it build a huge power.
 ORACLE_BIT_BUDGET = 1 << 26
 
-LatticePoint = tuple[int, ...]
-RationalPoint = tuple[int, ...]
-
 
 def as_rational_exponent_vector(b) -> tuple[Fraction, ...]:
     """b as nonzero rational exponents bi/ai, k >= 1, or a UsageError.
 
     Entries are anything ``Fraction`` reads, such as ints or "p/q" strings;
-    a Fraction is in lowest terms with ai > 0.
+    each comes back a Fraction (lowest terms, ai > 0), a Fraction entry as
+    the same object, so a vector this returned reads again cheaply.
     """
     items = tuple(b)
     try:
-        fracs = tuple(map(Fraction, items))
+        fracs = tuple([x if type(x) is Fraction else Fraction(x) for x in items])
     except (ValueError, OverflowError, ZeroDivisionError):  # nan, inf, "x", "1/0"
         raise UsageError(f"rational exponents must be finite rationals, got {items}") from None
     if not fracs:
@@ -83,11 +81,14 @@ def _as_point(point: Sequence[int], k: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=4096)
 def _prime_factors(g: int) -> tuple[int, ...]:
-    """The primes of g, remembered: the points of a box share few gcds.
-
-    A ResourceLimitError propagates uncached, so the refusal repeats.
-    """
+    """The primes of g, remembered, as the points of a box share few gcds; a refusal is not, so it repeats."""
     return tuple(p for p, _ in factorize(g))
+
+
+def _trial_primes_first(g: int) -> Iterator[int]:
+    """The primes of g in ascending order, those below 1000 found before g is factored."""
+    yield from (p for p in _TRIAL_PRIMES if g % p == 0)
+    yield from (p for p in _prime_factors(g) if p > 1000)
 
 
 class Constraint(NamedTuple):
@@ -104,10 +105,11 @@ class Constraint(NamedTuple):
     def witness(self, coords: tuple[int, ...]) -> int | None:
         """Smallest witness prime of a point that ``_as_point`` already checked.
 
-        Such a prime divides every constraining coordinate, hence their
-        gcd; it suffices to test the prime factors of the gcd.  This runs
-        once per point of the brute-force sweeps, so it reads no more fields
-        than it needs.
+        Such a prime divides every constraining coordinate, hence their gcd; it
+        suffices to test its primes in ascending order.  Past _TRIAL_SQUARE,
+        where trial division alone no longer factors it, those below 1000 are
+        tested before the gcd is factored.  This runs once per point of the
+        brute-force sweeps, so it reads no more fields than it needs.
         A power p**e with e * (bits(p) - 1) >= bits(c) exceeds c, so it is
         never built: for b = (10**9, 1) it would take gigabytes.
         """
@@ -117,7 +119,7 @@ class Constraint(NamedTuple):
         g = math.gcd(*coords)
         if g == 1:
             return None
-        for p in _prime_factors(g):
+        for p in _prime_factors(g) if g < _TRIAL_SQUARE else _trial_primes_first(g):
             low = p.bit_length() - 1
             if all(e * low < c.bit_length() and c % p**e == 0 for c, e in zip(coords, exps)):
                 return p
@@ -166,18 +168,22 @@ witness_prime_int = witness_prime_rat = witness_prime_signed = witness_prime
 is_visible_int = is_visible_rat = is_visible_signed = is_visible
 
 
-def base_from_expanded(coords: Sequence[int], b) -> RationalPoint:
+def expansion_powers(fracs: Sequence[Fraction]) -> list[int]:
+    """The powers alpha // ai, alpha = lcm(ai), that expand a base tuple of a read vector: li -> li**powers[i]."""
+    alpha = math.lcm(*(f.denominator for f in fracs))
+    return [alpha // f.denominator for f in fracs]
+
+
+def base_from_expanded(coords: Sequence[int], b) -> tuple[int, ...]:
     """Convert expanded lattice coordinates to the base tuple.
 
-    Coordinate i must be an exact (alpha/ai)-th power; anything else is off
-    the restricted lattice and rejected.
+    Coordinate i must be an exact ``expansion_powers`` power; anything else
+    is off the restricted lattice and rejected.
     """
     fracs = as_rational_exponent_vector(b)
     expanded = _as_point(coords, len(fracs))
-    alpha = math.lcm(*(f.denominator for f in fracs))
     base = []
-    for i, (c, f) in enumerate(zip(expanded, fracs)):
-        exp = alpha // f.denominator
+    for i, (c, exp) in enumerate(zip(expanded, expansion_powers(fracs))):
         ok, root = is_perfect_power(c, exp)
         if not ok:
             raise UsageError(
@@ -188,7 +194,7 @@ def base_from_expanded(coords: Sequence[int], b) -> RationalPoint:
     return tuple(base)
 
 
-def find_parametric_witness(point: Sequence[int], b) -> LatticePoint | None:
+def find_parametric_witness(point: Sequence[int], b) -> tuple[int, ...] | None:
     """Brute-force search for a smaller integer image of the point.
 
     The point is in lattice coordinates, not a base tuple.  With alpha the
@@ -219,8 +225,7 @@ def find_parametric_witness(point: Sequence[int], b) -> LatticePoint | None:
         raise ResourceLimitError(
             f"witness search box of {box} points exceeds limit {DEFAULT_ORACLE_BOX_LIMIT}"
         )
-    alpha = math.lcm(*(f.denominator for f in fracs))
-    entries = [f.numerator * (alpha // f.denominator) for f in fracs]
+    entries = [f.numerator * power for f, power in zip(fracs, expansion_powers(fracs))]
     negative = any(e < 0 for e in entries)
     pivot = min((i for i, e in enumerate(entries) if (e < 0) == negative), key=coords.__getitem__)
     n_p, b_p = coords[pivot], entries[pivot]

@@ -104,6 +104,20 @@ def test_check_refuses_an_unfactorable_gcd_quickly(runner, gcd, reason):
     assert result.stderr.startswith(reason)
 
 
+@pytest.mark.parametrize("coords", [(2, 2), (6, 10)], ids=["2q,2q", "6q,10q"])
+def test_check_finds_a_trial_prime_beside_an_unfactorable_cofactor(runner, coords):
+    # the gcd's cofactor q = (2**64 - 59) * (2**64 - 83) is the one refused above
+    q = (2**64 - 59) * (2**64 - 83)
+    point = [c * q for c in coords]
+    start = time.perf_counter()
+    result = runner.invoke(main, ["check", "--b", "1,1", "--point", ",".join(map(str, point)), "--format", "json"])
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 0
+    payload = json.loads(result.stdout)
+    assert (payload["visible"], payload["witness_prime"]) == (False, 2)
+    assert payload["image"] == [c // 2 for c in point]
+
+
 # ---------------------------------------------------------------- density
 
 

@@ -29,6 +29,7 @@ from bvis.zeta import inv_zeta
 from bvis.visibility import (
     Constraint,
     as_rational_exponent_vector,
+    base_from_expanded,
     constrained_exponents,
     is_visible_int,
     is_visible_rat,
@@ -473,6 +474,29 @@ def test_rational_box_edges():
     assert box_edges(64, ["2/3", "1/2"]) == (8, 4)
     assert box_edges(7, [2, 4]) == (7, 7)
     assert box_edges(5, [1, -2]) == (5, 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 6)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(1, 10**40),
+    st.data(),
+)
+def test_box_edges_and_base_from_expanded_share_one_expansion(b, n, data):
+    # base coordinate li stands for li**(alpha // ai), alpha = lcm(ai), worked out here
+    alpha = math.lcm(*(f.denominator for f in b))
+    powers = [alpha // f.denominator for f in b]
+    for i, (m, p) in enumerate(zip(box_edges(n, b), powers)):
+        assert m**p <= n < (m + 1) ** p
+        # the edge steps up exactly at the next power
+        assert box_edges((m + 1) ** p, b)[i] == m + 1
+        assert box_edges((m + 1) ** p - 1, b)[i] == m
+    base = tuple(data.draw(st.lists(st.integers(1, 10**6), min_size=len(b), max_size=len(b))))
+    assert base_from_expanded([c**p for c, p in zip(base, powers)], b) == base
 
 
 def test_count_visible_rat_frozen():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,14 @@ def test_exponent_vector_validation():
     assert as_rational_exponent_vector([1.5, 1]) == (Fraction(3, 2), 1)
     assert as_rational_exponent_vector([Fraction(3, 2), 1]) == (Fraction(3, 2), 1)
     assert as_rational_exponent_vector([2.0, "3", Fraction(-4)]) == (2, 3, -4)
+    assert all(type(f) is Fraction for f in as_rational_exponent_vector([2.0, "3", 1.5, 1]))
+    # a Fraction entry is passed through, so a vector it returned reads back as itself
+    half, minus_four = Fraction(1, 2), Fraction(-4)
+    fracs = as_rational_exponent_vector([half, "3", minus_four])
+    assert fracs[0] is half and fracs[2] is minus_four
+    assert all(x is y for x, y in zip(as_rational_exponent_vector(fracs), fracs))
+    with pytest.raises(UsageError, match="nonzero"):
+        as_rational_exponent_vector([Fraction(0), 1])
 
 
 @pytest.mark.parametrize("entry", [math.inf, math.nan, "1/0"])
@@ -144,6 +153,19 @@ def test_gcd_factorizations_are_cached_but_refusals_are_not(monkeypatch):
         assert calls == [6, 10**6 + 3, 10**6 + 3]
     finally:
         visibility._prime_factors.cache_clear()
+
+
+def test_a_trial_prime_witness_needs_no_factorization_of_the_gcd():
+    # q1 * q2 is a 128-bit composite that rho cannot split within its budget,
+    # but 2 is tested before the gcd 2 * q1 * q2 is factored
+    q = (2**64 - 59) * (2**64 - 83)
+    for point in ((2 * q, 2 * q), (6 * q, 10 * q)):
+        start = time.perf_counter()
+        assert witness_prime(point, (1, 1)) == 2
+        assert time.perf_counter() - start < 0.1
+    # 2 divides the gcd but 2**2 does not: the rest of the gcd is factored
+    p = 10**6 + 3
+    assert witness_prime((2 * p**2, 2 * p**2), (1, 2)) == p
 
 
 def test_int_input_validation():
