@@ -6,11 +6,12 @@ arbitrary-precision integers; nothing here goes through floating point,
 so results are safe to use at box edges where rounding would corrupt
 exact counts.
 
-``factorize`` is pure Python: trial division by the primes below 1000, a
-perfect-power split, deterministic Miller-Rabin and Pollard-Brent rho.  It
-never guesses: a factor rho cannot find within its step budget, or a
-probable prime too large for the Miller-Rabin bases to certify, raises
-ResourceLimitError.
+``prime_divisors`` walks the primes of n lazily: trial division by the
+primes below 1000, then, only if the caller reads on, a perfect-power
+split, deterministic Miller-Rabin and Pollard-Brent rho on the cofactor.
+``factorize`` counts multiplicities along it.  Neither guesses: a factor
+rho cannot find within its step budget, or a probable prime too large
+for the Miller-Rabin bases to certify, raises ResourceLimitError.
 
 ``sieve_primes`` and ``_iter_primes`` are pure Python: an odd-only
 bytearray sieve walked one fixed-size window at a time, so a prime walk
@@ -174,73 +175,77 @@ RHO_STEP_BUDGET = 1 << 21
 _RHO_BATCH = 128
 
 
-def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1: its (prime, multiplicity) pairs.
+def prime_divisors(n: int) -> Iterator[int]:
+    """The distinct primes of n >= 1, ascending, each found when the caller reads on.
 
-    The primes ascend, and n = 1 has none.  Trial division by the primes
-    below 1000 comes first; what is left has only larger prime factors and
-    goes to ``_factor_cofactor``.  Raises ResourceLimitError when that
-    cofactor cannot be split or certified.
+    The primes below 1000 come first, by trial division; the cofactor they
+    leave goes to ``_factor_cofactor`` only if the walk gets past them.
     """
     if n < 1:
-        raise ValueError(f"factorize expects n >= 1, got {n}")
-    factors: list[tuple[int, int]] = []
+        raise ValueError(f"factorization expects n >= 1, got {n}")
     for p in _TRIAL_PRIMES:
         if p * p > n:
             break
         if n % p == 0:
-            mult = 0
+            yield p
             while n % p == 0:
-                mult += 1
                 n //= p
-            factors.append((p, mult))
     if n >= _TRIAL_SQUARE:
-        factors += _factor_cofactor(n)
+        yield from _factor_cofactor(n)
     elif n > 1:
-        factors.append((n, 1))
+        yield n
+
+
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of n >= 1: its (prime, multiplicity) pairs.
+
+    The primes ascend, and n = 1 has none.  They come from
+    ``prime_divisors``, and so do its ValueError and ResourceLimitError.
+    """
+    factors = []
+    for p in prime_divisors(n):
+        mult = 0
+        while n % p == 0:
+            mult += 1
+            n //= p
+        factors.append((p, mult))
     return tuple(factors)
 
 
-def _factor_cofactor(n: int) -> list[tuple[int, int]]:
-    """Sorted (prime, multiplicity) pairs of n, which has no prime factor below 1000.
+def _factor_cofactor(n: int) -> list[int]:
+    """The distinct primes of n, ascending, for n without prime factors below 1000.
 
     Each part is first reduced to the base of its largest perfect power;
     a base that passes Miller-Rabin is prime when it is below
     MR_EXACT_LIMIT, and a composite base is split by Pollard-Brent rho.
     """
-    found: dict[int, int] = {}
+    found = set()
     remaining = RHO_STEP_BUDGET
-    parts = [(n, 1)]
+    parts = [n]
     while parts:
-        m, mult = parts.pop()
-        m, power = _perfect_power_base(m)
-        mult *= power
+        m = _perfect_power_base(parts.pop())
         if m < _TRIAL_SQUARE or _is_strong_probable_prime(m):
             if m >= MR_EXACT_LIMIT:
                 raise ResourceLimitError(
                     f"cannot certify a {m.bit_length()}-bit probable prime: Miller-Rabin "
                     f"with the bases 2..41 is exact only below {MR_EXACT_LIMIT}"
                 )
-            found[m] = found.get(m, 0) + mult
+            found.add(m)
             continue
         d, remaining = _pollard_brent(m, remaining)
-        parts += [(d, mult), (m // d, mult)]
-    return sorted(found.items())
+        parts += [d, m // d]
+    return sorted(found)
 
 
-def _perfect_power_base(m: int) -> tuple[int, int]:
-    """(r, k) with m = r**k and k largest, for m without prime factors below 1000."""
-    k = 1
+def _perfect_power_base(m: int) -> int:
+    """The r with m = r**k and k largest, for m without prime factors below 1000."""
     for q in _TRIAL_PRIMES:
         # r > 1000 whenever r**q = m with r > 1
         if 1000**q > m:
             break
-        while True:
-            ok, root = is_perfect_power(m, q)
-            if not ok:
-                break
-            m, k = root, k * q
-    return m, k
+        while (root := iroot(m, q)) ** q == m:
+            m = root
+    return m
 
 
 def _is_strong_probable_prime(n: int) -> bool:
@@ -530,25 +535,6 @@ def iroot(x: int, k: int) -> int:
     while (r + 1) ** k <= x:
         r += 1
     return r
-
-
-def floor_root(n: int, a: int, alpha: int) -> int:
-    """Largest m with m**alpha <= n**a, i.e. floor(n**(a/alpha)), exactly.
-
-    Requires n >= 1 and 1 <= a <= alpha.  Never touches floating point:
-    a float pow at a box edge can be off by one and silently corrupt
-    an exact count.  a/alpha is put in lowest terms first, so a box edge,
-    where a divides alpha, costs iroot(n, alpha // a) and builds no n**a.
-    """
-    if n < 1:
-        raise ValueError(f"floor_root expects n >= 1, got {n}")
-    if not 1 <= a <= alpha:
-        raise ValueError(f"floor_root expects 1 <= a <= alpha, got a={a}, alpha={alpha}")
-    g = math.gcd(a, alpha)
-    a, alpha = a // g, alpha // g
-    if a == alpha:
-        return n
-    return iroot(n**a, alpha)
 
 
 def is_perfect_power(n: int, c: int) -> tuple[bool, int | None]:

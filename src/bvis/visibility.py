@@ -38,10 +38,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .arith import _TRIAL_PRIMES, _TRIAL_SQUARE, factorize, iroot, is_perfect_power
+from .arith import iroot, is_perfect_power, prime_divisors
 from .errors import ResourceLimitError, UsageError
 
 # Ceiling on the conceptual witness-search box of the parametric oracle.
@@ -79,18 +78,6 @@ def _as_point(point: Sequence[int], k: int) -> tuple[int, ...]:
     return coords
 
 
-@lru_cache(maxsize=4096)
-def _prime_factors(g: int) -> tuple[int, ...]:
-    """The primes of g, remembered, as the points of a box share few gcds; a refusal is not, so it repeats."""
-    return tuple(p for p, _ in factorize(g))
-
-
-def _trial_primes_first(g: int) -> Iterator[int]:
-    """The primes of g in ascending order, those below 1000 found before g is factored."""
-    yield from (p for p in _TRIAL_PRIMES if g % p == 0)
-    yield from (p for p in _prime_factors(g) if p > 1000)
-
-
 class Constraint(NamedTuple):
     """A validated vector's test for points of dimension k.
 
@@ -106,10 +93,9 @@ class Constraint(NamedTuple):
         """Smallest witness prime of a point that ``_as_point`` already checked.
 
         Such a prime divides every constraining coordinate, hence their gcd; it
-        suffices to test its primes in ascending order.  Past _TRIAL_SQUARE,
-        where trial division alone no longer factors it, those below 1000 are
-        tested before the gcd is factored.  This runs once per point of the
-        brute-force sweeps, so it reads no more fields than it needs.
+        suffices to walk its primes in ascending order with ``prime_divisors``,
+        which factors no more of the gcd than the walk reaches.  This runs once
+        per point of the brute-force sweeps, so it reads no more fields than it needs.
         A power p**e with e * (bits(p) - 1) >= bits(c) exceeds c, so it is
         never built: for b = (10**9, 1) it would take gigabytes.
         """
@@ -119,7 +105,7 @@ class Constraint(NamedTuple):
         g = math.gcd(*coords)
         if g == 1:
             return None
-        for p in _prime_factors(g) if g < _TRIAL_SQUARE else _trial_primes_first(g):
+        for p in prime_divisors(g):
             low = p.bit_length() - 1
             if all(e * low < c.bit_length() and c % p**e == 0 for c, e in zip(coords, exps)):
                 return p

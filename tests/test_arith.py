@@ -12,12 +12,12 @@ from bvis import arith
 from bvis.arith import (
     DEFAULT_SIEVE_BUDGET,
     factorize,
-    floor_root,
     iroot,
     is_perfect_power,
     mobius,
     mobius_table,
     mobius_windows,
+    prime_divisors,
     sieve_primes,
 )
 from bvis.errors import ResourceLimitError
@@ -117,7 +117,20 @@ def _assert_prime_factorization(n: int, factors) -> None:
 @settings(max_examples=300)
 @given(st.integers(min_value=1, max_value=10**7 - 1))
 def test_factorize_property_below_1e7(n):
-    _assert_prime_factorization(n, factorize(n))
+    factors = factorize(n)
+    _assert_prime_factorization(n, factors)
+    assert list(prime_divisors(n)) == [p for p, _ in factors]
+
+
+def test_prime_divisors_yields_a_trial_prime_before_factoring_the_cofactor(monkeypatch):
+    def refuse(n):
+        raise ResourceLimitError(f"refused {n}")
+
+    monkeypatch.setattr(arith, "_factor_cofactor", refuse)
+    walk = prime_divisors(2 * (2**64 - 59) * (2**64 - 83))
+    assert next(walk) == 2
+    with pytest.raises(ResourceLimitError):
+        next(walk)
 
 
 def test_factorize_strong_pseudoprimes():
@@ -261,21 +274,6 @@ def test_iroot_near_powers():
             assert iroot(m**k + 1, k) == m
 
 
-def test_floor_root_examples():
-    assert floor_root(100, 1, 2) == 10
-    assert floor_root(99, 1, 2) == 9
-    assert floor_root(7, 3, 3) == 7
-
-
-def test_floor_root_exhaustive():
-    for n in range(1, 10_001):
-        for alpha in range(1, 7):
-            for a in range(1, alpha + 1):
-                m = floor_root(n, a, alpha)
-                assert m**alpha <= n**a
-                assert (m + 1) ** alpha > n**a
-
-
 def test_is_perfect_power_examples():
     assert is_perfect_power(64, 3) == (True, 4)
     assert is_perfect_power(17, 1) == (True, 17)
@@ -292,10 +290,3 @@ def test_is_perfect_power_vs_exhaustive():
                 assert ok and root == powers[n]
             else:
                 assert not ok and root is None
-
-
-@settings(max_examples=50)
-@given(st.integers(min_value=1, max_value=10**9), st.integers(min_value=1, max_value=6))
-def test_floor_root_matches_iroot_form(n, alpha):
-    for a in range(1, alpha + 1):
-        assert floor_root(n, a, alpha) == iroot(n**a, alpha)

@@ -29,10 +29,11 @@ def test_package_exports():
     assert not hasattr(bvis.counting, "BoxSpec")
     assert not callable(bvis.zeta)
     assert not hasattr(bvis.arith, "Factorization")
+    assert not hasattr(bvis, "floor_root") and not hasattr(bvis.arith, "floor_root")
     assert not hasattr(bvis.counting, "_count_constrained")
     assert not hasattr(bvis.counting, "DENSITY_ZETA_TOL")
     assert not hasattr(bvis.ResourceLimitError("x"), "limit")
-    assert len(bvis.__all__) == 25
+    assert len(bvis.__all__) == 24
     # one gcd rule for every family: no precondition, no separate reduction
     for name in ("PreconditionError", "gcd_is_one_rational", "reduce_b"):
         assert name not in bvis.__all__

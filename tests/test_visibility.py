@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bvis import arith, visibility
 from bvis.arith import factorize
-from bvis import visibility
 from bvis.errors import ResourceLimitError, UsageError
 from bvis.visibility import (
     as_rational_exponent_vector,
@@ -133,26 +133,19 @@ def test_witness_prime_is_smallest():
     assert witness_prime_int((9, 27), (1, 1)) == 3
 
 
-def test_gcd_factorizations_are_cached_but_refusals_are_not(monkeypatch):
+def test_gcd_factorization_refusals_repeat(monkeypatch):
+    # a refusal is remembered nowhere: each verdict that needs the cofactor asks again
     calls = []
 
-    def counting_factorize(n):
+    def refuse(n):
         calls.append(n)
-        if n == 10**6 + 3:
-            raise ResourceLimitError("refused")
-        return factorize(n)
+        raise ResourceLimitError("refused")
 
-    monkeypatch.setattr(visibility, "factorize", counting_factorize)
-    visibility._prime_factors.cache_clear()
-    try:
-        assert [witness_prime_int((12 * c, 18), (1, 1)) for c in (1, 5, 7)] == [2, 2, 2]
-        assert calls == [6]
-        for _ in range(2):
-            with pytest.raises(ResourceLimitError):
-                witness_prime_int((10**6 + 3, 2 * (10**6 + 3)), (1, 1))
-        assert calls == [6, 10**6 + 3, 10**6 + 3]
-    finally:
-        visibility._prime_factors.cache_clear()
+    monkeypatch.setattr(arith, "_factor_cofactor", refuse)
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError):
+            witness_prime_int((10**6 + 3, 2 * (10**6 + 3)), (1, 1))
+    assert calls == [10**6 + 3, 10**6 + 3]
 
 
 def test_a_trial_prime_witness_needs_no_factorization_of_the_gcd():
