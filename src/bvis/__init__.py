@@ -20,7 +20,7 @@ KERNEL_BACKEND = "python"
 # The public names of each submodule.  A submodule loads on first access to
 # it or to one of its names (PEP 562), so `import bvis` loads only errors.
 _EXPORTS = {
-    "arith": ("factorize", "iroot", "is_perfect_power", "mobius", "mobius_table", "sieve_primes"),
+    "arith": ("factorize", "iroot", "mobius_table", "sieve_primes"),
     "counting": ("DensityReport", "count_visible_int", "density_report", "mobius_box_count"),
     "visibility": (
         "base_from_expanded",

@@ -317,7 +317,9 @@ def _pollard_brent(n: int, remaining: int) -> tuple[int, int]:
 
 
 def mobius(d: int) -> int:
-    """Moebius function: 0 on non-squarefree d, else (-1)**(#prime factors)."""
+    """Moebius function: 0 on non-squarefree d, else (-1)**(#prime factors).
+
+    Not exported: the pointwise reference the tests check the mu windows against."""
     if d < 1:
         raise ValueError(f"mobius expects d >= 1, got {d}")
     factors = factorize(d)
@@ -535,13 +537,3 @@ def iroot(x: int, k: int) -> int:
     while (r + 1) ** k <= x:
         r += 1
     return r
-
-
-def is_perfect_power(n: int, c: int) -> tuple[bool, int | None]:
-    """Is n an exact c-th power?  Returns (True, root) or (False, None)."""
-    if n < 1 or c < 1:
-        raise ValueError(f"is_perfect_power expects n >= 1 and c >= 1, got ({n}, {c})")
-    root = iroot(n, c)
-    if root**c == n:
-        return True, root
-    return False, None

@@ -40,13 +40,11 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .arith import iroot, is_perfect_power, prime_divisors
+from .arith import iroot, prime_divisors
 from .errors import ResourceLimitError, UsageError
 
-# Ceiling on the conceptual witness-search box of the parametric oracle.
-DEFAULT_ORACLE_BOX_LIMIT = 100_000_000
-# Ceiling on a bound for the bits of the powers the oracle builds (8 MiB); a
-# huge exponent would otherwise make it build a huge power.
+# Ceiling on the oracle's charge in bit-digits (see find_parametric_witness);
+# a huge exponent or coordinate would otherwise build a huge power.
 ORACLE_BIT_BUDGET = 1 << 26
 
 
@@ -170,8 +168,8 @@ def base_from_expanded(coords: Sequence[int], b) -> tuple[int, ...]:
     expanded = _as_point(coords, len(fracs))
     base = []
     for i, (c, exp) in enumerate(zip(expanded, expansion_powers(fracs))):
-        ok, root = is_perfect_power(c, exp)
-        if not ok:
+        root = iroot(c, exp)
+        if root**exp != c:
             raise UsageError(
                 f"coordinate {c} at position {i} is not a perfect {exp}-th power; "
                 "the point is off the restricted lattice"
@@ -199,18 +197,15 @@ def find_parametric_witness(point: Sequence[int], b) -> tuple[int, ...] | None:
 
     This search is deliberately independent of the prime characterization
     and covers irrational t, since it enumerates image points rather than
-    scaling factors.  Returns the first witness found, or None.  A search
-    box past DEFAULT_ORACLE_BOX_LIMIT points, or powers whose bound
-    sum c * (L/|bi|) * bits(c) over the coordinates (L = lcm(b)) passes
-    ORACLE_BIT_BUDGET, raise ResourceLimitError before anything is built.
+    scaling factors.  Returns the first witness found, or None.  A candidate
+    builds for coordinate i powers of at most P = (L/|bi|) * bits(ni) +
+    (L/|b_p|) * bits(n_p) bits (L = lcm(b)), whose long divisions and roots
+    take time in proportion to P times its 30-bit CPython digits.  So the
+    search is charged n_p - 1 candidates times the sum of P * ceil(P / 30),
+    and a charge past ORACLE_BIT_BUDGET raises ResourceLimitError first.
     """
     fracs = as_rational_exponent_vector(b)
     coords = _as_point(point, len(fracs))
-    box = math.prod(coords)
-    if box > DEFAULT_ORACLE_BOX_LIMIT:
-        raise ResourceLimitError(
-            f"witness search box of {box} points exceeds limit {DEFAULT_ORACLE_BOX_LIMIT}"
-        )
     entries = [f.numerator * power for f, power in zip(fracs, expansion_powers(fracs))]
     negative = any(e < 0 for e in entries)
     pivot = min((i for i, e in enumerate(entries) if (e < 0) == negative), key=coords.__getitem__)
@@ -219,11 +214,12 @@ def find_parametric_witness(point: Sequence[int], b) -> tuple[int, ...] | None:
         # the scaling shrinks this coordinate strictly, so no image point exists
         return None
     lcm_b = math.lcm(*entries)
-    # no power below has more than (L/|bi|) * bits(ci) + (L/|b_p|) * bits(n_p) bits
-    bits = sum(c * (lcm_b // abs(e)) * c.bit_length() for c, e in zip(coords, entries))
-    if bits > ORACLE_BIT_BUDGET:
+    pivot_bits = lcm_b // abs(b_p) * n_p.bit_length()
+    sizes = (lcm_b // abs(e) * c.bit_length() + pivot_bits for c, e in zip(coords, entries))
+    charge = (n_p - 1) * sum(size * -(-size // 30) for size in sizes)
+    if charge > ORACLE_BIT_BUDGET:
         raise ResourceLimitError(
-            f"witness search powers of up to {bits} bits exceed budget {ORACLE_BIT_BUDGET}"
+            f"witness search of {n_p - 1} candidates charges {charge} bit-digits, exceeds budget {ORACLE_BIT_BUDGET}"
         )
     # (u, v, top, bottom) per other coordinate, in order: its image is the
     # v-th root of top * w**u / bottom for u > 0, of top / w**-u for u < 0

@@ -13,7 +13,6 @@ from bvis.arith import (
     DEFAULT_SIEVE_BUDGET,
     factorize,
     iroot,
-    is_perfect_power,
     mobius,
     mobius_table,
     mobius_windows,
@@ -274,19 +273,20 @@ def test_iroot_near_powers():
             assert iroot(m**k + 1, k) == m
 
 
-def test_is_perfect_power_examples():
-    assert is_perfect_power(64, 3) == (True, 4)
-    assert is_perfect_power(17, 1) == (True, 17)
-    assert is_perfect_power(40, 2) == (False, None)
+def test_iroot_perfect_power_examples():
+    assert iroot(64, 3) == 4
+    assert iroot(17, 1) == 17
+    assert iroot(40, 2) ** 2 != 40
 
 
-def test_is_perfect_power_vs_exhaustive():
+def test_iroot_vs_exhaustive_powers():
+    # iroot(n, c) ** c == n exactly on the c-th powers: base_from_expanded's test
     limit = 100_000
     for c in range(2, 8):
         powers = {m**c: m for m in range(1, iroot(limit, c) + 1)}
         for n in range(1, limit + 1):
-            ok, root = is_perfect_power(n, c)
+            root = iroot(n, c)
             if n in powers:
-                assert ok and root == powers[n]
+                assert root == powers[n]
             else:
-                assert not ok and root is None
+                assert root**c != n

@@ -33,7 +33,9 @@ def test_package_exports():
     assert not hasattr(bvis.counting, "_count_constrained")
     assert not hasattr(bvis.counting, "DENSITY_ZETA_TOL")
     assert not hasattr(bvis.ResourceLimitError("x"), "limit")
-    assert len(bvis.__all__) == 24
+    assert len(bvis.__all__) == 22
+    for name in ("mobius", "is_perfect_power"):
+        assert name not in bvis.__all__ and not hasattr(bvis, name)
     # one gcd rule for every family: no precondition, no separate reduction
     for name in ("PreconditionError", "gcd_is_one_rational", "reduce_b"):
         assert name not in bvis.__all__

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -186,26 +187,70 @@ def test_oracle_paper_examples():
 
 
 def test_oracle_resource_limit(monkeypatch):
-    with pytest.raises(ResourceLimitError):
-        find_parametric_witness((10**5, 10**4), (1, 1))
-    monkeypatch.setattr(visibility, "DEFAULT_ORACLE_BOX_LIMIT", 15)
+    # the budget charges the n_p - 1 values of the pivot, whatever the other coordinates
+    for point in ((3, 10**8), (7, 10**7)):
+        start = time.perf_counter()
+        assert find_parametric_witness(point, (1, 1)) is None
+        assert time.perf_counter() - start < 0.1, point
+    assert find_parametric_witness((10**5, 10**4), (1, 1)) == (10, 1)
+    # (n, n + 1) under (1, 1): powers of P = 38 bits, 2 digits, so n - 1
+    # candidates of 2 * 38 * 2 = 152 bit-digits; n = 441506 is the largest under 2**26
+    start = time.perf_counter()
+    assert find_parametric_witness((441506, 441507), (1, 1)) is None
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="441506 candidates"):
+        find_parametric_witness((441507, 441508), (1, 1))
+    assert time.perf_counter() - start < 0.2
+    # (3, 5) under (1, 1) charges 2 * (4 + 5) = 18, (4, 5) 3 * (6 + 6) = 36
+    monkeypatch.setattr(visibility, "ORACLE_BIT_BUDGET", 18)
     assert find_parametric_witness((3, 5), (1, 1)) is None
+    assert find_parametric_witness((3, 6), (1, 1)) == (1, 2)
     with pytest.raises(ResourceLimitError):
         find_parametric_witness((4, 5), (1, 1))
 
 
-def test_oracle_power_budget(monkeypatch):
-    # (2, 2) under b = (10**8, 1) would tabulate 2**(10**8); refused unbuilt
-    with pytest.raises(ResourceLimitError) as exc:
-        find_parametric_witness((2, 2), (10**8, 1))
-    assert f"exceed budget {visibility.ORACLE_BIT_BUDGET}" in str(exc.value)
-    # the bound is 3*1*2 + 5*1*3 = 21 bits for (3, 5) under (1, 1)
-    monkeypatch.setattr(visibility, "ORACLE_BIT_BUDGET", 21)
-    assert find_parametric_witness((3, 5), (1, 1)) is None
-    with pytest.raises(ResourceLimitError):
-        find_parametric_witness((3, 6), (1, 1))
+def test_oracle_power_budget():
+    # (2, 2) under b = (10**8, 1) would build 2**(10**8); refused unbuilt
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as exc:
+            find_parametric_witness((2, 2), (10**8, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.2
+    assert peak < 1 << 20
+    assert f"exceeds budget {visibility.ORACLE_BIT_BUDGET}" in str(exc.value)
+    # one candidate, whose roots take time quadratic in the power's digits: the
+    # largest power under the budget answers, and past it a 1-Mbit 7th root and
+    # 4**(3 * 10**6), each seconds or more of work, are refused at once
+    start = time.perf_counter()
+    assert find_parametric_witness((2, 2 * 3**4042), (7, 1)) is None
+    assert time.perf_counter() - start < 1.0
+    for point, b in (((2, 2 * 3**4043), (7, 1)), ((2, 2 * 3**10**5), (7, 1)), ((4, 2), (1, 3 * 10**6))):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            find_parametric_witness(point, b)
+        assert time.perf_counter() - start < 0.2
     # a coordinate 1 has no image and needs no table
     assert find_parametric_witness((1, 2), (10**12, 1)) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=60), st.data())
+def test_oracle_agrees_on_a_small_pivot_and_huge_coordinates(small, data):
+    # huge coordinates cost the search only bits: it tries the pivot's values
+    k = data.draw(st.integers(min_value=1, max_value=3))
+    b = data.draw(st.lists(st.integers(min_value=1, max_value=4), min_size=k, max_size=k))
+    others = st.one_of(
+        st.integers(min_value=small, max_value=2**64),
+        st.integers(min_value=1, max_value=2**40).map(lambda m: m * small**4),
+    )
+    point = data.draw(st.lists(others, min_size=k - 1, max_size=k - 1))
+    point.insert(data.draw(st.integers(min_value=0, max_value=k - 1)), small)
+    assert (find_parametric_witness(point, b) is None) == (witness_prime(point, b) is None)
 
 
 @settings(max_examples=200, deadline=None)
@@ -333,6 +378,10 @@ def test_base_from_expanded():
         base_from_expanded((4, 7), ["2/3", "1/2"])
     # alpha/a_i = 1: every point is on the lattice and is its own base
     assert base_from_expanded((4, 9), ["1/2", "1/2"]) == (4, 9)
+    # b=(1,1/3): lattice exponents (3,1), so 64 = 4**3 and 17 = 17**1
+    assert base_from_expanded((64, 17), [1, "1/3"]) == (4, 17)
+    with pytest.raises(UsageError, match="not a perfect 2-th power"):
+        base_from_expanded((40, 1), [1, "1/2"])
 
 
 # ---------------------------------------------------------------- signed case
